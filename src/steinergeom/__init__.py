@@ -65,7 +65,6 @@ from .primitives import (
     bases_of,
     canonical_code,
     chi,
-    chi_greedy,
     copies_over_base,
     decompose,
     enumerate_good_pairs,

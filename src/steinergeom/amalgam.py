@@ -4,20 +4,19 @@ The free amalgam of F and E over a shared strong part D glues the two
 structures along D and merges lines across the sides exactly when they
 are based in D (share two D-points); nothing else becomes collinear.
 amalgamate_or_identify then either accepts the free amalgam (it passes
-the bounded K_mu check) or locates a copy of the offending extension
-step inside F and identifies instead, one primitive step at a time.
+the bounded K_mu check) or maps the offending extension step onto an
+existing copy inside F, one primitive step at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .dimension import min_delta_interval
 from .errors import BaseMismatch, BoundTooSmall, NotStrong
-from .space import LinearSpace, delta_mask, induced, mask_of, points_of
-from .primitives import copies_over_base, decompose
+from .space import LinearSpace, delta_mask, induced, mask_of, preserves_lines
+from .primitives import decompose, embeddings_over_base
 
 
 def _glue(
@@ -34,16 +33,7 @@ def _glue(
     d_in_f = [e_to_f[p] for p in d_in_e]
     if len(set(d_in_f)) != len(d_in_f):
         raise BaseMismatch("shared-part map is not injective")
-    sub_f = induced(F, sorted(d_in_f))
-    rank_f = {p: i for i, p in enumerate(sorted(d_in_f))}
-    # relabel E's copy of D in the order of the F-side ids so the two
-    # induced structures are literally comparable
-    sub_e = induced(E, d_in_e)
-    rel = {i: rank_f[e_to_f[p]] for i, p in enumerate(d_in_e)}
-    perm_lines = []
-    for ln in sub_e.lines:
-        perm_lines.append(tuple(sorted(rel[i] for i in ln)))
-    if LinearSpace(sub_e.n, perm_lines) != sub_f:
+    if not preserves_lines(E, F, e_to_f):
         raise BaseMismatch("shared part differs between the two sides")
 
     emap = dict(e_to_f)
@@ -125,8 +115,9 @@ def amalgamate_or_identify(
 
     D <= E is decomposed into primitive steps; each step is freely
     amalgamated and kept if the bounded K_mu check passes, otherwise the
-    step's extension is identified with its lexicographically least copy
-    inside the current structure.  With `precheck`, F and E are first
+    step's extension is identified with its least copy inside the current
+    structure: the first of embeddings_over_base, whose extension images
+    are lexicographically least.  With `precheck`, F and E are first
     verified against mu at the same bound; per-step rechecks then only
     look at pairs touching the new points.
     """
@@ -163,12 +154,11 @@ def amalgamate_or_identify(
                 emb[p] = cmap[rel[p]]
             continue
         violations.extend((code, chi_val, cap) for code, _b, chi_val, cap in viols)
-        copies = _step_embeddings(cur, step_space, base_idx, base_map)
-        if not copies:
+        least = next(embeddings_over_base(cur, step_space, base_idx, base_map), None)
+        if least is None:
             raise BoundTooSmall(
                 bound, "free amalgam rejected but no copy of the step exists to identify with"
             )
-        least = copies[0]
         for p in step_pts:
             if p not in emb:
                 emb[p] = least[rel[p]]
@@ -179,58 +169,3 @@ def amalgamate_or_identify(
         violations=violations,
     )
 
-
-def _step_embeddings(
-    M: LinearSpace,
-    pair_space: LinearSpace,
-    base: list[int],
-    base_map: dict[int, int],
-) -> list[dict[int, int]]:
-    """All induced embeddings of pair_space into M extending base_map,
-    sorted by the image sequence of the extension points."""
-    ext = sorted(set(range(pair_space.n)) - set(base))
-    images = copies_over_base(M, pair_space, base, base_map)
-    out = []
-    for img in images:
-        phi = _match(M, pair_space, base_map, ext, img)
-        if phi is not None:
-            out.append(phi)
-    out.sort(key=lambda phi: [phi[x] for x in ext])
-    return out
-
-
-def _match(
-    M: LinearSpace,
-    pair_space: LinearSpace,
-    base_map: dict[int, int],
-    ext: list[int],
-    image: frozenset[int],
-) -> Optional[dict[int, int]]:
-    """One concrete embedding of pair_space onto base image u given ext image."""
-    phi = dict(base_map)
-    avail = sorted(image)
-
-    def consistent(x: int, m: int) -> bool:
-        for u, v in combinations(sorted(phi), 2):
-            pl = pair_space.line_through(u, v)
-            in_pair = pl is not None and x in pl
-            ml = M.line_through(phi[u], phi[v])
-            if in_pair != (ml is not None and m in ml):
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(ext):
-            return True
-        x = ext[i]
-        for m in avail:
-            if m in phi.values():
-                continue
-            if consistent(x, m):
-                phi[x] = m
-                if rec(i + 1):
-                    return True
-                del phi[x]
-        return False
-
-    return phi if rec(0) else None

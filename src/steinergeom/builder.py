@@ -3,12 +3,14 @@
 The loop services three kinds of tasks round-robin: complete short
 lines to the target length mu(alpha)+2 with fresh points, realize
 good-pair templates over randomly chosen bases, and add fresh isolated
-points.  Every structural change is a free amalgam of a strong small
-extension, so the growing structure stays a strong extension chain and
-line lengths stay legal by construction; a realization that would push
-chi of its own code past the mu cap at that base is identified with the
-least existing copy instead.  Global bounded checks are snapshot-time
-work for callers, not a per-step gate.
+points.  Queued completions and alpha realizations on a short line both
+add the point through one extend_line step; a line still short after it
+sits in the queue exactly once.  Every structural change is a free
+amalgam of a strong small extension, so the growing structure stays a
+strong extension chain and line lengths stay legal by construction; a
+realization that would push chi of its own code past the mu cap at that
+base is identified with the least existing copy instead.  Global bounded
+checks are snapshot-time work for callers, not a per-step gate.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import FormatError
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, in_K_mu_bounded, to_mu_v1, validate_mu
 from .primitives import ALPHA_CODE, GoodPair, _max_disjoint, alpha_pair, copies_over_base
-from .space import LinearSpace, induced, pair_coverage, parse_ls_v1, to_ls_v1
+from .space import LinearSpace, induced, pair_coverage, parse_ls_v1, preserves_lines, to_ls_v1
 
 DEFAULT_TEMPLATE_MAX = 10
 
@@ -120,23 +122,20 @@ def build(
         cur = LinearSpace(cur.n + 1, cur.lines)
         trace.steps.append(BuildStep(i, "add-point", (pid,)))
 
+    def extend_line(i: int, a: int, b: int) -> None:
+        # a fresh point on the line through a and b; if the line is still
+        # short, commit() queues it again
+        ln = cur.line_through(a, b)
+        pid = cur.n
+        commit(LinearSpace(pid + 1, [x + (pid,) if x == ln else x for x in cur.lines]))
+        trace.steps.append(BuildStep(i, "complete-line", (a, b, pid)))
+
     def service_complete(i: int, task: tuple[int, int]) -> None:
         a, b = task
         queued_pairs.discard(task)
         ln = cur.line_through(a, b)
-        if ln is None or len(ln) >= target_len:
-            return
-        pid = cur.n
-        lines = [list(x) for x in cur.lines]
-        for row in lines:
-            if a in row and b in row:
-                row.append(pid)
-        candidate = LinearSpace(cur.n + 1, [tuple(sorted(r)) for r in lines])
-        commit(candidate)
-        trace.steps.append(BuildStep(i, "complete-line", (a, b, pid)))
-        if len(ln) + 1 < target_len:
-            complete_q.append((a, b))
-            queued_pairs.add((a, b))
+        if ln is not None and len(ln) < target_len:
+            extend_line(i, a, b)
 
     def pick_base(gp: GoodPair) -> Optional[dict[int, int]]:
         nb = len(gp.base)
@@ -145,7 +144,6 @@ def build(
         if cur.n < nb:
             return None
         base_sorted = sorted(gp.base)
-        base_sub = induced(gp.space, base_sorted)
         for _ in range(40):
             img = rng.sample(range(cur.n), nb)
             # realizing piles the template's lines onto the base image, so
@@ -153,17 +151,12 @@ def build(
             # checks expensive
             if any(len(cur.lines_by_point[p]) > 1 for p in img):
                 continue
-            cand = induced(cur, sorted(img))
-            rank = {p: j for j, p in enumerate(sorted(img))}
-            relabeled = []
-            for ln in base_sub.lines:
-                relabeled.append(tuple(sorted(rank[img[j]] for j in ln)))
-            if LinearSpace(nb, relabeled) == cand:
-                return {base_sorted[j]: img[j] for j in range(nb)}
+            base_map = dict(zip(base_sorted, img))
+            if preserves_lines(gp.space, cur, base_map):
+                return base_map
         return None
 
     def service_alpha(i: int) -> None:
-        nonlocal cur
         if cur.n < 2:
             return
         fallback = None
@@ -174,19 +167,11 @@ def build(
                 if any(len(cur.lines_by_point[p]) >= 4 for p in (a, b)):
                     continue
                 pid = cur.n
-                candidate = LinearSpace(cur.n + 1, list(cur.lines) + [(a, b, pid)])
-                commit(candidate)
+                commit(LinearSpace(cur.n + 1, list(cur.lines) + [(a, b, pid)]))
                 trace.steps.append(BuildStep(i, "realize", (ALPHA_CODE, (a, b), (pid,))))
                 return
             if len(ln) < target_len:
-                pid = cur.n
-                lines = [list(x) for x in cur.lines]
-                for row in lines:
-                    if a in row and b in row:
-                        row.append(pid)
-                candidate = LinearSpace(cur.n + 1, [tuple(sorted(r)) for r in lines])
-                commit(candidate)
-                trace.steps.append(BuildStep(i, "complete-line", (a, b, pid)))
+                extend_line(i, a, b)
                 return
             fallback = (a, b, ln)
         if fallback is not None:
@@ -299,7 +284,12 @@ def _payload_str(payload: tuple) -> str:
     return " ".join(parts)
 
 
+_PAYLOAD_TOKENS = {"add-point": 1, "complete-line": 3, "realize": 3, "identify": 3}
+
+
 def _parse_payload(kind: str, toks: list[str]) -> tuple:
+    if len(toks) != _PAYLOAD_TOKENS.get(kind):
+        raise ValueError(f"bad payload for step kind {kind!r}")
     if kind in ("realize", "identify"):
         # code, base image, extension image; the images are tuples even
         # when they hold a single point
@@ -323,23 +313,33 @@ def parse_trace_v1(text: str) -> BuildTrace:
         if not row:
             continue
         parts = row.split()
-        if parts[0] == "seed":
-            trace.seed = int(parts[1])
-        elif parts[0] == "mu":
-            trace.mu_hash = parts[1]
-        elif parts[0] == "template-max":
-            trace.template_max = int(parts[1])
-        elif parts[0] == "step":
-            payload = _parse_payload(parts[2], parts[3:])
-            trace.steps.append(BuildStep(int(parts[1]), parts[2], payload))
-        elif parts[0] == "snapshot" and parts[-1] == "begin":
-            idx = int(parts[1])
-            block = []
-            while i < len(lines) and lines[i].strip() != "snapshot end":
-                block.append(lines[i])
+        try:
+            if parts[0] in ("seed", "mu", "template-max") and len(parts) != 2:
+                raise ValueError("expected one value")
+            if parts[0] == "seed":
+                trace.seed = int(parts[1])
+            elif parts[0] == "mu":
+                trace.mu_hash = parts[1]
+            elif parts[0] == "template-max":
+                trace.template_max = int(parts[1])
+            elif parts[0] == "step":
+                payload = _parse_payload(parts[2], parts[3:])
+                trace.steps.append(BuildStep(int(parts[1]), parts[2], payload))
+            elif parts[0] == "snapshot" and parts[-1] == "begin":
+                idx = int(parts[1])
+                start = i
+                while i < len(lines) and lines[i].strip() != "snapshot end":
+                    i += 1
+                if i == len(lines):
+                    raise FormatError(start, "snapshot block has no 'snapshot end'")
+                try:
+                    snap = parse_ls_v1("\n".join(lines[start:i]))
+                except FormatError as exc:
+                    raise FormatError(start + exc.lineno, f"in snapshot {idx}: {exc}") from None
+                trace.snapshots.append((idx, snap))
                 i += 1
-            i += 1
-            trace.snapshots.append((idx, parse_ls_v1("\n".join(block))))
-        else:
-            raise FormatError(i, f"unrecognized row {row!r}")
+            else:
+                raise FormatError(i, f"unrecognized row {row!r}")
+        except (IndexError, ValueError) as exc:
+            raise FormatError(i, f"malformed row {row!r}: {exc}") from None
     return trace

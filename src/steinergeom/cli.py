@@ -339,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-points", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for interface parity; aggregation is deterministic")
 
     return top
 

@@ -1,6 +1,9 @@
 """Primitive extensions, good pairs, canonical codes, copy counting,
 and decomposition of strong extensions into primitive steps.
 
+embeddings_over_base is the one embedding search: copies_over_base and
+chi collect its extension images, amalgamate-or-identify its first one.
+
 Pair-sized structures are small, so the strongness/primitivity checks
 here run on dense per-subset tables (see dimension.delta_table) rather
 than the branch-and-bound path used for ambient structures.
@@ -23,6 +26,7 @@ from .space import (
     mask_of,
     parse_ls_v1,
     points_of,
+    preserves_lines,
     to_ls_v1,
 )
 from .tight import iter_candidate_sets
@@ -279,53 +283,41 @@ def alpha_pair() -> GoodPair:
 
 # -- copies and chi ----------------------------------------------------
 
-def copies_over_base(
+def embeddings_over_base(
     M: LinearSpace,
     pair_space: LinearSpace,
     base: Iterable[int],
     b_embed: dict[int, int],
-    *,
-    cap: int = 10000,
-) -> list[frozenset[int]]:
-    """Distinct extension images of induced embeddings extending b_embed.
+) -> Iterator[dict[int, int]]:
+    """Induced embeddings of the pair into M extending b_embed.
 
-    Each returned set is phi(C) for an injection phi of the pair into M
-    that fixes the base embedding and matches collinearity exactly in
-    both directions on its image.
+    Each is an injection phi of the pair's points into M that fixes the
+    base embedding and matches collinearity exactly in both directions on
+    its image.  They come out in lexicographic order of the extension
+    images (phi(x) for x in the sorted extension points), each once.
     """
     base = frozenset(base)
     ext = sorted(set(range(pair_space.n)) - base)
-    for u, v in combinations(sorted(base), 2):
-        pl = pair_space.line_through(u, v)
-        ml = M.line_through(b_embed[u], b_embed[v])
-        for w in sorted(base):
-            if w in (u, v):
-                continue
-            if ((pl is not None and w in pl) != (ml is not None and b_embed[w] in ml)):
-                raise ValueError("base embedding does not preserve collinearity")
-    images: set[frozenset[int]] = set()
     phi = dict(b_embed)
     used = set(b_embed.values())
     if len(used) != len(b_embed):
         raise ValueError("base embedding is not injective")
+    if not preserves_lines(pair_space, M, b_embed):
+        raise ValueError("base embedding does not preserve collinearity")
 
     def consistent(x: int, m: int) -> bool:
-        for u in phi:
-            for v in phi:
-                if u >= v:
-                    continue
-                pl = pair_space.line_through(u, v)
-                in_pair = pl is not None and x in pl
-                ml = M.line_through(phi[u], phi[v])
-                in_m = ml is not None and m in ml
-                if in_pair != in_m:
-                    return False
+        for u, v in combinations(phi, 2):
+            pl = pair_space.line_through(u, v)
+            ml = M.line_through(phi[u], phi[v])
+            if (pl is not None and x in pl) != (ml is not None and m in ml):
+                return False
         return True
 
     def candidates(x: int) -> Iterable[int]:
         # a point collinear with two mapped points can only land on their
         # M-line; one mapped neighbour still confines it to that image's
-        # lines
+        # lines.  Every candidate list is ascending, which keeps the
+        # output in lexicographic order.
         neighbour = None
         for u, v in combinations(sorted(phi), 2):
             pl = pair_space.line_through(u, v)
@@ -345,24 +337,38 @@ def copies_over_base(
         near.discard(neighbour)
         return sorted(near)
 
-    def rec(i: int) -> None:
-        if len(images) > cap:
-            raise SizeLimit(f"more than {cap} copies")
+    def rec(i: int) -> Iterator[dict[int, int]]:
         if i == len(ext):
-            images.add(frozenset(phi[x] for x in ext))
+            yield dict(phi)
             return
         x = ext[i]
         for m in candidates(x):
-            if m in used:
-                continue
-            if consistent(x, m):
+            if m not in used and consistent(x, m):
                 phi[x] = m
                 used.add(m)
-                rec(i + 1)
+                yield from rec(i + 1)
                 used.discard(m)
                 del phi[x]
 
-    rec(0)
+    return rec(0)
+
+
+def copies_over_base(
+    M: LinearSpace,
+    pair_space: LinearSpace,
+    base: Iterable[int],
+    b_embed: dict[int, int],
+    *,
+    cap: int = 10000,
+) -> list[frozenset[int]]:
+    """Distinct extension images phi(C) of the embeddings_over_base,
+    sorted; more than `cap` of them raises SizeLimit."""
+    ext = sorted(set(range(pair_space.n)) - frozenset(base))
+    images: set[frozenset[int]] = set()
+    for phi in embeddings_over_base(M, pair_space, base, b_embed):
+        images.add(frozenset(phi[x] for x in ext))
+        if len(images) > cap:
+            raise SizeLimit(f"more than {cap} copies")
     return sorted(images, key=sorted)
 
 
@@ -398,18 +404,6 @@ def chi(
     pairwise disjoint outside it."""
     copies = copies_over_base(M, gp.space, gp.base, b_embed, cap=cap)
     return _max_disjoint(copies)
-
-
-def chi_greedy(M: LinearSpace, gp: GoodPair, b_embed: dict[int, int], *, cap: int = 10000) -> int:
-    """First-fit disjoint-copy count; diagnostic lower bound for chi."""
-    copies = copies_over_base(M, gp.space, gp.base, b_embed, cap=cap)
-    taken: set[int] = set()
-    count = 0
-    for c in copies:
-        if not c & taken:
-            taken |= c
-            count += 1
-    return count
 
 
 # -- enumeration -------------------------------------------------------

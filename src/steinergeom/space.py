@@ -190,6 +190,18 @@ def induced(space: LinearSpace, S: Iterable[int]) -> LinearSpace:
     return LinearSpace(len(pts), new_lines)
 
 
+def preserves_lines(A: LinearSpace, B: LinearSpace, phi: dict[int, int]) -> bool:
+    """A triple of phi's domain is collinear in A exactly when its image
+    is collinear in B; for injective phi, the induced structures on the
+    domain and on the image then agree."""
+    for u, v, w in combinations(sorted(phi), 3):
+        la = A.line_through(u, v)
+        lb = B.line_through(phi[u], phi[v])
+        if (la is not None and w in la) != (lb is not None and phi[w] in lb):
+            return False
+    return True
+
+
 def pair_coverage(space: LinearSpace) -> float:
     """Fraction of point pairs lying on a stored line."""
     total = space.n * (space.n - 1) // 2

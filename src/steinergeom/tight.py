@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .space import LinearSpace, points_of
+from .space import LinearSpace
 
 
 def iter_candidate_sets(
@@ -154,22 +154,3 @@ def iter_candidate_sets(
         yield from expand(allowed)
         remove(root)
 
-
-def attached_points(space: LinearSpace, c_mask: int) -> dict[int, list[int]]:
-    """Outside points on lines carrying >= 2 points of C.
-
-    Maps each such point to the indices of those lines; these are the
-    only points that can appear in a base for extension set C.
-    """
-    out: dict[int, list[int]] = {}
-    seen: set[int] = set()
-    for p in points_of(c_mask):
-        for li in space.lines_by_point[p]:
-            if li in seen:
-                continue
-            seen.add(li)
-            lm = space.line_masks[li]
-            if (lm & c_mask).bit_count() >= 2:
-                for q in points_of(lm & ~c_mask):
-                    out.setdefault(q, []).append(li)
-    return out

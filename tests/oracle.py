@@ -138,6 +138,28 @@ def copies_oracle(M, pair_space, base, b_embed):
     return images
 
 
+def embeddings_oracle(M, pair_space, base, b_embed):
+    """All injections of the pair's points into M extending b_embed under
+    which a triple is collinear exactly when its image is; brute force
+    over permutations, as dicts in permutation order."""
+    ext = sorted(set(range(pair_space.n)) - set(base))
+    free = sorted(set(range(M.n)) - set(b_embed.values()))
+
+    def collinear(space, t):
+        return any(set(t) <= set(ln) for ln in space.lines)
+
+    out = []
+    for pick in permutations(free, len(ext)):
+        phi = dict(b_embed)
+        phi.update(zip(ext, pick))
+        if all(
+            collinear(pair_space, t) == collinear(M, [phi[p] for p in t])
+            for t in combinations(sorted(phi), 3)
+        ):
+            out.append(phi)
+    return out
+
+
 def max_disjoint_oracle(images):
     images = sorted(images, key=sorted)
     best = 0

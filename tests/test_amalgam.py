@@ -9,13 +9,16 @@ from steinergeom import (
     MuFunction,
     NotStrong,
     amalgamate_or_identify,
+    decompose,
     delta,
     free_amalgam,
     in_K0,
     in_K_mu_bounded,
+    induced,
     is_strong,
     random_k0,
 )
+from oracle import embeddings_oracle
 
 
 def grow_k0(rng, base, extra, *, tries=12):
@@ -134,3 +137,42 @@ def test_amalgamate_random_results_pass_bounded_check():
             got = res.structure.line_through(img[0], img[1])
             assert got is not None and set(img) <= set(got)
         done += 1
+
+
+def test_identify_takes_lex_least_embedding():
+    # F's line through the shared pair {0, 1} is full at mu(alpha)=2 and
+    # E puts a new point on it, so that step has two copies to choose from
+    rng = Random(43)
+    mu = MuFunction(2)
+    bound = 6
+    done = 0
+    for _ in range(200):
+        F = grow_k0(rng, LinearSpace(4, [(0, 1, 2, 3)]), rng.randrange(0, 4))
+        E = grow_k0(rng, LinearSpace(3, [(0, 1, 2)]), rng.randrange(0, 4))
+        if not is_strong(E, [0, 1], range(E.n)).ok:
+            continue
+        if not in_K_mu_bounded(F, mu, bound)[0] or not in_K_mu_bounded(E, mu, bound)[0]:
+            continue
+        try:
+            res = amalgamate_or_identify(F, E, [0, 1], mu, bound)
+        except BoundTooSmall:
+            continue
+        if res.outcome != "identified":
+            continue
+        # every step was identified inside F itself, each with the least
+        # oracle embedding by the image sequence of its extension points
+        emb = {0: 0, 1: 1}
+        for x_set, _inc in decompose(E, [0, 1]):
+            pts = sorted(x_set)
+            rel = {p: i for i, p in enumerate(pts)}
+            base_map = {rel[p]: emb[p] for p in pts if p in emb}
+            ext = sorted(set(range(len(pts))) - set(base_map))
+            least = min(
+                embeddings_oracle(F, induced(E, pts), base_map, base_map),
+                key=lambda phi: [phi[x] for x in ext],
+            )
+            for p in pts:
+                emb.setdefault(p, least[rel[p]])
+        assert res.e_embedding == emb
+        done += 1
+    assert done >= 10

@@ -94,6 +94,41 @@ def test_trace_parse_errors(text):
         parse_trace_v1(text)
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("trace v1\nseed\n", 2),
+        ("trace v1\nmu\n", 2),
+        ("trace v1\nseed 1\ntemplate-max\n", 3),
+        ("trace v1\nstep 1\n", 2),
+        ("trace v1\nstep 1 realize\n", 2),
+        ("trace v1\nstep 1 add-point\n", 2),
+        ("trace v1\nseed x\n", 2),
+        ("trace v1\nstep 1 complete-line 0 1 y\n", 2),
+        ("trace v1\nsnapshot x begin\nsnapshot end\n", 2),
+        ("trace v1\nseed 1\nsnapshot 5 begin\nlinear-space v1\npoints 3\n", 3),
+        ("trace v1\nsnapshot 5 begin\nlinear-space v1\npoints 3\nline 0 1 5\nsnapshot end\n", 5),
+    ],
+)
+def test_trace_parse_errors_carry_line_numbers(text, lineno):
+    with pytest.raises(FormatError) as exc:
+        parse_trace_v1(text)
+    assert exc.value.lineno == lineno
+
+
+@pytest.mark.parametrize("alpha", [3, 4])
+def test_every_step_index_records_one_step(alpha):
+    # a line still short after a completion is queued once, so no queued
+    # task pops as a no-op step
+    M, trace = build(MuFunction(alpha), 400, 7)
+    counts = [0] * 400
+    for st in trace.steps:
+        if st.index < 400:
+            counts[st.index] += 1
+    assert counts == [1] * 400
+    assert {len(ln) for ln in M.lines} == {alpha + 2}
+
+
 def test_default_templates():
     tpls = default_templates(10)
     codes = [gp.code for gp in tpls]

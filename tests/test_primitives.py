@@ -14,7 +14,6 @@ from steinergeom import (
     bases_of,
     canonical_code,
     chi,
-    chi_greedy,
     copies_over_base,
     cycle_Ck,
     decompose,
@@ -22,6 +21,7 @@ from steinergeom import (
     enumerate_good_pairs,
     fano,
     fano_chain,
+    induced,
     is_good_pair,
     is_primitive,
     parse_gp_v1,
@@ -29,7 +29,9 @@ from steinergeom import (
     random_space,
     to_gp_v1,
 )
-from oracle import chi_oracle, copies_oracle, good_pair_oracle
+from steinergeom.primitives import embeddings_over_base
+from steinergeom.space import preserves_lines
+from oracle import chi_oracle, copies_oracle, embeddings_oracle, good_pair_oracle
 
 
 def test_is_primitive_cycle():
@@ -160,19 +162,6 @@ def test_chi_examples():
     assert chi(LinearSpace(4, []), a, {0: 0, 1: 1}) == 0
 
 
-def test_chi_greedy_bounds_chi():
-    rng = Random(33)
-    a = alpha_pair()
-    for _ in range(50):
-        M = random_space(rng, rng.randrange(4, 9))
-        pair = rng.sample(range(M.n), 2)
-        ln = M.line_through(*pair)
-        if ln is None:
-            continue
-        emb = {0: pair[0], 1: pair[1]}
-        assert chi_greedy(M, a, emb) <= chi(M, a, emb)
-
-
 def test_chi_vs_oracle():
     rng = Random(34)
     a = alpha_pair()
@@ -200,6 +189,47 @@ def test_copies_validates_embedding():
     a = alpha_pair()
     with pytest.raises(ValueError):
         copies_over_base(LinearSpace(4, []), a.space, a.base, {0: 0, 1: 0})
+
+
+@pytest.mark.parametrize("nb", [0, 2, 3])
+def test_embeddings_over_base_vs_oracle(nb):
+    rng = Random(37 + nb)
+    checked = found = 0
+    for _ in range(40):
+        M = random_space(rng, rng.randrange(5, 9))
+        P = random_space(rng, rng.randrange(nb + 1, nb + 4))
+        base = sorted(rng.sample(range(P.n), nb))
+        emb = dict(zip(base, rng.sample(range(M.n), nb)))
+        if not preserves_lines(P, M, emb):
+            with pytest.raises(ValueError):
+                embeddings_over_base(M, P, base, emb)
+            continue
+        ext = sorted(set(range(P.n)) - set(base))
+        want = sorted(embeddings_oracle(M, P, base, emb), key=lambda phi: [phi[x] for x in ext])
+        # exactly the oracle's embeddings, each once, in lexicographic order
+        assert list(embeddings_over_base(M, P, base, emb)) == want
+        checked += 1
+        found += bool(want)
+    assert checked > 10 and found > 5
+
+
+def test_preserves_lines_matches_induced_comparison():
+    rng = Random(38)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        A = random_space(rng, rng.randrange(3, 9))
+        B = random_space(rng, rng.randrange(3, 9))
+        k = rng.randrange(min(A.n, B.n) + 1)
+        phi = dict(zip(rng.sample(range(A.n), k), rng.sample(range(B.n), k)))
+        # relabel A's induced structure on the domain into the point order
+        # of B's induced structure on the image, then compare
+        dom = sorted(phi)
+        rank = {q: i for i, q in enumerate(sorted(phi.values()))}
+        moved = LinearSpace(k, [[rank[phi[dom[i]]] for i in ln] for ln in induced(A, dom).lines])
+        want = moved == induced(B, phi.values())
+        assert preserves_lines(A, B, phi) == want
+        seen[want] += 1
+    assert min(seen.values()) > 20
 
 
 def test_enumerate_single_line():

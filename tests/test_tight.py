@@ -2,7 +2,7 @@ from itertools import combinations
 from random import Random
 
 from steinergeom import LinearSpace, delta, fano, random_space
-from steinergeom.tight import attached_points, iter_candidate_sets
+from steinergeom.tight import iter_candidate_sets
 from oracle import delta_set, good_pair_oracle
 
 
@@ -87,19 +87,3 @@ def test_max_size_is_respected():
 def test_relation_free_space_has_no_candidates():
     assert unpack(LinearSpace(6, []), 6) == {}
 
-
-def test_attached_points_brute():
-    rng = Random(65)
-    for _ in range(20):
-        n = rng.randrange(4, 9)
-        M = random_space(rng, n)
-        pts = rng.sample(range(n), rng.randrange(2, n + 1))
-        c_mask = sum(1 << p for p in pts)
-        got = attached_points(M, c_mask)
-        want = {}
-        for li, ln in enumerate(M.lines):
-            if len(set(ln) & set(pts)) >= 2:
-                for q in ln:
-                    if q not in pts:
-                        want.setdefault(q, []).append(li)
-        assert got == want
