@@ -43,23 +43,22 @@ def _glue(
             emap[p] = nxt
             nxt += 1
 
-    f_line_index = {ln: i for i, ln in enumerate(F.lines)}
-    merged = [set(ln) for ln in F.lines]
+    # F-lines based in D absorb the E-lines on them; the rest of E's
+    # lines are new
+    grown: dict[tuple[int, ...], set[int]] = {}
     extra = []
     dset = set(d_in_e)
     for ln in E.lines:
-        mapped = sorted(emap[p] for p in ln)
+        mapped = [emap[p] for p in ln]
         trace = [p for p in ln if p in dset]
-        target = None
+        fl = None
         if len(trace) >= 2:
             fl = F.line_through(e_to_f[trace[0]], e_to_f[trace[1]])
-            if fl is not None:
-                target = f_line_index[fl]
-        if target is None:
-            extra.append(tuple(mapped))
+        if fl is None:
+            extra.append(mapped)
         else:
-            merged[target].update(mapped)
-    G = LinearSpace(nxt, [tuple(sorted(s)) for s in merged] + extra)
+            grown.setdefault(fl, set(fl)).update(mapped)
+    G = F.with_lines(nxt, add=[*grown.values(), *extra], drop=grown)
     return G, emap
 
 

@@ -9,8 +9,10 @@ sits in the queue exactly once.  Every structural change is a free
 amalgam of a strong small extension, so the growing structure stays a
 strong extension chain and line lengths stay legal by construction; a
 realization that would push chi of its own code past the mu cap at that
-base is identified with the least existing copy instead.  Global bounded
-checks are snapshot-time work for callers, not a per-step gate.
+base is identified with the least existing copy instead.  Commits go
+through LinearSpace.with_lines, which validates only the new lines
+against the pairs already covered.  Global bounded checks are
+snapshot-time work for callers, not a per-step gate.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def build(
     def service_add_point(i: int) -> None:
         nonlocal cur
         pid = cur.n
-        cur = LinearSpace(cur.n + 1, cur.lines)
+        cur = cur.with_lines(cur.n + 1)
         trace.steps.append(BuildStep(i, "add-point", (pid,)))
 
     def extend_line(i: int, a: int, b: int) -> None:
@@ -127,7 +129,7 @@ def build(
         # short, commit() queues it again
         ln = cur.line_through(a, b)
         pid = cur.n
-        commit(LinearSpace(pid + 1, [x + (pid,) if x == ln else x for x in cur.lines]))
+        commit(cur.with_lines(pid + 1, add=[ln + (pid,)], drop=[ln]))
         trace.steps.append(BuildStep(i, "complete-line", (a, b, pid)))
 
     def service_complete(i: int, task: tuple[int, int]) -> None:
@@ -167,7 +169,7 @@ def build(
                 if any(len(cur.lines_by_point[p]) >= 4 for p in (a, b)):
                     continue
                 pid = cur.n
-                commit(LinearSpace(cur.n + 1, list(cur.lines) + [(a, b, pid)]))
+                commit(cur.with_lines(pid + 1, add=[(a, b, pid)]))
                 trace.steps.append(BuildStep(i, "realize", (ALPHA_CODE, (a, b), (pid,))))
                 return
             if len(ln) < target_len:

@@ -27,7 +27,7 @@ from .interop import (
     to_pbd_text,
     to_two_sorted,
 )
-from .mu import parse_mu_v1
+from .mu import MuFunction, parse_mu_v1, validate_mu
 from .primitives import GoodPair, chi, enumerate_good_pairs, parse_gp_v1
 from .sampling import random_k0, random_space
 from .space import LinearSpace, delta, parse_ls_v1, to_ls_v1
@@ -140,10 +140,19 @@ def cmd_chi(args) -> int:
     return 0
 
 
+def _read_valid_mu(path: str) -> MuFunction:
+    """A mu-v1 file's mu; one below its lower bounds is a ValueError."""
+    mu = parse_mu_v1(_read(path))
+    ok, reasons = validate_mu(mu)
+    if not ok:
+        raise ValueError("invalid mu: " + "; ".join(reasons))
+    return mu
+
+
 def cmd_amalgamate(args) -> int:
     F = parse_ls_v1(_read(args.F))
     E = parse_ls_v1(_read(args.E))
-    mu = parse_mu_v1(_read(args.mu))
+    mu = _read_valid_mu(args.mu)
     res = amalgamate_or_identify(F, E, _point_list(args.shared), mu, args.bound)
     payload = {
         "outcome": res.outcome,
@@ -161,7 +170,7 @@ def cmd_amalgamate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    mu = parse_mu_v1(_read(args.mu))
+    mu = _read_valid_mu(args.mu)
     print(f"building: {args.steps} steps, seed {args.seed}", file=sys.stderr)
     M, trace = build(mu, args.steps, args.seed, args.template_max)
     print(f"done: {M.n} points, {len(M.lines)} lines", file=sys.stderr)

@@ -10,8 +10,8 @@ max(delta(B), 1), the smallest legal bound.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .errors import FormatError
 from .primitives import (
@@ -137,7 +137,7 @@ def _copy_groups(
     M: LinearSpace,
     bound: int,
     want: frozenset[int],
-) -> dict[tuple[str, frozenset[int]], set[frozenset[int]]]:
+) -> Mapping[tuple[str, frozenset[int]], Iterable[frozenset[int]]]:
     """Extension images per (code, base image) among good pairs of size
     <= bound, excluding alpha.
 
@@ -180,14 +180,15 @@ def _copy_groups(
 @lru_cache(maxsize=8)
 def _copy_groups_full(
     M: LinearSpace, bound: int
-) -> dict[tuple[str, frozenset[int]], set[frozenset[int]]]:
+) -> Mapping[tuple[str, frozenset[int]], frozenset[frozenset[int]]]:
+    """The cached grouping, read-only: every caller gets the same object."""
     out: dict[tuple[str, frozenset[int]], set[frozenset[int]]] = {}
     for gp, emb in enumerate_good_pairs(M, bound):
         if gp.code == ALPHA_CODE:
             continue
         key = (gp.code, frozenset(emb[b] for b in gp.base))
         out.setdefault(key, set()).add(frozenset(emb[c] for c in gp.ext))
-    return out
+    return MappingProxyType({key: frozenset(copies) for key, copies in out.items()})
 
 
 def mu_X(X: Iterable[int], alpha_value: int = 1) -> MuFunction:

@@ -295,6 +295,12 @@ def embeddings_over_base(
     base embedding and matches collinearity exactly in both directions on
     its image.  They come out in lexicographic order of the extension
     images (phi(x) for x in the sorted extension points), each once.
+
+    A candidate m for x must lie on at least as many M-lines as x lies
+    on pair lines.  This bound is admissible: two pair lines through x
+    meet only in x, so if phi sent both onto one M-line it would make a
+    non-collinear triple collinear; phi maps distinct lines through x to
+    distinct lines through phi(x).
     """
     base = frozenset(base)
     ext = sorted(set(range(pair_space.n)) - base)
@@ -304,12 +310,19 @@ def embeddings_over_base(
         raise ValueError("base embedding is not injective")
     if not preserves_lines(pair_space, M, b_embed):
         raise ValueError("base embedding does not preserve collinearity")
+    need = [len(lns) for lns in pair_space.lines_by_point]
+    degree = [len(lns) for lns in M.lines_by_point]
 
     def consistent(x: int, m: int) -> bool:
-        for u, v in combinations(phi, 2):
-            pl = pair_space.line_through(u, v)
-            ml = M.line_through(phi[u], phi[v])
-            if (pl is not None and x in pl) != (ml is not None and m in ml):
+        # every triple {u, w, x} of mapped u, w: the mapped points on the
+        # pair line (u, x) are exactly those whose images lie on the M-line
+        # (phi(u), m)
+        for u, pu in phi.items():
+            pl = pair_space.line_through(u, x)
+            ml = M.line_through(pu, m)
+            on_pl = {phi[w] for w in pl if w != u and w in phi} if pl else set()
+            on_ml = {q for q in ml if q != pu and q in used} if ml else set()
+            if on_pl != on_ml:
                 return False
         return True
 
@@ -319,16 +332,16 @@ def embeddings_over_base(
         # lines.  Every candidate list is ascending, which keeps the
         # output in lexicographic order.
         neighbour = None
-        for u, v in combinations(sorted(phi), 2):
-            pl = pair_space.line_through(u, v)
-            if pl is not None and x in pl:
-                ml = M.line_through(phi[u], phi[v])
-                return () if ml is None else ml
-        for u in phi:
+        for u, pu in phi.items():
             pl = pair_space.line_through(u, x)
-            if pl is not None:
-                neighbour = phi[u]
-                break
+            if pl is None:
+                continue
+            for v in pl:
+                if v != u and v in phi:
+                    ml = M.line_through(pu, phi[v])
+                    return () if ml is None else ml
+            if neighbour is None:
+                neighbour = pu
         if neighbour is None:
             return range(M.n)
         near: set[int] = set()
@@ -343,7 +356,7 @@ def embeddings_over_base(
             return
         x = ext[i]
         for m in candidates(x):
-            if m not in used and consistent(x, m):
+            if degree[m] >= need[x] and m not in used and consistent(x, m):
                 phi[x] = m
                 used.add(m)
                 yield from rec(i + 1)

@@ -30,6 +30,30 @@ def points_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _normalized(n: int, lines: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The lines as sorted point tuples, in sorted order; a short,
+    out-of-range or repeated line is a ValueError."""
+    norm = sorted(tuple(sorted(set(ln))) for ln in lines)
+    for ln in norm:
+        if len(ln) < 3:
+            raise ValueError(f"line {ln} has fewer than 3 points")
+        if ln[0] < 0 or ln[-1] >= n:
+            raise ValueError(f"line {ln} out of range for {n} points")
+    if len(set(norm)) != len(norm):
+        raise ValueError("duplicate lines")
+    return norm
+
+
+def _cover(pair_line: dict[tuple[int, int], tuple[int, ...]], lines: list[tuple[int, ...]]) -> None:
+    """Enter every pair of the lines into pair_line; a pair already
+    there is an AxiomViolation."""
+    for ln in lines:
+        for pair in combinations(ln, 2):
+            if pair in pair_line:
+                raise AxiomViolation(pair, [pair_line[pair], ln])
+            pair_line[pair] = ln
+
+
 class LinearSpace:
     """Immutable finite linear space on points 0..n-1.
 
@@ -40,25 +64,52 @@ class LinearSpace:
     __slots__ = ("n", "lines", "line_masks", "_lines_by_point", "_pair_line")
 
     def __init__(self, n: int, lines: Iterable[Sequence[int]]):
-        norm = sorted(tuple(sorted(set(ln))) for ln in lines)
-        for ln in norm:
-            if len(ln) < 3:
-                raise ValueError(f"line {ln} has fewer than 3 points")
-            if ln[0] < 0 or ln[-1] >= n:
-                raise ValueError(f"line {ln} out of range for {n} points")
-        if len(set(norm)) != len(norm):
-            raise ValueError("duplicate lines")
+        norm = _normalized(n, lines)
         seen: dict[tuple[int, int], tuple[int, ...]] = {}
-        for ln in norm:
-            for pair in combinations(ln, 2):
-                if pair in seen:
-                    raise AxiomViolation(pair, [seen[pair], ln])
-                seen[pair] = ln
+        _cover(seen, norm)
         self.n = n
         self.lines = tuple(norm)
         self.line_masks = tuple(mask_of(ln) for ln in self.lines)
         self._lines_by_point = None
         self._pair_line = seen
+
+    def with_lines(
+        self,
+        n: int,
+        add: Iterable[Sequence[int]] = (),
+        drop: Iterable[Sequence[int]] = (),
+    ) -> "LinearSpace":
+        """The space on n >= self.n points with the stored lines `drop`
+        removed and `add` added.
+
+        Equal to LinearSpace(n, kept + added), and raises the same
+        exception types, but validates only the added lines against the
+        pairs that stay covered.
+        """
+        if n < self.n:
+            raise ValueError(f"cannot shrink {self.n} points to {n}")
+        add = _normalized(n, add)
+        drop = {tuple(sorted(ln)) for ln in drop}
+        pair_line = self._pair_line.copy()
+        for ln in drop:
+            if pair_line.get(ln[:2]) != ln:
+                raise ValueError(f"line {ln} is not a stored line")
+            for pair in combinations(ln, 2):
+                del pair_line[pair]
+        if any(pair_line.get(ln[:2]) == ln for ln in add):
+            raise ValueError("duplicate lines")
+        _cover(pair_line, add)
+        kept = [
+            item for item in zip(self.lines, self.line_masks) if item[0] not in drop
+        ]
+        rows = sorted(kept + [(ln, mask_of(ln)) for ln in add])
+        out = LinearSpace.__new__(LinearSpace)
+        out.n = n
+        out.lines = tuple(ln for ln, _ in rows)
+        out.line_masks = tuple(lm for _, lm in rows)
+        out._lines_by_point = None
+        out._pair_line = pair_line
+        return out
 
     # -- derived views -------------------------------------------------
 
@@ -70,7 +121,7 @@ class LinearSpace:
             for i, ln in enumerate(self.lines):
                 for p in ln:
                     by[p].append(i)
-            self._lines_by_point = tuple(tuple(b) for b in by)
+            self._lines_by_point = tuple(map(tuple, by))
         return self._lines_by_point
 
     def line_through(self, a: int, b: int) -> tuple[int, ...] | None:

@@ -145,15 +145,16 @@ def embeddings_oracle(M, pair_space, base, b_embed):
     ext = sorted(set(range(pair_space.n)) - set(base))
     free = sorted(set(range(M.n)) - set(b_embed.values()))
 
-    def collinear(space, t):
-        return any(set(t) <= set(ln) for ln in space.lines)
+    def collinear_triples(space):
+        return {frozenset(t) for ln in space.lines for t in combinations(ln, 3)}
 
+    in_pair, in_m = collinear_triples(pair_space), collinear_triples(M)
     out = []
     for pick in permutations(free, len(ext)):
         phi = dict(b_embed)
         phi.update(zip(ext, pick))
         if all(
-            collinear(pair_space, t) == collinear(M, [phi[p] for p in t])
+            (frozenset(t) in in_pair) == (frozenset(phi[p] for p in t) in in_m)
             for t in combinations(sorted(phi), 3)
         ):
             out.append(phi)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from steinergeom import (
@@ -127,6 +129,22 @@ def test_every_step_index_records_one_step(alpha):
             counts[st.index] += 1
     assert counts == [1] * 400
     assert {len(ln) for ln in M.lines} == {alpha + 2}
+
+
+# sha256 of to_trace_v1(build(MuFunction(alpha), 1000, seed=7)); a change
+# to the search or commit machinery must leave every trace byte as it is
+PINNED_TRACES = {
+    1: "f4fd128d98dac54f26430a16a96a4a91152efd7339029ae4360cd88fa23c32a6",
+    2: "0ab0b81eb6899e842929bd3801b7a87e773249d77b1698fa880e8be7b79b23ff",
+    3: "a803b5cdb4d969a505ee021206ae77300ab7be4572e76ef14605bdec5e17ed47",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(PINNED_TRACES))
+def test_build_trace_is_pinned(alpha):
+    _, trace = build(MuFunction(alpha), 1000, seed=7)
+    digest = hashlib.sha256(to_trace_v1(trace).encode()).hexdigest()
+    assert digest == PINNED_TRACES[alpha]
 
 
 def test_default_templates():

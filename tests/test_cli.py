@@ -82,6 +82,22 @@ def test_amalgamate(tmp_path, mu1_file, capsys):
     assert payload["embedding"]["2"] == 2
 
 
+@pytest.mark.parametrize("cmd", ["amalgamate", "build"])
+def test_invalid_mu_exits_1(tmp_path, capsys, cmd):
+    mu = tmp_path / "bad.mu"
+    mu.write_text(to_mu_v1(MuFunction(-5)))
+    # a structure without lines passes the bounded check under any mu, so
+    # only the mu validation can reject this run
+    F = tmp_path / "F.ls"
+    F.write_text(to_ls_v1(LinearSpace(3, [])))
+    if cmd == "amalgamate":
+        argv = ["amalgamate", str(F), str(F), "--shared", "0,1", "--mu", str(mu)]
+    else:
+        argv = ["build", "--mu", str(mu), "--steps", "5", "--seed", "1", "--out", str(tmp_path / "t")]
+    assert main(argv) == 1
+    assert "error: invalid mu: alpha value -5 < 1" in capsys.readouterr().err
+
+
 def test_build_and_stats(tmp_path, mu1_file, capsys):
     out = tmp_path / "run.trace"
     assert main([

@@ -20,6 +20,7 @@ from steinergeom import (
     to_mu_v1,
     validate_mu,
 )
+from steinergeom.mu import _copy_groups_full
 
 
 def test_line_length():
@@ -133,6 +134,67 @@ def test_bounded_check_touching_agrees_with_full():
         part_ok, _ = in_K_mu_bounded(M, mu, M.n, touching=pts)
         if not part_ok:
             assert not full_ok
+
+
+def _hub_stack(rng, ks):
+    """Copies of C_k for k in ks glued over one hub pair, plus two
+    isolated points, relabelled at random."""
+    M = LinearSpace(2, [])
+    for k in ks:
+        M = free_amalgam(M, cycle_Ck(k).space, [0, 1])
+    n = M.n + 2
+    perm = rng.sample(range(n), n)
+    return LinearSpace(n, [[perm[p] for p in ln] for ln in M.lines])
+
+
+def _violation_points(M, bound, violation):
+    """The points of a violation's group: the line for alpha, else the
+    base image and every copy over it."""
+    code, base_img, _chi, _cap = violation
+    if code == ALPHA_CODE:
+        return set(M.line_through(*base_img))
+    copies = _copy_groups_full(M, bound)[(code, frozenset(base_img))]
+    return set(base_img).union(*copies)
+
+
+def test_bounded_check_touching_is_sound_on_violating_stacks():
+    rng = Random(52)
+    mu, bound = mu_X([]), 10
+    met = 0
+    for ks, tries in (((1, 1, 1), 3), ((1, 2), 2)):
+        M = _hub_stack(rng, ks)
+        _, full = in_K_mu_bounded(M, mu, bound)
+        isolated = [p for p in range(M.n) if not M.lines_by_point[p]]
+        # random pairs, and the two isolated points, which meet no group
+        for pts in [rng.sample(range(M.n), 2) for _ in range(tries - 1)] + [isolated]:
+            _, part = in_K_mu_bounded(M, mu, bound, touching=pts)
+            # every partial violation is a full one ...
+            assert set(part) <= set(full)
+            # ... and every full violation whose group meets the touched
+            # points is found by the partial check
+            for v in full:
+                if _violation_points(M, bound, v) & set(pts):
+                    assert v in part
+                    met += 1
+    assert met >= 1
+
+
+def test_copy_groups_cache_is_read_only():
+    M = triple_cycle_structure(1)
+    bound = cycle_Ck(1).space.n
+    groups = _copy_groups_full(M, bound)
+    before = {key: set(copies) for key, copies in groups.items()}
+    key = next(iter(groups))
+    with pytest.raises(TypeError):
+        groups[key] = frozenset()
+    with pytest.raises(AttributeError):
+        groups[key].add(frozenset({0}))
+    again = _copy_groups_full(M, bound)
+    assert {k: set(v) for k, v in again.items()} == before
+    assert in_K_mu_bounded(M, mu_X([]), bound) == (
+        False,
+        [(cycle_Ck(1).code, (0, 1), 3, 2)],
+    )
 
 
 def test_mu_x_caps():

@@ -10,9 +10,11 @@ from steinergeom import (
     NotStrong,
     NotZeroPrimitive,
     SizeLimit,
+    D_k,
     alpha_pair,
     bases_of,
     canonical_code,
+    chain_link_pair,
     chi,
     copies_over_base,
     cycle_Ck,
@@ -21,6 +23,7 @@ from steinergeom import (
     enumerate_good_pairs,
     fano,
     fano_chain,
+    free_amalgam,
     induced,
     is_good_pair,
     is_primitive,
@@ -210,6 +213,53 @@ def test_embeddings_over_base_vs_oracle(nb):
         assert list(embeddings_over_base(M, P, base, emb)) == want
         checked += 1
         found += bool(want)
+    assert checked > 10 and found > 5
+
+
+def _search_vs_oracle(M, P, base, emb):
+    ext = sorted(set(range(P.n)) - set(base))
+    want = sorted(embeddings_oracle(M, P, base, emb), key=lambda phi: [phi[x] for x in ext])
+    assert list(embeddings_over_base(M, P, base, emb)) == want
+    return want
+
+
+@pytest.mark.parametrize("n, extra_line", [(8, False), (9, False), (9, True)])
+def test_embeddings_over_base_degree_bound_empty_base(n, extra_line):
+    # D_1 (the Fano plane over the empty base) has 3 lines through every
+    # point, so the degree bound rejects each host point on 0 or 1 lines
+    gp = D_k(1)
+    rng = Random(n + 10 * extra_line)
+    spot = rng.sample(range(n), gp.space.n)
+    lines = [[spot[p] for p in ln] for ln in gp.space.lines]
+    rest = sorted(set(range(n)) - set(spot))
+    if extra_line:
+        lines.append([spot[0], *rest])
+    M = LinearSpace(n, lines)
+    assert all(len(M.lines_by_point[p]) <= 1 for p in rest)
+    want = _search_vs_oracle(M, gp.space, gp.base, {})
+    # one embedding per automorphism of the Fano plane
+    assert len(want) == 168
+
+
+def test_embeddings_over_base_degree_bound_chain_link():
+    gp = chain_link_pair()
+    need = min(len(gp.space.lines_by_point[x]) for x in gp.ext)
+    rng = Random(43)
+    checked = found = 0
+    for _ in range(12):
+        M = random_space(rng, 10, tries=5)
+        if not preserves_lines(gp.space, M, {0: 0, 1: 1, 2: 2}):
+            continue
+        for _ in range(2):
+            M = free_amalgam(M, gp.space, [0, 1, 2])
+        low = [p for p in range(M.n) if len(M.lines_by_point[p]) < need]
+        assert len(low) >= M.n // 3
+        bases = [(0, 1, 2)] + [tuple(rng.sample(range(M.n), 3)) for _ in range(4)]
+        for img in bases:
+            emb = dict(zip(sorted(gp.base), img))
+            if preserves_lines(gp.space, M, emb):
+                found += bool(_search_vs_oracle(M, gp.space, gp.base, emb))
+                checked += 1
     assert checked > 10 and found > 5
 
 

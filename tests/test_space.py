@@ -1,4 +1,6 @@
 import pytest
+from collections import Counter
+from itertools import combinations
 from random import Random
 
 from steinergeom import (
@@ -37,6 +39,82 @@ def test_constructor_rejects_shared_pair():
 def test_constructor_rejects_duplicates():
     with pytest.raises(ValueError):
         LinearSpace(3, [(0, 1, 2), (2, 1, 0)])
+
+
+def _random_edit(rng, S):
+    """A random (n, add, drop) edit of S; some edits break an axiom or a
+    format rule on purpose."""
+    n = S.n + rng.randrange(3)
+    drop = rng.sample(S.lines, rng.randrange(len(S.lines) + 1))
+    add = []
+    for _ in range(rng.randrange(4)):
+        kind = rng.random()
+        if kind < 0.1 and n >= 2:
+            add.append(rng.sample(range(n), 2))
+        elif kind < 0.2 and n >= 2:
+            add.append(rng.sample(range(n), 2) + [rng.choice((-1, n))])
+        elif kind < 0.35 and S.lines:
+            # a duplicate unless that line is dropped too
+            add.append(list(reversed(rng.choice(S.lines))))
+        elif kind < 0.5 and drop and n > S.n:
+            # the extend-a-line edit: drop a line, add it with a new point
+            add.append(rng.choice(drop) + (n - 1,))
+        elif n >= 3:
+            add.append(rng.sample(range(n), min(n, rng.choice((3, 3, 4)))))
+    return n, add, drop
+
+
+def test_with_lines_matches_constructor():
+    rng = Random(61)
+    seen = Counter()
+    for _ in range(600):
+        S = random_space(rng, rng.randrange(10))
+        n, add, drop = _random_edit(rng, S)
+        kept = [ln for ln in S.lines if ln not in drop]
+        try:
+            want = LinearSpace(n, kept + add)
+        except (ValueError, AxiomViolation) as exc:
+            with pytest.raises(Exception) as info:
+                S.with_lines(n, add=add, drop=drop)
+            assert type(info.value) is type(exc)
+            seen[type(exc).__name__] += 1
+            continue
+        got = S.with_lines(n, add=add, drop=drop)
+        assert got == want and hash(got) == hash(want)
+        assert got.lines == want.lines and got.line_masks == want.line_masks
+        assert got.lines_by_point == want.lines_by_point
+        for a, b in combinations(range(n), 2):
+            assert got.line_through(a, b) == want.line_through(a, b)
+        seen["ok"] += 1
+    assert min(seen[k] for k in ("ok", "ValueError", "AxiomViolation")) > 50
+
+
+@pytest.mark.parametrize(
+    "n, add, drop, exc",
+    [
+        (5, [(0, 1)], (), ValueError),
+        (5, [(0, 3, 5)], (), ValueError),
+        (5, [(-1, 3, 4)], (), ValueError),
+        (5, [(2, 1, 0)], (), ValueError),
+        (5, [(3, 4, 2), (2, 3, 4)], [(0, 1, 2)], ValueError),
+        (5, [(0, 1, 3)], (), AxiomViolation),
+        (5, [(0, 3, 4), (1, 3, 4)], [(0, 1, 2)], AxiomViolation),
+        (4, (), (), ValueError),
+        (5, (), [(0, 1, 3)], ValueError),
+    ],
+)
+def test_with_lines_rejects(n, add, drop, exc):
+    S = LinearSpace(5, [(0, 1, 2)])
+    with pytest.raises(exc):
+        S.with_lines(n, add=add, drop=drop)
+
+
+def test_with_lines_leaves_the_original_alone():
+    S = LinearSpace(5, [(0, 1, 2)])
+    T = S.with_lines(6, add=[(0, 1, 2, 5)], drop=[(0, 1, 2)])
+    assert T == LinearSpace(6, [(0, 1, 2, 5)])
+    assert S == LinearSpace(5, [(0, 1, 2)])
+    assert S.line_through(0, 5) is None and T.line_through(0, 5) == (0, 1, 2, 5)
 
 
 def test_validate_fano_triples():
