@@ -20,13 +20,14 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from random import Random
 from typing import Optional
 
 from .amalgam import _glue
 from .errors import FormatError
 from .gallery import cycle_Ck, D_k, fano_chain
-from .mu import MuFunction, in_K_mu_bounded, to_mu_v1, validate_mu
+from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
 from .primitives import ALPHA_CODE, GoodPair, _max_disjoint, alpha_pair, copies_over_base
 from .space import LinearSpace, induced, pair_coverage, parse_ls_v1, preserves_lines, to_ls_v1
 
@@ -229,24 +230,35 @@ def build(
 
 
 def stats(M: LinearSpace, mu: MuFunction, *, bound: int = 6) -> dict:
-    """Line-length histogram, pair coverage, and per-code chi/mu ratios."""
+    """Line-length histogram, pair coverage, and per-code chi/mu ratios.
+
+    The ratios are averaged over the (code, base image) groups of good
+    pairs of size <= bound, taken in the order in which
+    enumerate_good_pairs lists each group's first pair.  The groups come
+    from the grouping in_K_mu_bounded has just made, and the alpha groups
+    are the point pairs of each line.  chi is searched over the first
+    pair's own base map: a group keyed on the base image as a set also
+    holds copies glued over it in the other orientation.
+    """
     hist: dict[int, int] = {}
     for ln in M.lines:
         hist[len(ln)] = hist.get(len(ln), 0) + 1
+    _, violations = in_K_mu_bounded(M, mu, bound)
+    # (points of the group's first pair, base image, code)
+    groups: list[tuple[list[int], list[int], str]] = []
+    for ln in M.lines:
+        for a, b in combinations(ln, 2):
+            groups.append((sorted((a, b, min(set(ln) - {a, b}))), [a, b], ALPHA_CODE))
+    for (code, img), copies in _copy_groups_full(M, bound).items():
+        groups.append((min(sorted(img | c) for c in copies), sorted(img), code))
+    groups.sort()
+
     saturation: dict[str, float] = {}
     counts: dict[str, int] = {}
-    _, violations = in_K_mu_bounded(M, mu, bound)
-    from .primitives import _max_disjoint, enumerate_good_pairs
-
-    groups: dict[tuple[str, frozenset[int]], tuple] = {}
-    for gp, emb in enumerate_good_pairs(M, bound):
-        key = (gp.code, frozenset(emb[b] for b in gp.base))
-        groups.setdefault(key, (gp, emb))
-    for (code, _img), (gp, emb) in groups.items():
-        cap = mu.value(code)
-        b_embed = {b: emb[b] for b in gp.base}
-        chi_val = _max_disjoint(copies_over_base(M, gp.space, gp.base, b_embed))
-        saturation[code] = saturation.get(code, 0.0) + chi_val / max(cap, 1)
+    for pts, img, code in groups:
+        base = [pts.index(p) for p in img]
+        chi_val = _max_disjoint(copies_over_base(M, induced(M, pts), base, {i: pts[i] for i in base}))
+        saturation[code] = saturation.get(code, 0.0) + chi_val / max(mu.value(code), 1)
         counts[code] = counts.get(code, 0) + 1
     for code in saturation:
         saturation[code] /= counts[code]

@@ -86,13 +86,17 @@ def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
 
 
 def _zero_primitive(space: LinearSpace, b_mask: int) -> bool:
-    """delta(C/B) = 0, B strong, and primitive, for C = complement of B."""
-    dt, _ = _tables(space)
+    """delta(C/B) = 0, B strong, and primitive, for C = complement of B.
+
+    The tests run cheapest first: delta(C/B) = 0 straight from the lines,
+    then strongness on the interval-min table over B, and only then
+    primitivity, the one test that needs the superset-min table.
+    """
     full = space.full_mask()
-    if int(dt[full]) != int(dt[b_mask]):
+    base_delta = delta_mask(space, b_mask)
+    if delta_mask(space, full) != base_delta:
         return False
-    m = _from_base_table(space, b_mask)
-    if int(m[full]) < int(dt[b_mask]):
+    if int(_from_base_table(space, b_mask)[full]) < base_delta:
         return False
     return is_primitive(space, points_of(b_mask))
 
@@ -118,6 +122,9 @@ def is_good_pair(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> bool
     for r in range(b_mask.bit_count()):
         for sub_b in combinations(points_of(b_mask), r):
             keep = mask_of(sub_b) | c_mask
+            # the first test of _zero_primitive, made before relabelling
+            if delta_mask(space, keep) != delta_mask(space, mask_of(sub_b)):
+                continue
             small = induced(space, points_of(keep))
             relabel = {p: i for i, p in enumerate(points_of(keep))}
             if _zero_primitive(small, mask_of(relabel[p] for p in sub_b)):
@@ -170,11 +177,10 @@ def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[fro
 def _refine(space: LinearSpace, colors: tuple[int, ...]) -> tuple[int, ...]:
     by_point = space.lines_by_point
     while True:
+        line_cols = [tuple(sorted(colors[q] for q in ln)) for ln in space.lines]
         sigs = []
         for p in range(space.n):
-            line_sigs = sorted(
-                tuple(sorted(colors[q] for q in space.lines[li])) for li in by_point[p]
-            )
+            line_sigs = sorted(line_cols[li] for li in by_point[p])
             sigs.append((colors[p], tuple(line_sigs)))
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = tuple(ranks[s] for s in sigs)
@@ -435,6 +441,19 @@ def enumerate_good_pairs(
     With `touching`, only pairs whose B u C meets those points; the walk
     is then seeded at them and their collinear neighbours, since a base
     point of a pair is always collinear with two extension points.
+
+    base_choices takes at most max_size - |C| base points whose weights,
+    the numbers of populated lines of C they sit on, sum to delta(C).  A
+    candidate set whose max_size - |C| largest weights fall short of
+    delta(C) therefore has no base and is skipped, and base_choices
+    stops once the weights still to come cannot reach what is missing.
+
+    Verification is memoized per call on (n, lines, base mask) of the
+    order-preserving relabelling of B u C.  That key is the labelled
+    structure together with B, and C is the rest of it, so the verdict
+    and the canonical code are functions of the key: point sets of M
+    with the same labelled shape are verified once.  Only the lines are
+    kept for rejected shapes, and the memo dies with the call.
     """
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
@@ -459,6 +478,7 @@ def enumerate_good_pairs(
     else:
         c_masks = iter_candidate_sets(M, max_size)
 
+    verified: dict[tuple[int, tuple[tuple[int, ...], ...], int], Optional[GoodPair]] = {}
     for c_mask, dc, pop_lines in c_masks:
         c_size = c_mask.bit_count()
         # base candidates are the outside points on populated lines; their
@@ -470,7 +490,13 @@ def enumerate_good_pairs(
                 q = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
                 weight_of[q] = weight_of.get(q, 0) + 1
+        if sum(sorted(weight_of.values(), reverse=True)[: max_size - c_size]) < dc:
+            continue
         weights = sorted(weight_of.items())
+        # suffix[j]: total weight of weights[j:]
+        suffix = [0] * (len(weights) + 1)
+        for j in range(len(weights) - 1, -1, -1):
+            suffix[j] = suffix[j + 1] + weights[j][1]
 
         def base_choices(i: int, chosen: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
             if need == 0:
@@ -479,6 +505,8 @@ def enumerate_good_pairs(
             if c_size + len(chosen) >= max_size:
                 return
             for j in range(i, len(weights)):
+                if suffix[j] < need:
+                    return
                 q, w = weights[j]
                 if w <= need:
                     yield from base_choices(j + 1, chosen + (q,), need - w)
@@ -499,9 +527,13 @@ def enumerate_good_pairs(
             relabel = {p: i for i, p in enumerate(pts)}
             sub = induced(M, pts)
             b_idx = [relabel[p] for p in b_pts]
-            c_idx = [relabel[p] for p in points_of(c_mask)]
-            if is_good_pair(sub, b_idx, c_idx):
-                gp = GoodPair(sub, b_idx, check=False)
+            key = (sub.n, sub.lines, mask_of(b_idx))
+            if key not in verified:
+                c_idx = [relabel[p] for p in points_of(c_mask)]
+                good = is_good_pair(sub, b_idx, c_idx)
+                verified[key] = GoodPair(sub, b_idx, check=False) if good else None
+            gp = verified[key]
+            if gp is not None:
                 out.append((gp, {i: p for p, i in relabel.items()}))
     out.sort(
         key=lambda item: (

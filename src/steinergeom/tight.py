@@ -13,6 +13,12 @@ populated lines, only additions on the lowest such point's unpopulated
 lines are tried; once every point is satisfied the set is emitted and
 grown through arbitrary collinear neighbours.  Per-line point counts,
 degrees, and delta are maintained incrementally across the DFS.
+
+Growth is pruned with the global max_lines, the most lines through any
+point of the space, as the bound on one base point's attach weight.
+Around a hub point that bound is loose, so most emitted sets have no
+base; enumerate_good_pairs discards those at emission with the sets'
+actual weights.
 """
 
 from __future__ import annotations

@@ -6,11 +6,14 @@ from steinergeom import (
     ALPHA_CODE,
     BuildStep,
     FormatError,
+    LinearSpace,
     MuFunction,
     build,
     chain_link_pair,
+    decode_code,
     default_templates,
     delta,
+    free_amalgam,
     pair_coverage,
     parse_trace_v1,
     stats,
@@ -176,6 +179,36 @@ def test_stats_keys():
     }
     assert st["violations"] == []
     assert st["line_length_histogram"].get(3, 0) == len(M.lines)
+
+
+# sha256 of repr(stats(build(MuFunction(alpha), steps, seed)[0], ...)),
+# key order and float bits included
+PINNED_STATS = {
+    (1, 120, 5, 6): "b5a45cc5c381208544d1645e40cd9af68df8167ed64a74a4ceaa28a6c2708203",
+    (2, 150, 7, 8): "56b51b7edd5597f8c6ef1b5e33b4a9d23480b3e66a69edbf78d401c287284d0d",
+}
+
+
+@pytest.mark.parametrize("alpha, steps, seed, bound", sorted(PINNED_STATS))
+def test_stats_is_pinned(alpha, steps, seed, bound):
+    M, _ = build(MuFunction(alpha), steps, seed)
+    st = stats(M, MuFunction(alpha), bound=bound)
+    digest = hashlib.sha256(repr(st).encode()).hexdigest()
+    assert digest == PINNED_STATS[(alpha, steps, seed, bound)]
+
+
+def test_stats_counts_copies_over_the_base_pointwise():
+    # a pair whose two base points play different roles, glued twice over
+    # {0, 1} with the roles swapped: each copy is over the base only in
+    # its own orientation, so chi is 1 at that base, not 2
+    code = "gp2.5|0,2,4|0,3,5|1,2,3,6|4,5,6"
+    space, _ = decode_code(code)
+    swapped = LinearSpace(space.n, [[{0: 1, 1: 0}.get(p, p) for p in ln] for ln in space.lines])
+    M = free_amalgam(free_amalgam(LinearSpace(2, []), space, [0, 1]), swapped, [0, 1])
+    st = stats(M, MuFunction(1), bound=7)
+    assert st["chi_saturation"][code] == 0.5
+    digest = hashlib.sha256(repr(st).encode()).hexdigest()
+    assert digest == "efcf1d2b38959783f14680e8147406a3cb1c0f448800813cd128c587e3363b90"
 
 
 def test_build_step_indices_increase():

@@ -1,5 +1,7 @@
-import pytest
+import hashlib
 from random import Random
+
+import pytest
 
 from steinergeom import (
     ALPHA_CODE,
@@ -7,11 +9,13 @@ from steinergeom import (
     LinearSpace,
     MuFunction,
     alpha_pair,
+    build,
     canonical_code,
     chi,
     cycle_Ck,
     decode_code,
     delta,
+    enumerate_good_pairs,
     fano,
     free_amalgam,
     in_K_mu_bounded,
@@ -203,3 +207,38 @@ def test_mu_x_caps():
     assert mu.value(cycle_Ck(2).code) == 2
     assert mu.value(cycle_Ck(3).code) == 3
     assert mu.line_length() == 4
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _enumeration(M, bound):
+    return [(gp.code, sorted(emb.items())) for gp, emb in enumerate_good_pairs(M, bound)]
+
+
+# sha256 of repr() of enumerate_good_pairs output as (code, sorted
+# embedding items), and of in_K_mu_bounded's (ok, violations); a change
+# to the verification machinery must leave all of them as they are
+PINNED_HUB = {
+    "enumeration": "0a297d648ee47998302ee3ac77250bfedb94cd893e44cb303b2e21701aab7a41",
+    "mu_X([])": "ca41f84fafd96425a1a1e2cfae358b824bd859d0527d0b001d1ed286f2e0336b",
+    "mu_X([1])": "4fd945ab0f7bc0e2b1e3c15ff7655ab0ac9edb4407230dfacae35f41b2936199",
+}
+PINNED_BUILD = {
+    "enumeration": "785157178fab04e07307b103427b87bae611fad8fccce88258bd57f8ed55a65a",
+    "violations": "4fd945ab0f7bc0e2b1e3c15ff7655ab0ac9edb4407230dfacae35f41b2936199",
+}
+
+
+def test_hub_stack_outputs_are_pinned():
+    M = _hub_stack(Random(2024), (1, 1, 1))
+    assert _sha(_enumeration(M, 10)) == PINNED_HUB["enumeration"]
+    assert _sha(in_K_mu_bounded(M, mu_X([]), 10)) == PINNED_HUB["mu_X([])"]
+    assert _sha(in_K_mu_bounded(M, mu_X([1]), 10)) == PINNED_HUB["mu_X([1])"]
+
+
+def test_build_outputs_are_pinned():
+    M, _ = build(MuFunction(2), 150, seed=7)
+    assert _sha(_enumeration(M, 8)) == PINNED_BUILD["enumeration"]
+    assert _sha(in_K_mu_bounded(M, MuFunction(2), 8)) == PINNED_BUILD["violations"]

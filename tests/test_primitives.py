@@ -1,6 +1,8 @@
-import pytest
+import hashlib
 from itertools import combinations, permutations
 from random import Random
+
+import pytest
 
 from steinergeom import (
     ALPHA_CODE,
@@ -34,7 +36,13 @@ from steinergeom import (
 )
 from steinergeom.primitives import embeddings_over_base
 from steinergeom.space import preserves_lines
-from oracle import chi_oracle, copies_oracle, embeddings_oracle, good_pair_oracle
+from oracle import (
+    chi_oracle,
+    copies_oracle,
+    embeddings_oracle,
+    good_pair_oracle,
+    zero_primitive_oracle,
+)
 
 
 def test_is_primitive_cycle():
@@ -138,6 +146,15 @@ def test_code_invariant_exhaustively_small():
     for perm in permutations(range(5)):
         lines = [tuple(sorted(perm[p] for p in ln)) for ln in space.lines]
         assert canonical_code(LinearSpace(5, lines), [perm[p] for p in base]) == want
+
+
+# sha256 of repr([(cycle_Ck(k).code, D_k(k).code) for k in 1..5])
+PINNED_GALLERY_CODES = "6555e4dc4d288cfc20f2cb6b7c3b9de760a48481f25ebfd793249f4efa0a9eac"
+
+
+def test_gallery_codes_are_pinned():
+    codes = [(cycle_Ck(k).code, D_k(k).code) for k in range(1, 6)]
+    assert hashlib.sha256(repr(codes).encode()).hexdigest() == PINNED_GALLERY_CODES
 
 
 def test_code_separates_base_choices():
@@ -321,6 +338,69 @@ def test_enumerate_matches_oracle_sets():
                         if good_pair_oracle(M, set(b), set(C)):
                             want.add((frozenset(b), C))
         assert got == want, M.lines
+
+
+def _oracle_pairs(M, max_size):
+    """Every good pair (B, C) of M with |B u C| <= max_size, by brute force."""
+    want = set()
+    for size in range(1, max_size + 1):
+        for sub in combinations(range(M.n), size):
+            for r in range(size):
+                for b in combinations(sub, r):
+                    C = frozenset(sub) - frozenset(b)
+                    if good_pair_oracle(M, set(b), set(C)):
+                        want.add((frozenset(b), C))
+    return want
+
+
+@pytest.mark.parametrize("shape", ["chain_link", "C_1"])
+def test_enumerate_verifies_repeated_shapes_once(shape):
+    # copies of one pair glued over its base: every copy relabels to the
+    # same labelled shape, so the copies share one verified GoodPair
+    gp0 = chain_link_pair() if shape == "chain_link" else cycle_Ck(1)
+    glued = LinearSpace(len(gp0.base), [])
+    for _ in range(2):
+        glued = free_amalgam(glued, gp0.space, sorted(gp0.base))
+    rng = Random(44)
+    perms = [list(range(glued.n))] + [rng.sample(range(glued.n), glued.n) for _ in range(2)]
+    for perm in perms:
+        M = LinearSpace(glued.n, [[perm[p] for p in ln] for ln in glued.lines])
+        out = enumerate_good_pairs(M, gp0.space.n)
+        got = {
+            (frozenset(emb[b] for b in gp.base), frozenset(emb[c] for c in gp.ext))
+            for gp, emb in out
+        }
+        assert got == _oracle_pairs(M, gp0.space.n)
+        for gp, emb in out:
+            # a shared GoodPair is the induced structure at each of its uses
+            assert preserves_lines(gp.space, M, emb)
+            assert is_good_pair(gp.space, sorted(gp.base), sorted(gp.ext))
+            assert gp.code == canonical_code(gp.space, gp.base)
+        if perm == perms[0]:
+            others = [gp for gp, _ in out if gp.code != ALPHA_CODE]
+            assert len({id(gp) for gp in others}) < len(others)
+
+
+def test_is_good_pair_vs_oracle_three_and_four_point_bases():
+    # base minimality tries every proper subset of B and skips those whose
+    # delta changes when C is added; larger bases make most of them skip
+    rng = Random(39)
+    good = zero_primitive_not_good = 0
+    for _ in range(25):
+        n = rng.randrange(6, 9)
+        M = random_space(rng, n, tries=3 * n)
+        for nb in (3, 4):
+            for B in combinations(range(n), nb):
+                rest = [p for p in range(n) if p not in B]
+                for size in range(1, min(len(rest), 4) + 1):
+                    for C in combinations(rest, size):
+                        got = is_good_pair(M, B, C)
+                        assert got == good_pair_oracle(M, set(B), set(C)), (M.lines, B, C)
+                        good += got
+                        zero_primitive_not_good += (
+                            not got and zero_primitive_oracle(M, set(B), set(C))
+                        )
+    assert good > 20 and zero_primitive_not_good > 20
 
 
 def test_enumerate_touching_is_consistent():
