@@ -117,8 +117,9 @@ def amalgamate_or_identify(
     step's extension is identified with its least copy inside the current
     structure: the first of embeddings_over_base, whose extension images
     are lexicographically least.  With `precheck`, F and E are first
-    verified against mu at the same bound; per-step rechecks then only
-    look at pairs touching the new points.
+    verified against mu at the same bound; each step's recheck then runs
+    the one bounded check on the candidate and keeps only the violations
+    whose groups meet the step's new points.
     """
     from .mu import in_K_mu_bounded
 

@@ -14,13 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import FormatError
-from .primitives import (
-    ALPHA_CODE,
-    GoodPair,
-    _max_disjoint,
-    copies_over_base,
-    enumerate_good_pairs,
-)
+from .primitives import ALPHA_CODE, _max_disjoint, enumerate_good_pairs
 from .space import LinearSpace, delta_mask, mask_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
@@ -111,9 +105,14 @@ def in_K_mu_bounded(
     Violations are (code, base image, chi, mu value).  Alpha is read off
     line lengths; larger pairs are enumerated, grouped by (code, base
     image), and chi is the exact maximum disjoint-copy packing over that
-    base.  With `touching`, only groups whose pairs meet those points
-    are re-examined (sound for incremental rechecks: any new violation
-    involves a pair through a new point).
+    base.  The grouping is independent of mu and cached, so checking one
+    structure under several mu functions enumerates it once.
+
+    With `touching`, only the violations whose group meets those points
+    are returned: the line for alpha, else the base image or one of the
+    copies over it.  The list is the full one filtered, in the same
+    order, so it is sound for incremental rechecks, where any new
+    violation involves a pair through a new point.
     """
     want = frozenset(touching)
     violations: list[tuple[str, tuple[int, ...], int, int]] = []
@@ -124,8 +123,10 @@ def in_K_mu_bounded(
         if len(ln) > max_len:
             violations.append((ALPHA_CODE, (ln[0], ln[1]), len(ln) - 2, mu.alpha_value))
 
-    groups = _copy_groups(M, bound, want)
+    groups = _copy_groups_full(M, bound)
     for (code, base_img), copies in sorted(groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
+        if want and want.isdisjoint(base_img) and all(want.isdisjoint(c) for c in copies):
+            continue
         cap = mu.value(code)
         chi_val = _max_disjoint(sorted(copies, key=sorted))
         if chi_val > cap:
@@ -133,55 +134,20 @@ def in_K_mu_bounded(
     return not violations, violations
 
 
-def _copy_groups(
-    M: LinearSpace,
-    bound: int,
-    want: frozenset[int],
-) -> Mapping[tuple[str, frozenset[int]], Iterable[frozenset[int]]]:
+# its readers are the next check of the same structure (another mu, or
+# builder.stats); every incremental recheck also lands here, so a larger
+# cache would only keep groupings of candidates that are never read again
+@lru_cache(maxsize=2)
+def _copy_groups_full(
+    M: LinearSpace, bound: int
+) -> Mapping[tuple[str, frozenset[int]], frozenset[frozenset[int]]]:
     """Extension images per (code, base image) among good pairs of size
     <= bound, excluding alpha.
 
     Every copy over a base is itself a good pair with the same code and
-    base image, so one enumeration pass collects complete copy lists.
-    In incremental mode a second pass seeded at the touched base images
-    also recovers copies that predate the touched points.
+    base image, so one enumeration collects complete copy lists.  The
+    result is cached and read-only: every caller gets the same object.
     """
-    if not want:
-        # the grouping is independent of mu, so checking one structure
-        # under several mu functions reuses a single enumeration
-        return _copy_groups_full(M, bound)
-    reps: dict[tuple[str, frozenset[int]], GoodPair] = {}
-
-    def collect(pairs):
-        out: dict[tuple[str, frozenset[int]], set[frozenset[int]]] = {}
-        for gp, emb in pairs:
-            if gp.code == ALPHA_CODE:
-                continue
-            key = (gp.code, frozenset(emb[b] for b in gp.base))
-            out.setdefault(key, set()).add(frozenset(emb[c] for c in gp.ext))
-            reps.setdefault(key, gp)
-        return out
-
-    groups = collect(enumerate_good_pairs(M, bound, touching=want))
-    base_pts = set().union(*(img for _c, img in groups)) if groups else set()
-    if not base_pts <= want:
-        full = collect(enumerate_good_pairs(M, bound, touching=want | base_pts))
-        groups = {k: full[k] for k in groups}
-    # copies over an empty base are unconstrained in location, so the
-    # seeded passes can miss old ones; fall back to a global search
-    for key in groups:
-        code, img = key
-        if not img:
-            gp = reps[key]
-            groups[key] = set(copies_over_base(M, gp.space, gp.base, {}))
-    return groups
-
-
-@lru_cache(maxsize=8)
-def _copy_groups_full(
-    M: LinearSpace, bound: int
-) -> Mapping[tuple[str, frozenset[int]], frozenset[frozenset[int]]]:
-    """The cached grouping, read-only: every caller gets the same object."""
     out: dict[tuple[str, frozenset[int]], set[frozenset[int]]] = {}
     for gp, emb in enumerate_good_pairs(M, bound):
         if gp.code == ALPHA_CODE:

@@ -427,20 +427,15 @@ def chi(
 
 # -- enumeration -------------------------------------------------------
 
-def enumerate_good_pairs(
-    M: LinearSpace,
-    max_size: int,
-    *,
-    touching: Iterable[int] = (),
-) -> list[tuple[GoodPair, dict[int, int]]]:
+def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, dict[int, int]]]:
     """All good pairs with B u C inside M, |B u C| <= max_size.
 
     Single-point extensions are exactly the alpha instances and are read
     off the lines; larger extensions come from the candidate-set walk
     plus base recovery among attached points, each verified exactly.
-    With `touching`, only pairs whose B u C meets those points; the walk
-    is then seeded at them and their collinear neighbours, since a base
-    point of a pair is always collinear with two extension points.
+    This is the one enumeration: the bounded K_mu check groups its
+    output once per structure and bound, and incremental rechecks
+    filter that grouping.
 
     base_choices takes at most max_size - |C| base points whose weights,
     the numbers of populated lines of C they sit on, sum to delta(C).  A
@@ -457,29 +452,15 @@ def enumerate_good_pairs(
     """
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
-    want = frozenset(touching)
     out: list[tuple[GoodPair, dict[int, int]]] = []
     alpha = alpha_pair()
     for ln in M.lines:
-        if want and not want.intersection(ln):
-            continue
         for c in ln:
             for a, b in combinations([p for p in ln if p != c], 2):
-                if want and not want & {a, b, c}:
-                    continue
                 out.append((alpha, {0: a, 1: b, 2: c}))
 
-    if want:
-        seeds = set(want)
-        for p in want:
-            for li in M.lines_by_point[p]:
-                seeds.update(M.lines[li])
-        c_masks = iter_candidate_sets(M, max_size, containing=sorted(seeds))
-    else:
-        c_masks = iter_candidate_sets(M, max_size)
-
     verified: dict[tuple[int, tuple[tuple[int, ...], ...], int], Optional[GoodPair]] = {}
-    for c_mask, dc, pop_lines in c_masks:
+    for c_mask, dc, pop_lines in iter_candidate_sets(M, max_size):
         c_size = c_mask.bit_count()
         # base candidates are the outside points on populated lines; their
         # weight is how many such lines they sit on
@@ -514,8 +495,6 @@ def enumerate_good_pairs(
         for b_pts in base_choices(0, (), dc):
             pts = sorted(set(b_pts) | set(points_of(c_mask)))
             if len(pts) > max_size:
-                continue
-            if want and not want.intersection(pts):
                 continue
             # a line through two base points and an extension point makes
             # the extension non-primitive, so such a choice is never good
@@ -554,7 +533,9 @@ def decompose(
 
     Each entry is (points of X_{i+1}, delta increment).  Steps pick the
     smallest, then lexicographically least, strong superset; minimality
-    makes the step primitive.
+    makes the step primitive.  Only x <= M is tested for a candidate x:
+    cur <= M holds throughout, and [cur, x] lies inside [cur, M], so
+    cur <= x follows.
     """
     full = M.full_mask()
     cur = mask_of(D)
@@ -568,9 +549,8 @@ def decompose(
         for size in range(1, len(free) + 1):
             for combo in combinations(free, size):
                 x = cur | mask_of(combo)
-                if min_delta_interval(M, cur, x, limit=limit, stop_below=cur_delta) < cur_delta:
-                    continue
-                if min_delta_interval(M, x, full, limit=limit, stop_below=delta_mask(M, x)) < delta_mask(M, x):
+                x_delta = delta_mask(M, x)
+                if min_delta_interval(M, x, full, limit=limit, stop_below=x_delta) < x_delta:
                     continue
                 found = x
                 break
@@ -598,7 +578,11 @@ def parse_gp_v1(text: str) -> tuple[LinearSpace, frozenset[int]]:
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped.startswith("base"):
+            if base_line is not None:
+                raise FormatError(i, f"second 'base' row; the first is on line {base_lineno}")
             base_line, base_lineno = stripped, i
+            # a blank in its place keeps the ls-v1 line numbers
+            ls_part.append("")
         else:
             ls_part.append(raw)
     if base_line is None:

@@ -298,7 +298,7 @@ def parse_ls_v1(text: str) -> LinearSpace:
         raise FormatError(lineno, f"expected 'points N', got '{pts}'")
     n = int(parts[1])
     lines = []
-    seen = set()
+    seen: dict[tuple[int, ...], int] = {}
     for lineno, row in it:
         parts = row.split()
         if parts[0] != "line":
@@ -316,9 +316,10 @@ def parse_ls_v1(text: str) -> LinearSpace:
         key = tuple(ids)
         if key in seen:
             raise FormatError(lineno, f"duplicate line {key}")
-        seen.add(key)
+        seen[key] = lineno
         lines.append(key)
     try:
         return LinearSpace(n, lines)
     except AxiomViolation as exc:
-        raise FormatError(0, str(exc)) from exc
+        # the witnesses are the two conflicting rows; report the later one
+        raise FormatError(max(seen[w] for w in exc.witnesses), str(exc)) from exc

@@ -14,6 +14,10 @@ lines are tried; once every point is satisfied the set is emitted and
 grown through arbitrary collinear neighbours.  Per-line point counts,
 degrees, and delta are maintained incrementally across the DFS.
 
+There is one walk, always over the whole space.  enumerate_good_pairs
+consumes it, and the bounded K_mu check groups that enumeration once per
+structure and bound.
+
 Growth is pruned with the global max_lines, the most lines through any
 point of the space, as the bound on one base point's attach weight.
 Around a hub point that bound is loose, so most emitted sets have no
@@ -23,25 +27,19 @@ actual weights.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .space import LinearSpace
 
 
-def iter_candidate_sets(
-    space: LinearSpace,
-    max_size: int,
-    *,
-    containing: Iterable[int] = (),
-) -> Iterator[tuple[int, int, set[int]]]:
+def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int, int, set[int]]]:
     """(mask, delta, populated line indices) for candidate extension sets
     of size 2..max_size.
 
     The third element lists the lines carrying >= 2 set points; it is the
     walk's live working set, so consume it before advancing the iterator.
-    With `containing`, exactly the sets through at least one of those
-    points are produced, each once; otherwise every point seeds a search
-    in which it stays the minimum, so again each set comes out once.
+    Every point seeds a search in which it stays the minimum, so each
+    set comes out once.
     """
     n = space.n
     lines = space.lines
@@ -63,11 +61,6 @@ def iter_candidate_sets(
             if delta - gain_prefix[t - size] <= (max_size - t) * max_lines:
                 return True
         return False
-    seeds = sorted(set(containing))
-    if seeds:
-        roots = [(s, full) for s in seeds]
-    else:
-        roots = [(a, full & ~((1 << a) - 1)) for a in range(n)]
 
     cnt = [0] * len(lines)
     deg = [0] * n
@@ -151,12 +144,8 @@ def iter_candidate_sets(
             yield from expand(allowed)
             remove(q)
 
-    for root, allowed in roots:
-        rm = 1 << root
-        if rm in visited:
-            continue
-        visited.add(rm)
+    for root in range(n):
         add(root)
-        yield from expand(allowed)
+        yield from expand(full & ~((1 << root) - 1))
         remove(root)
 

@@ -130,14 +130,21 @@ def test_bounded_check_touching_agrees_with_full():
     rng = Random(51)
     from steinergeom import random_k0
 
-    mu = MuFunction(2)
+    kept = dropped = 0
     for _ in range(30):
         M = random_k0(rng, rng.randrange(4, 9))
         pts = rng.sample(range(M.n), 2)
-        full_ok, _ = in_K_mu_bounded(M, mu, M.n)
-        part_ok, _ = in_K_mu_bounded(M, mu, M.n, touching=pts)
-        if not part_ok:
-            assert not full_ok
+        # MuFunction(2) finds no violation here; caps of 0 make every line
+        # and every group one, so the filter itself is compared
+        zero = MuFunction(0, {code: 0 for code, _img in _copy_groups_full(M, M.n)})
+        for mu in (MuFunction(2), zero):
+            _, full = in_K_mu_bounded(M, mu, M.n)
+            part_ok, part = in_K_mu_bounded(M, mu, M.n, touching=pts)
+            assert part == [v for v in full if _violation_points(M, M.n, v) & set(pts)]
+            assert part_ok == (not part)
+            kept += len(part)
+            dropped += len(full) - len(part)
+    assert kept and dropped
 
 
 def _hub_stack(rng, ks):

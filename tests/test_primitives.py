@@ -403,24 +403,6 @@ def test_is_good_pair_vs_oracle_three_and_four_point_bases():
     assert good > 20 and zero_primitive_not_good > 20
 
 
-def test_enumerate_touching_is_consistent():
-    rng = Random(36)
-    for _ in range(10):
-        n = rng.randrange(5, 9)
-        M = random_space(rng, n)
-        full = {
-            (frozenset(emb[b] for b in gp.base), frozenset(emb[c] for c in gp.ext))
-            for gp, emb in enumerate_good_pairs(M, n)
-        }
-        pts = frozenset(rng.sample(range(n), 2))
-        part = {
-            (frozenset(emb[b] for b in gp.base), frozenset(emb[c] for c in gp.ext))
-            for gp, emb in enumerate_good_pairs(M, n, touching=pts)
-        }
-        want = {(b, c) for b, c in full if (b | c) & pts}
-        assert part == want
-
-
 def test_decompose_free_point():
     M = LinearSpace(3, [(0, 1, 2)])
     M2 = LinearSpace(4, [(0, 1, 2)])
@@ -484,3 +466,24 @@ def test_gp_v1_roundtrip():
 def test_gp_v1_errors(text):
     with pytest.raises(FormatError):
         parse_gp_v1(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "linear-space v1\npoints 4\nbase 0 1\nline 0 1 2\nline 0 3\n",
+        "base 0 1\nlinear-space v1\npoints 4\nline 0 1 2\nline 0 3\n",
+    ],
+)
+def test_gp_v1_base_row_keeps_line_numbers(text):
+    # the base row counts as a line of the file, before the short line too
+    with pytest.raises(FormatError) as exc:
+        parse_gp_v1(text)
+    assert exc.value.lineno == 5
+
+
+def test_gp_v1_rejects_a_second_base_row():
+    text = "linear-space v1\npoints 3\nbase 0 1\nline 0 1 2\nbase 1\n"
+    with pytest.raises(FormatError) as exc:
+        parse_gp_v1(text)
+    assert exc.value.lineno == 5

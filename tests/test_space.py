@@ -239,6 +239,18 @@ def test_ls_v1_parse_errors(text):
         parse_ls_v1(text)
 
 
+def test_ls_v1_conflicting_lines_report_the_later_row():
+    text = "linear-space v1\npoints 6\nline 0 1 2\n\nline 3 4 5\nline 0 1 3\n"
+    with pytest.raises(FormatError) as exc:
+        parse_ls_v1(text)
+    assert exc.value.lineno == 6
+    # rows in the other order: still the later row, not the later line
+    text = "linear-space v1\npoints 4\nline 0 1 3\nline 0 1 2\n"
+    with pytest.raises(FormatError) as exc:
+        parse_ls_v1(text)
+    assert exc.value.lineno == 4
+
+
 def test_delta_set_oracle_agrees():
     rng = Random(14)
     for _ in range(100):
