@@ -62,13 +62,7 @@ def _glue(
     return G, emap
 
 
-def free_amalgam(
-    F: LinearSpace,
-    E: LinearSpace,
-    D: Iterable[int],
-    *,
-    return_embedding: bool = False,
-):
+def free_amalgam(F: LinearSpace, E: LinearSpace, D: Iterable[int]) -> LinearSpace:
     """F + E glued over the common point set D (same ids on both sides).
 
     D must be strong in E; the shared induced structures must agree.
@@ -80,8 +74,7 @@ def free_amalgam(
         raise ValueError("shared point out of range")
     if min_delta_interval(E, dm, E.full_mask()) < delta_mask(E, dm):
         raise NotStrong(d, range(E.n))
-    G, emap = _glue(F, E, {p: p for p in d})
-    return (G, emap) if return_embedding else G
+    return _glue(F, E, {p: p for p in d})[0]
 
 
 @dataclass
@@ -106,8 +99,6 @@ def amalgamate_or_identify(
     D: Iterable[int],
     mu,
     bound: int,
-    *,
-    precheck: bool = True,
 ) -> AmalgamResult:
     """Embed E into an extension of F over D, collapsing when the free
     amalgam would break a mu cap.
@@ -116,21 +107,20 @@ def amalgamate_or_identify(
     amalgamated and kept if the bounded K_mu check passes, otherwise the
     step's extension is identified with its least copy inside the current
     structure: the first of embeddings_over_base, whose extension images
-    are lexicographically least.  With `precheck`, F and E are first
-    verified against mu at the same bound; each step's recheck then runs
-    the one bounded check on the candidate and keeps only the violations
-    whose groups meet the step's new points.
+    are lexicographically least.  F and E are first verified against mu
+    at the same bound; each step's recheck then runs the one bounded
+    check on the candidate and keeps only the violations whose groups
+    meet the step's new points.
     """
     from .mu import in_K_mu_bounded
 
     d = sorted(set(D))
-    if precheck:
-        ok, viols = in_K_mu_bounded(E, mu, bound)
-        if not ok:
-            raise ValueError(f"E fails the bounded mu check: {viols}")
-        ok, viols = in_K_mu_bounded(F, mu, bound)
-        if not ok:
-            raise ValueError(f"F fails the bounded mu check: {viols}")
+    ok, viols = in_K_mu_bounded(E, mu, bound)
+    if not ok:
+        raise ValueError(f"E fails the bounded mu check: {viols}")
+    ok, viols = in_K_mu_bounded(F, mu, bound)
+    if not ok:
+        raise ValueError(f"F fails the bounded mu check: {viols}")
     steps = decompose(E, d)
     cur = F
     emb = {p: p for p in d}

@@ -32,6 +32,7 @@ from .primitives import ALPHA_CODE, GoodPair, _max_disjoint, alpha_pair, copies_
 from .space import LinearSpace, induced, pair_coverage, parse_ls_v1, preserves_lines, to_ls_v1
 
 DEFAULT_TEMPLATE_MAX = 10
+ADD_POINT_EVERY = 25
 
 
 @dataclass(frozen=True)
@@ -78,24 +79,18 @@ def build(
     seed: int,
     template_max: int = DEFAULT_TEMPLATE_MAX,
     *,
-    warmup: Optional[int] = None,
-    add_point_every: int = 25,
     snapshot_every: int = 100,
-    templates: Optional[list[GoodPair]] = None,
 ) -> tuple[LinearSpace, BuildTrace]:
     ok, reasons = validate_mu(mu)
     if not ok:
         raise ValueError("invalid mu: " + "; ".join(reasons))
     rng = Random(seed)
     target_len = mu.line_length()
-    if warmup is None:
-        # a new point on one line covers at most target_len - 1 pairs, so
-        # pair coverage climbs only while the structure stays sparse; a
-        # long point-only prefix keeps it below that threshold for the
-        # rest of the run
-        warmup = 3 * steps // 5
-    if templates is None:
-        templates = default_templates(template_max)
+    # a new point on one line covers at most target_len - 1 pairs, so
+    # pair coverage climbs only while the structure stays sparse; a long
+    # point-only prefix keeps it below that threshold for the rest of the
+    # run
+    warmup = 3 * steps // 5
     trace = BuildTrace(
         seed=seed,
         template_max=template_max,
@@ -104,7 +99,7 @@ def build(
     cur = LinearSpace(0, [])
     complete_q: deque[tuple[int, int]] = deque()
     queued_pairs: set[tuple[int, int]] = set()
-    big_templates = [gp for gp in templates if gp.code != ALPHA_CODE]
+    big_templates = [gp for gp in default_templates(template_max) if gp.code != ALPHA_CODE]
     template_cursor = 0
     realize_count = 0
 
@@ -212,7 +207,7 @@ def build(
         trace.steps.append(BuildStep(i, "realize", (gp.code, base_img, tuple(new_pts))))
 
     for i in range(steps):
-        if i < warmup or (i - warmup) % add_point_every == 0:
+        if i < warmup or (i - warmup) % ADD_POINT_EVERY == 0:
             service_add_point(i)
         elif complete_q:
             service_complete(i, complete_q.popleft())

@@ -183,7 +183,7 @@ def cmd_build(args) -> int:
 
 def cmd_stats(args) -> int:
     M = parse_ls_v1(_read(args.file))
-    mu = parse_mu_v1(_read(args.mu))
+    mu = _read_valid_mu(args.mu)
     st = stats(M, mu, bound=args.bound)
     payload = {
         "line_length_histogram": {str(k): v for k, v in sorted(st["line_length_histogram"].items())},
@@ -216,8 +216,12 @@ def cmd_gallery(args) -> int:
     elif args.kind == "chain":
         sys.stdout.write(to_ls_v1(fano_chain(args.k)[-1]))
     elif args.kind == "cyclegraph":
+        pair = _point_list(args.pair) if args.pair is not None else []
+        if len(pair) != 2:
+            print("usage error: gallery cyclegraph needs --pair a,b", file=sys.stderr)
+            return 2
         space = parse_ls_v1(_read(args.file))
-        a, b = _point_list(args.pair)
+        a, b = pair
         g = cycle_graph(space, a, b)
         payload = {
             "vertices": list(g.vertices),

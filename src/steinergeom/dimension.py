@@ -1,10 +1,13 @@
 """Hereditary nonnegativity, strong substructure, intrinsic closure, and
 the dimension function derived from the predimension.
 
-The searches here are exact.  The default path is a branch-and-bound
-subset search over a point interval; small structures can instead use
-dense numpy tables over all subsets (see :func:`delta_table` /
-:func:`d_table`), which is what the exchange checker does.
+The searches here are exact, and one rule decides how each is answered.
+A single interval minimum (in_K0, is_strong, icl, d, d_closure) goes
+through the branch-and-bound search of min_delta_interval, with
+_smallest_below for the (size, lex)-least witness; both take at most
+SEARCH_LIMIT free points.  Dense numpy tables over all subsets
+(delta_table, d_table) are used only where every subset's value is
+needed, as in check_exchange.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import numpy as np
 from .errors import SizeLimit
 from .space import LinearSpace, delta_mask, mask_of, points_of
 
-DEFAULT_SEARCH_LIMIT = 24
+SEARCH_LIMIT = 24
 TABLE_LIMIT = 24
+EXCHANGE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,6 @@ def min_delta_interval(
     lo_mask: int,
     hi_mask: int,
     *,
-    limit: int = DEFAULT_SEARCH_LIMIT,
     stop_below: Optional[int] = None,
 ) -> int:
     """Minimum of delta(X) over lo <= X <= hi (as masks).
@@ -61,8 +64,8 @@ def min_delta_interval(
     if lo_mask & ~hi_mask:
         raise ValueError("lo not contained in hi")
     free = list(points_of(hi_mask & ~lo_mask))
-    if len(free) > limit:
-        raise SizeLimit(f"{len(free)} free points exceeds search limit {limit}")
+    if len(free) > SEARCH_LIMIT:
+        raise SizeLimit(f"{len(free)} free points exceeds search limit {SEARCH_LIMIT}")
     gains = _point_gains(space)
     free.sort(key=lambda p: -gains[p])
     suffix = [0] * (len(free) + 1)
@@ -114,18 +117,11 @@ def min_delta_interval(
     return best
 
 
-def _smallest_below(
-    space: LinearSpace,
-    lo_mask: int,
-    hi_mask: int,
-    threshold: int,
-    *,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-) -> Optional[int]:
+def _smallest_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: int) -> Optional[int]:
     """The (size, lex)-least X with lo <= X <= hi and delta(X) < threshold."""
     free = sorted(points_of(hi_mask & ~lo_mask))
-    if len(free) > limit:
-        raise SizeLimit(f"{len(free)} free points exceeds search limit {limit}")
+    if len(free) > SEARCH_LIMIT:
+        raise SizeLimit(f"{len(free)} free points exceeds search limit {SEARCH_LIMIT}")
     gains = _point_gains(space)
     base = delta_mask(space, lo_mask)
     counts = [0] * len(space.lines)
@@ -168,40 +164,34 @@ def _smallest_below(
     return None
 
 
-def in_K0(space: LinearSpace, *, limit: int = DEFAULT_SEARCH_LIMIT):
+def in_K0(space: LinearSpace):
     """Whether every subset has nonnegative delta.
 
     Returns (True, None) or (False, minimal violating subset), minimal
     by size then lexicographically.
     """
-    m = min_delta_interval(space, 0, space.full_mask(), limit=limit, stop_below=0)
+    m = min_delta_interval(space, 0, space.full_mask(), stop_below=0)
     if m >= 0:
         return True, None
-    bad = _smallest_below(space, 0, space.full_mask(), 0, limit=limit)
+    bad = _smallest_below(space, 0, space.full_mask(), 0)
     return False, frozenset(points_of(bad))
 
 
-def is_strong(
-    space: LinearSpace,
-    lo: Iterable[int],
-    hi: Iterable[int],
-    *,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-) -> StrongExtensionWitness:
+def is_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> StrongExtensionWitness:
     """Test lo <= hi: no X between them drops delta below delta(lo)."""
     lo_mask, hi_mask = mask_of(lo), mask_of(hi)
     if lo_mask & ~hi_mask:
         raise ValueError("lo not contained in hi")
     target = delta_mask(space, lo_mask)
-    m = min_delta_interval(space, lo_mask, hi_mask, limit=limit, stop_below=target)
+    m = min_delta_interval(space, lo_mask, hi_mask, stop_below=target)
     lo_f, hi_f = frozenset(points_of(lo_mask)), frozenset(points_of(hi_mask))
     if m >= target:
         return StrongExtensionWitness(lo_f, hi_f)
-    bad = _smallest_below(space, lo_mask, hi_mask, target, limit=limit)
+    bad = _smallest_below(space, lo_mask, hi_mask, target)
     return StrongExtensionWitness(lo_f, hi_f, frozenset(points_of(bad)))
 
 
-def icl_mask(space: LinearSpace, x_mask: int, *, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
+def icl_mask(space: LinearSpace, x_mask: int) -> int:
     """Least strong superset of X, as a mask.
 
     Submodularity makes the delta-minimizing supersets of X closed under
@@ -209,38 +199,39 @@ def icl_mask(space: LinearSpace, x_mask: int, *, limit: int = DEFAULT_SEARCH_LIM
     point by point: p belongs to it iff excluding p raises the minimum.
     """
     full = space.full_mask()
-    m = min_delta_interval(space, x_mask, full, limit=limit)
+    m = min_delta_interval(space, x_mask, full)
     out = x_mask
     for p in range(space.n):
         bit = 1 << p
         if bit & full & ~x_mask:
-            if min_delta_interval(space, x_mask, full & ~bit, limit=limit) > m:
+            if min_delta_interval(space, x_mask, full & ~bit) > m:
                 out |= bit
     return out
 
 
-def icl(space: LinearSpace, X: Iterable[int], *, limit: int = DEFAULT_SEARCH_LIMIT) -> frozenset[int]:
-    return frozenset(points_of(icl_mask(space, mask_of(X), limit=limit)))
+def icl(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
+    return frozenset(points_of(icl_mask(space, mask_of(X))))
 
 
-def d(space: LinearSpace, X: Iterable[int], *, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
+def d(space: LinearSpace, X: Iterable[int]) -> int:
     """Dimension: minimum delta over supersets of X."""
-    return min_delta_interval(space, mask_of(X), space.full_mask(), limit=limit)
+    return min_delta_interval(space, mask_of(X), space.full_mask())
 
 
-def d_closure(space: LinearSpace, X: Iterable[int], *, limit: int = DEFAULT_SEARCH_LIMIT) -> frozenset[int]:
-    """Points whose addition does not raise the dimension of X."""
-    xm = mask_of(X)
-    if space.n <= 16:
-        table = d_table(space)
-        dx = int(table[xm])
-        return frozenset(p for p in range(space.n) if int(table[xm | (1 << p)]) == dx)
-    dx = min_delta_interval(space, xm, space.full_mask(), limit=limit)
-    out = set()
-    for p in range(space.n):
-        if min_delta_interval(space, xm | (1 << p), space.full_mask(), limit=limit) == dx:
-            out.add(p)
-    return frozenset(out)
+def d_closure(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
+    """Points whose addition does not raise the dimension of X.
+
+    X lies in its closure.  For p outside X, d(X + p) >= d(X), so p
+    belongs exactly when the interval search over [X + p, M] finds a
+    value below d(X) + 1, and it stops there.
+    """
+    xm, full = mask_of(X), space.full_mask()
+    dx = min_delta_interval(space, xm, full)
+    return frozenset(
+        p
+        for p in range(space.n)
+        if xm >> p & 1 or min_delta_interval(space, xm | (1 << p), full, stop_below=dx + 1) == dx
+    )
 
 
 # -- dense table path --------------------------------------------------
@@ -279,7 +270,7 @@ def d_table(space: LinearSpace) -> np.ndarray:
     return out
 
 
-def check_flatness(space: LinearSpace, family, mode: str = "delta", *, limit: int = DEFAULT_SEARCH_LIMIT):
+def check_flatness(space: LinearSpace, family, mode: str = "delta"):
     """Inclusion-exclusion upper bound on delta (or d) over a set family.
 
     Returns (True, None) or (False, (lhs, rhs)).  In mode "d" each family
@@ -294,9 +285,9 @@ def check_flatness(space: LinearSpace, family, mode: str = "delta", *, limit: in
         f = lambda S: delta_mask(space, mask_of(S))
     elif mode == "d":
         for F in sets:
-            if d_closure(space, F, limit=limit) != F:
+            if d_closure(space, F) != F:
                 raise ValueError(f"{sorted(F)} is not d-closed")
-        f = lambda S: d(space, S, limit=limit)
+        f = lambda S: d(space, S)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     union = frozenset().union(*sets)
@@ -313,15 +304,15 @@ def check_flatness(space: LinearSpace, family, mode: str = "delta", *, limit: in
     return False, (lhs, rhs)
 
 
-def check_exchange(space: LinearSpace, *, limit: int = 16):
+def check_exchange(space: LinearSpace):
     """Pregeometry axioms for d-closure: monotone, idempotent, exchange.
 
     Exhaustive over all subsets; table-driven, so bounded to small n.
     Returns (True, None) or (False, witness-description).
     """
     n = space.n
-    if n > limit:
-        raise SizeLimit(f"{n} points exceeds exchange-check limit {limit}")
+    if n > EXCHANGE_LIMIT:
+        raise SizeLimit(f"{n} points exceeds exchange-check limit {EXCHANGE_LIMIT}")
     table = d_table(space)
 
     def cl(mask: int) -> int:

@@ -15,6 +15,8 @@ from typing import Iterable
 from .errors import FormatError, SizeLimit
 from .space import LinearSpace
 
+MATROID_CHECK_LIMIT = 12
+
 
 @dataclass(frozen=True)
 class IncidenceStructure:
@@ -89,15 +91,15 @@ def matroid_dependent(A: LinearSpace, S: Iterable[int]) -> bool:
     return False
 
 
-def check_matroid_exchange(A: LinearSpace, size_limit: int = 12):
+def check_matroid_exchange(A: LinearSpace):
     """Circuit-style exchange for the rank-3 dependence relation.
 
     For dependent D1 != D2 whose intersection is independent, every
     deletion of a shared point leaves a dependent set.  Returns
     (True, None) or (False, (D1, D2, a)).
     """
-    if A.n > size_limit:
-        raise SizeLimit(f"{A.n} points exceeds matroid-check limit {size_limit}")
+    if A.n > MATROID_CHECK_LIMIT:
+        raise SizeLimit(f"{A.n} points exceeds matroid-check limit {MATROID_CHECK_LIMIT}")
     deps = [frozenset(c) for r in (3, 4) for c in combinations(range(A.n), r) if matroid_dependent(A, c)]
     for d1, d2 in combinations(deps, 2):
         inter = d1 & d2

@@ -4,9 +4,13 @@ and decomposition of strong extensions into primitive steps.
 embeddings_over_base is the one embedding search: copies_over_base and
 chi collect its extension images, amalgamate-or-identify its first one.
 
-Pair-sized structures are small, so the strongness/primitivity checks
-here run on dense per-subset tables (see dimension.delta_table) rather
-than the branch-and-bound path used for ambient structures.
+One rule decides how a delta question is answered.  A single interval
+minimum goes through dimension.min_delta_interval (decompose's strong
+tests).  Dense per-subset tables are used only where every subset's
+value is needed: is_primitive reads the superset minimum of every
+intermediate set.  0-primitivity and good pairs need no interval
+minimum at all; they compare delta values of the sets B u C', read off
+dimension.delta_table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .dimension import TABLE_LIMIT, d_table, delta_table, min_delta_interval
+from .dimension import d_table, delta_table, min_delta_interval
 from .errors import NotStrong, NotZeroPrimitive, SizeLimit
 from .space import (
     LinearSpace,
@@ -32,6 +36,7 @@ from .space import (
 from .tight import iter_candidate_sets
 
 DEFAULT_CODE_LIMIT = 16
+COPY_CAP = 10000
 ALPHA_CODE = "alpha"
 
 
@@ -56,14 +61,8 @@ def _from_base_table(space: LinearSpace, b_mask: int) -> np.ndarray:
     return m
 
 
-def _require_small(space: LinearSpace) -> None:
-    if space.n > TABLE_LIMIT:
-        raise SizeLimit(f"{space.n} points exceeds table limit {TABLE_LIMIT}")
-
-
 def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
     """No proper intermediate strong set between B and the whole space."""
-    _require_small(space)
     b_mask = mask_of(B)
     full = space.full_mask()
     dt, smin = _tables(space)
@@ -85,89 +84,76 @@ def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
     return not bool(mid.any())
 
 
-def _zero_primitive(space: LinearSpace, b_mask: int) -> bool:
-    """delta(C/B) = 0, B strong, and primitive, for C = complement of B.
+def _submasks(mask: int) -> np.ndarray:
+    """Every submask of `mask`, ascending: 0 first, `mask` last.  Each
+    point of `mask` doubles the list, and its copy with the point added
+    lies above every earlier entry."""
+    out = np.zeros(1, dtype=np.int64)
+    for p in points_of(mask):
+        out = np.concatenate((out, out | (1 << p)))
+    return out
 
-    The tests run cheapest first: delta(C/B) = 0 straight from the lines,
-    then strongness on the interval-min table over B, and only then
-    primitivity, the one test that needs the superset-min table.
+
+def _zero_primitive(dt: np.ndarray, b_mask: int, c_mask: int) -> bool:
+    """C is 0-primitive over B: delta(BC) = delta(B) < delta(BC') for
+    every nonempty proper subset C' of C, with dt = delta_table(space).
+
+    The paper asks for delta(C/B) = 0, B <= BC, and no X = BC' strictly
+    between with B <= X <= BC.  Given the first two, such an X has
+    delta(B) <= delta(X) <= delta(BC) = delta(B), so delta(X) = delta(B);
+    conversely delta(X) = delta(B) = delta(BC) makes X strong on both
+    sides, since every set in [B, BC] has delta >= delta(B).  The strict
+    inequalities also give B <= BC.  B u C may be any point set of the
+    space; delta_table raises SizeLimit past TABLE_LIMIT points.
     """
-    full = space.full_mask()
-    base_delta = delta_mask(space, b_mask)
-    if delta_mask(space, full) != base_delta:
+    base_delta = dt[b_mask]
+    if dt[b_mask | c_mask] != base_delta:
         return False
-    if int(_from_base_table(space, b_mask)[full]) < base_delta:
-        return False
-    return is_primitive(space, points_of(b_mask))
+    return bool((dt[b_mask | _submasks(c_mask)[1:-1]] > base_delta).all())
 
 
 def is_good_pair(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> bool:
-    """0-primitive over B with base-minimal B."""
+    """0-primitive over B with base-minimal B: C is 0-primitive over B
+    and over no proper subset of B.  B u C may be any point set of the
+    space (see _zero_primitive)."""
     b_mask, c_mask = mask_of(B), mask_of(C)
     if b_mask & c_mask:
         raise ValueError("B and C overlap")
     if not c_mask:
         raise ValueError("C is empty")
-    if (b_mask | c_mask) != space.full_mask():
-        sub = induced(space, points_of(b_mask | c_mask))
-        relabel = {p: i for i, p in enumerate(points_of(b_mask | c_mask))}
-        return is_good_pair(
-            sub,
-            [relabel[p] for p in points_of(b_mask)],
-            [relabel[p] for p in points_of(c_mask)],
-        )
-    _require_small(space)
-    if not _zero_primitive(space, b_mask):
+    dt = delta_table(space)
+    if not _zero_primitive(dt, b_mask, c_mask):
         return False
-    for r in range(b_mask.bit_count()):
-        for sub_b in combinations(points_of(b_mask), r):
-            keep = mask_of(sub_b) | c_mask
-            # the first test of _zero_primitive, made before relabelling
-            if delta_mask(space, keep) != delta_mask(space, mask_of(sub_b)):
-                continue
-            small = induced(space, points_of(keep))
-            relabel = {p: i for i, p in enumerate(points_of(keep))}
-            if _zero_primitive(small, mask_of(relabel[p] for p in sub_b)):
-                return False
-    return True
+    return not any(
+        _zero_primitive(dt, mask_of(sub_b), c_mask)
+        for r in range(b_mask.bit_count())
+        for sub_b in combinations(points_of(b_mask), r)
+    )
 
 
 def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[frozenset[int]]:
     """All bases of a 0-primitive pair (Lemma-style case split).
 
     One new point on a line: every 2-subset of the line's base points.
-    Larger extensions: the unique base, the B-points on nontrivial lines
-    meeting C.
+    Larger extensions: the unique base, the B-points on the nontrivial
+    lines of B u C that meet C.
     """
     b_mask, c_mask = mask_of(B), mask_of(C)
     if b_mask & c_mask:
         raise ValueError("B and C overlap")
-    full = b_mask | c_mask
-    if full != space.full_mask():
-        space = induced(space, points_of(full))
-        relabel = {p: i for i, p in enumerate(points_of(full))}
-        back = {i: p for p, i in relabel.items()}
-        inner = bases_of(
-            space,
-            [relabel[p] for p in points_of(b_mask)],
-            [relabel[p] for p in points_of(c_mask)],
-        )
-        return [frozenset(back[i] for i in bb) for bb in inner]
-    _require_small(space)
-    if not _zero_primitive(space, b_mask):
+    if not _zero_primitive(delta_table(space), b_mask, c_mask):
         raise NotZeroPrimitive(
             f"({sorted(points_of(b_mask))}, {sorted(points_of(c_mask))}) is not 0-primitive"
         )
     if c_mask.bit_count() == 1:
-        c = points_of(c_mask)[0]
-        for ln, lm in zip(space.lines, space.line_masks):
-            if lm >> c & 1 and (lm & b_mask).bit_count() >= 2:
+        for lm in space.line_masks:
+            if lm & c_mask and (lm & b_mask).bit_count() >= 2:
                 pts = points_of(lm & b_mask)
                 return [frozenset(pair) for pair in combinations(pts, 2)]
         raise NotZeroPrimitive("single extension point lies on no line based in B")
     b0 = 0
     for lm in space.line_masks:
-        if lm & c_mask:
+        if lm & c_mask and (lm & (b_mask | c_mask)).bit_count() >= 3:
             b0 |= lm & b_mask
     return [frozenset(points_of(b0))]
 
@@ -377,17 +363,15 @@ def copies_over_base(
     pair_space: LinearSpace,
     base: Iterable[int],
     b_embed: dict[int, int],
-    *,
-    cap: int = 10000,
 ) -> list[frozenset[int]]:
     """Distinct extension images phi(C) of the embeddings_over_base,
-    sorted; more than `cap` of them raises SizeLimit."""
+    sorted; more than COPY_CAP of them raises SizeLimit."""
     ext = sorted(set(range(pair_space.n)) - frozenset(base))
     images: set[frozenset[int]] = set()
     for phi in embeddings_over_base(M, pair_space, base, b_embed):
         images.add(frozenset(phi[x] for x in ext))
-        if len(images) > cap:
-            raise SizeLimit(f"more than {cap} copies")
+        if len(images) > COPY_CAP:
+            raise SizeLimit(f"more than {COPY_CAP} copies")
     return sorted(images, key=sorted)
 
 
@@ -412,16 +396,10 @@ def _max_disjoint(sets: list[frozenset[int]]) -> int:
     return best
 
 
-def chi(
-    M: LinearSpace,
-    gp: GoodPair,
-    b_embed: dict[int, int],
-    *,
-    cap: int = 10000,
-) -> int:
+def chi(M: LinearSpace, gp: GoodPair, b_embed: dict[int, int]) -> int:
     """Maximum number of copies of gp.ext over the embedded base that are
     pairwise disjoint outside it."""
-    copies = copies_over_base(M, gp.space, gp.base, b_embed, cap=cap)
+    copies = copies_over_base(M, gp.space, gp.base, b_embed)
     return _max_disjoint(copies)
 
 
@@ -523,12 +501,7 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
     return out
 
 
-def decompose(
-    M: LinearSpace,
-    D: Iterable[int],
-    *,
-    limit: int = TABLE_LIMIT,
-) -> list[tuple[frozenset[int], int]]:
+def decompose(M: LinearSpace, D: Iterable[int]) -> list[tuple[frozenset[int], int]]:
     """Chain D = X_0 <= X_1 <= ... <= M of primitive steps.
 
     Each entry is (points of X_{i+1}, delta increment).  Steps pick the
@@ -539,7 +512,7 @@ def decompose(
     """
     full = M.full_mask()
     cur = mask_of(D)
-    if min_delta_interval(M, cur, full, limit=limit) < delta_mask(M, cur):
+    if min_delta_interval(M, cur, full) < delta_mask(M, cur):
         raise NotStrong(points_of(cur), points_of(full))
     steps: list[tuple[frozenset[int], int]] = []
     while cur != full:
@@ -550,7 +523,7 @@ def decompose(
             for combo in combinations(free, size):
                 x = cur | mask_of(combo)
                 x_delta = delta_mask(M, x)
-                if min_delta_interval(M, x, full, limit=limit, stop_below=x_delta) < x_delta:
+                if min_delta_interval(M, x, full, stop_below=x_delta) < x_delta:
                     continue
                 found = x
                 break

@@ -5,7 +5,33 @@ branch-and-bound, no candidate pruning) and is used to cross-check the
 library's pruned searches.  Deliberately slow and obvious.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+
+from steinergeom import LinearSpace
+
+
+def affine_plane_3():
+    """AG(2,3): 9 points, 12 lines, delta = -3; not in K_0.  Its point
+    sets are a dense corpus of delta violations."""
+    lines = []
+    for r in range(3):
+        lines.append(tuple(3 * r + c for c in range(3)))
+        lines.append(tuple(r + 3 * c for c in range(3)))
+    for s in range(3):
+        lines.append(tuple(sorted(3 * r + (s + r) % 3 for r in range(3))))
+        lines.append(tuple(sorted(3 * r + (s - r) % 3 for r in range(3))))
+    return LinearSpace(9, lines)
+
+
+def projective_plane_3():
+    """PG(2,3): 13 points, 13 lines of 4, delta = -13.  Its point sets
+    hold many minimal delta violations of one size, so they pin lex
+    order among the (size, lex)-least witnesses."""
+    pts = [v for v in product(range(3), repeat=3) if any(v) and v[next(i for i in range(3) if v[i])] == 1]
+    lines = [
+        [i for i, v in enumerate(pts) if sum(a * b for a, b in zip(u, v)) % 3 == 0] for u in pts
+    ]
+    return LinearSpace(len(pts), lines)
 
 
 def delta_from_triples(space, S):
@@ -60,6 +86,21 @@ def min_delta_oracle(space, lo, hi):
 
 def is_strong_oracle(space, lo, hi):
     return min_delta_oracle(space, lo, hi) >= delta_set(space, lo)
+
+
+def least_below_oracle(space, lo, hi, threshold):
+    """The (size, lex)-least X with lo <= X <= hi and delta(X) < threshold,
+    or None: the extra points are scanned by size, then in combinations
+    order.  For sets of one size, lex order of the extra points is lex
+    order of the whole sets, since both hold lo."""
+    lo = set(lo)
+    free = sorted(set(hi) - lo)
+    for r in range(len(free) + 1):
+        for extra in combinations(free, r):
+            X = lo | set(extra)
+            if delta_set(space, X) < threshold:
+                return frozenset(X)
+    return None
 
 
 def icl_oracle(space, X):

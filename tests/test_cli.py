@@ -82,7 +82,7 @@ def test_amalgamate(tmp_path, mu1_file, capsys):
     assert payload["embedding"]["2"] == 2
 
 
-@pytest.mark.parametrize("cmd", ["amalgamate", "build"])
+@pytest.mark.parametrize("cmd", ["amalgamate", "build", "stats"])
 def test_invalid_mu_exits_1(tmp_path, capsys, cmd):
     mu = tmp_path / "bad.mu"
     mu.write_text(to_mu_v1(MuFunction(-5)))
@@ -92,6 +92,8 @@ def test_invalid_mu_exits_1(tmp_path, capsys, cmd):
     F.write_text(to_ls_v1(LinearSpace(3, [])))
     if cmd == "amalgamate":
         argv = ["amalgamate", str(F), str(F), "--shared", "0,1", "--mu", str(mu)]
+    elif cmd == "stats":
+        argv = ["stats", str(F), "--mu", str(mu)]
     else:
         argv = ["build", "--mu", str(mu), "--steps", "5", "--seed", "1", "--out", str(tmp_path / "t")]
     assert main(argv) == 1
@@ -132,6 +134,12 @@ def test_gallery_cyclegraph(fano_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["vertices"] == [3, 4, 5, 6]
     assert payload["a_edges"] == [[3, 4], [5, 6]]
+
+
+@pytest.mark.parametrize("pair", [[], ["--pair", "0"], ["--pair", "0,1,2"]])
+def test_gallery_cyclegraph_needs_a_pair(fano_file, capsys, pair):
+    assert main(["gallery", "cyclegraph", fano_file, *pair]) == 2
+    assert "needs --pair a,b" in capsys.readouterr().err
 
 
 def test_convert_roundtrip(tmp_path, fano_file, capsys):

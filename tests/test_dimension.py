@@ -16,31 +16,23 @@ from steinergeom import (
     fano,
     icl,
     in_K0,
+    induced,
     is_strong,
     min_delta_interval,
     random_k0,
     random_space,
 )
 from oracle import (
+    affine_plane_3,
     d_oracle,
     delta_set,
     icl_oracle,
     is_strong_oracle,
+    least_below_oracle,
     min_delta_oracle,
+    projective_plane_3,
     subset_tables,
 )
-
-
-def affine_plane_3():
-    """AG(2,3): 9 points, 12 lines, delta = -3; not in K_0."""
-    lines = []
-    for r in range(3):
-        lines.append(tuple(3 * r + c for c in range(3)))
-        lines.append(tuple(r + 3 * c for c in range(3)))
-    for s in range(3):
-        lines.append(tuple(sorted(3 * r + (s + r) % 3 for r in range(3))))
-        lines.append(tuple(sorted(3 * r + (s - r) % 3 for r in range(3))))
-    return LinearSpace(9, lines)
 
 
 def test_in_k0_examples():
@@ -60,6 +52,29 @@ def test_in_k0_minimal_witness():
         bin(m).count("1") for m in range(1 << space.n) if dt[m] < 0
     )
     assert len(bad) == min_size
+
+
+def test_witnesses_are_the_least_violating_sets():
+    # in_K0 and is_strong (and CLI validate, which prints in_K0's set)
+    # report the (size, lex)-least violating set.  Sparse random spaces
+    # rarely violate, so most cases are point sets of the dense PG(2,3).
+    rng = Random(23)
+    pg = projective_plane_3()
+    spaces = [random_space(rng, rng.randrange(3, 10)) for _ in range(100)]
+    spaces += [induced(pg, rng.sample(range(13), rng.randrange(8, 14))) for _ in range(80)]
+    k0_bad = strong_bad = 0
+    for space in spaces:
+        n = space.n
+        want = least_below_oracle(space, (), range(n), 0)
+        assert in_K0(space) == (want is None, want), space.lines
+        k0_bad += want is not None
+        for _ in range(3):
+            hi = set(rng.sample(range(n), rng.randrange(1, n + 1)))
+            lo = set(rng.sample(sorted(hi), rng.randrange(len(hi) + 1)))
+            want = least_below_oracle(space, lo, hi, delta_set(space, lo))
+            assert is_strong(space, lo, hi).violating == want, (space.lines, lo, hi)
+            strong_bad += want is not None
+    assert k0_bad >= 50 and strong_bad >= 50, (k0_bad, strong_bad)
 
 
 def test_is_strong_examples():
@@ -138,6 +153,7 @@ def test_d_vs_oracle_and_laws():
         X = set(rng.sample(range(n), rng.randrange(n + 1)))
         val = d(space, X)
         assert val == d_oracle(space, X)
+        assert d_closure(space, X) == {p for p in range(n) if d_oracle(space, X | {p}) == val}
         assert val <= len(X)
         Y = X | set(rng.sample(range(n), rng.randrange(n + 1)))
         assert val <= d(space, Y)

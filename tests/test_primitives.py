@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import combinations, permutations
 from random import Random
 
@@ -22,10 +23,12 @@ from steinergeom import (
     cycle_Ck,
     decompose,
     delta,
+    delta_table,
     enumerate_good_pairs,
     fano,
     fano_chain,
     free_amalgam,
+    in_K0,
     induced,
     is_good_pair,
     is_primitive,
@@ -34,13 +37,15 @@ from steinergeom import (
     random_space,
     to_gp_v1,
 )
-from steinergeom.primitives import embeddings_over_base
-from steinergeom.space import preserves_lines
+from steinergeom.primitives import _zero_primitive, embeddings_over_base
+from steinergeom.space import points_of, preserves_lines
 from oracle import (
+    affine_plane_3,
     chi_oracle,
     copies_oracle,
     embeddings_oracle,
     good_pair_oracle,
+    is_strong_oracle,
     zero_primitive_oracle,
 )
 
@@ -65,6 +70,52 @@ def test_is_primitive_requires_strong_base():
     f = fano()
     with pytest.raises(NotStrong):
         is_primitive(f, [0])
+
+
+def test_zero_primitive_vs_oracle_on_every_split():
+    # every disjoint (B, C) with C nonempty, B u C the whole space or any
+    # part of it; bases_of is checked on the 0-primitive ones.  Spaces
+    # under 8 points are all in K_0, so AG(2,3) is the one outside it.
+    # is_primitive takes C as the rest of the space and needs B strong,
+    # so it is compared on the whole-space splits with delta(C/B) = 0
+    # and B strong.
+    rng = Random(47)
+    spaces = [affine_plane_3()]
+    for i in range(16):
+        n = rng.randrange(4, 7)
+        spaces.append(random_k0(rng, n) if i % 2 else random_space(rng, n, tries=3 * n))
+    seen = Counter()
+    for M in spaces:
+        n = M.n
+        seen["in K_0" if in_K0(M)[0] else "not in K_0"] += 1
+        full = M.full_mask()
+        for c_mask in range(1, full + 1):
+            rest = b_mask = full & ~c_mask
+            while True:
+                B, C = points_of(b_mask), points_of(c_mask)
+                got = _zero_primitive(delta_table(M), b_mask, c_mask)
+                assert got == zero_primitive_oracle(M, B, C), (M.lines, B, C)
+                whole = b_mask | c_mask == full
+                seen[got, len(C) == 1, whole] += 1
+                if got:
+                    # the bases are the subsets of B over which C is good
+                    assert set(bases_of(M, B, C)) == {
+                        frozenset(b0)
+                        for r in range(len(B) + 1)
+                        for b0 in combinations(B, r)
+                        if good_pair_oracle(M, b0, C)
+                    }, (M.lines, B, C)
+                if whole and delta(M, range(n)) == delta(M, B) and is_strong_oracle(M, B, range(n)):
+                    assert is_primitive(M, B) == got, (M.lines, B)
+                    seen["is_primitive", got] += 1
+                if not b_mask:
+                    break
+                b_mask = (b_mask - 1) & rest
+    assert seen["in K_0"] and seen["not in K_0"]
+    for single in (True, False):
+        for whole in (True, False):
+            assert seen[True, single, whole] and seen[False, single, whole]
+    assert seen["is_primitive", True] and seen["is_primitive", False]
 
 
 def test_is_good_pair_examples():
@@ -109,6 +160,11 @@ def test_bases_of_cycle_and_fano():
     ck = cycle_Ck(2)
     assert bases_of(ck.space, sorted(ck.base), sorted(ck.ext)) == [frozenset({0, 1})]
     assert bases_of(fano(), [], range(7)) == [frozenset()]
+    # B u C need not be the whole space: the host line (2, 6, 7) has two
+    # points in B u C, so it is no line of the pair and 6 stays idle
+    c1 = cycle_Ck(1).space
+    host = LinearSpace(8, c1.lines + ((2, 6, 7),))
+    assert bases_of(host, [0, 1, 6], range(2, 6)) == [frozenset({0, 1})]
 
 
 def test_bases_of_rejects_non_primitive():
