@@ -100,6 +100,7 @@ def build(
     complete_q: deque[tuple[int, int]] = deque()
     queued_pairs: set[tuple[int, int]] = set()
     big_templates = [gp for gp in default_templates(template_max) if gp.code != ALPHA_CODE]
+    caps = {gp.code: mu.value(gp.code) for gp in big_templates}
     template_cursor = 0
     realize_count = 0
 
@@ -195,7 +196,7 @@ def build(
         # must still fit (line lengths stay legal by construction, and the
         # global bounded check runs on snapshots, not per step)
         copies = copies_over_base(cur, gp.space, gp.base, base_map)
-        if _max_disjoint(copies) + 1 > mu.value(gp.code):
+        if _max_disjoint(copies) + 1 > caps[gp.code]:
             least = min(copies, key=sorted)
             trace.steps.append(
                 BuildStep(i, "identify", (gp.code, base_img, tuple(sorted(least))))

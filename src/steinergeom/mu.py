@@ -124,10 +124,14 @@ def in_K_mu_bounded(
             violations.append((ALPHA_CODE, (ln[0], ln[1]), len(ln) - 2, mu.alpha_value))
 
     groups = _copy_groups_full(M, bound)
+    # many groups share a code, and mu.value decodes the code each time
+    caps: dict[str, int] = {}
     for (code, base_img), copies in sorted(groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
         if want and want.isdisjoint(base_img) and all(want.isdisjoint(c) for c in copies):
             continue
-        cap = mu.value(code)
+        cap = caps.get(code)
+        if cap is None:
+            cap = caps[code] = mu.value(code)
         chi_val = _max_disjoint(sorted(copies, key=sorted))
         if chi_val > cap:
             violations.append((code, tuple(sorted(base_img)), chi_val, cap))

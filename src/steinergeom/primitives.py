@@ -1,6 +1,11 @@
 """Primitive extensions, good pairs, canonical codes, copy counting,
 and decomposition of strong extensions into primitive steps.
 
+canonical_code names the isomorphism type of a (space, base) pair: the
+least leaf encoding of an individualization-refinement search, pruned
+by the automorphisms that equal leaf encodings reveal.  Codes are equal
+exactly when the pairs are isomorphic with base mapped to base.
+
 embeddings_over_base is the one embedding search: copies_over_base and
 chi collect its extension images, amalgamate-or-identify its first one.
 
@@ -181,49 +186,147 @@ def _individualize(colors: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(ranks[k] for k in keyed)
 
 
-def canonical_code(space: LinearSpace, base: Iterable[int], *, limit: int = DEFAULT_CODE_LIMIT) -> str:
-    """Isomorphism-invariant code of (space, base).
+def _target_cell(colors: tuple[int, ...]) -> list[int]:
+    """Points of the smallest colour that two or more points share, in
+    point order; empty when the colouring is discrete."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for c in colors:
+        if c in seen:
+            shared.add(c)
+        seen.add(c)
+    if not shared:
+        return []
+    c = min(shared)
+    return [p for p, x in enumerate(colors) if x == c]
 
-    Lexicographic minimum of the line encoding over all relabelings that
-    keep base points before extension points, found by individualization
-    and refinement instead of raw factorial search.
+
+def _encode(space: LinearSpace, nb: int, colors: tuple[int, ...]) -> str:
+    """The lines of a leaf, relabelled by its discrete colouring."""
+    new_lines = sorted(tuple(sorted(colors[p] for p in ln)) for ln in space.lines)
+    body = "|".join(",".join(map(str, ln)) for ln in new_lines)
+    return f"gp{nb}.{space.n - nb}|{body}"
+
+
+def _find(parent: list[int], p: int) -> int:
+    while parent[p] != p:
+        parent[p] = parent[parent[p]]
+        p = parent[p]
+    return p
+
+
+def _subtree_min(
+    space: LinearSpace,
+    nb: int,
+    colors: tuple[int, ...],
+    first_leaf: tuple[int, ...],
+    first: str,
+    orbits: list[int],
+    best: str,
+) -> str:
+    """min(best, least leaf encoding below `colors`), where `colors` is a
+    child of a first-path node that is not on the first path.
+
+    A leaf encoded as `first` (the first leaf's encoding) yields the
+    automorphism gamma = leaf^-1 o first_leaf.  gamma maps the first leaf
+    to this one, so it fixes their shared individualized prefix and maps
+    the first-path child at the split to the root of this subtree: the
+    subtree is gamma's image of one already searched, and the walk stops.
+    gamma's cycles are merged into `orbits`, a union-find over points.
+    """
+    stack = [colors]
+    while stack:
+        colors = _refine(space, stack.pop())
+        cell = _target_cell(colors)
+        if cell:
+            for p in reversed(cell):
+                stack.append(_individualize(colors, p))
+            continue
+        enc = _encode(space, nb, colors)
+        if enc == first:
+            point_of = [0] * space.n
+            for p, c in enumerate(colors):
+                point_of[c] = p
+            for p, c in enumerate(first_leaf):
+                orbits[_find(orbits, p)] = _find(orbits, point_of[c])
+            return best
+        if enc < best:
+            best = enc
+    return best
+
+
+def _canonical_code(space: LinearSpace, base: frozenset[int], memo: dict[str, str]) -> str:
+    """canonical_code without the size check; `memo` maps first-leaf
+    encodings to codes and is read and extended."""
+    n, nb = space.n, len(base)
+    if n == 3 and nb == 2 and space.lines == ((0, 1, 2),):
+        return ALPHA_CODE
+    # the first path: individualize the first point of the target cell
+    # until the colouring is discrete
+    path: list[tuple[tuple[int, ...], list[int]]] = []
+    colors = tuple(0 if p in base else 1 for p in range(n))
+    while True:
+        colors = _refine(space, colors)
+        cell = _target_cell(colors)
+        if not cell:
+            break
+        path.append((colors, cell))
+        colors = _individualize(colors, cell[0])
+    first_leaf = colors
+    first = _encode(space, nb, first_leaf)
+    if first in memo:
+        return memo[first]
+    best = first
+    orbits = list(range(n))
+    # first-path nodes, deepest first: every automorphism found so far
+    # came from a leaf below the current node, so it fixes the node's
+    # prefix and permutes the node's children
+    for node, cell in reversed(path):
+        searched = [cell[0]]
+        for q in cell[1:]:
+            root = _find(orbits, q)
+            if any(_find(orbits, s) == root for s in searched):
+                continue
+            searched.append(q)
+            best = _subtree_min(space, nb, _individualize(node, q), first_leaf, first, orbits, best)
+    memo[first] = best
+    return best
+
+
+def canonical_code(space: LinearSpace, base: Iterable[int], *, limit: int = DEFAULT_CODE_LIMIT) -> str:
+    """Isomorphism-invariant code of (space, base): two pairs get the same
+    code exactly when some bijection maps lines onto lines and base onto
+    base.
+
+    The code is the least leaf encoding of an individualization-
+    refinement tree.  Start from the colouring base = 0, rest = 1;
+    refine it by line signatures until stable; at a non-discrete node,
+    individualize each point of the smallest shared colour in turn.  A
+    leaf is a discrete colouring, a relabelling that keeps base points
+    first, and its encoding is the relabelled line list.  Refinement and
+    the choice of cell use only colours and lines, so a bijection
+    between two pairs maps one tree onto the other, leaf encodings
+    included: equal inputs up to isomorphism get equal codes.
+    Conversely, an encoding is a relabelled copy of (space, base), so
+    equal codes mean isomorphic inputs.  The code is the least encoding
+    over the tree's leaves, which is in general not the least over all
+    base-first relabellings.
+
+    Two savings leave the least leaf encoding as it is (McKay and
+    Piperno, "Practical graph isomorphism, II", 2014).  A leaf encoded
+    as the first leaf gives an automorphism, and with it the search
+    skips the rest of that subtree, and at a first-path node every child
+    in the orbit of a searched child under the automorphisms found so
+    far: each skipped subtree is an automorphic image of a searched one,
+    with the same leaf encodings.  See _subtree_min and _canonical_code.
+    Within one enumerate_good_pairs call, codes are also kept per first-
+    leaf encoding: equal first leaves mean isomorphic inputs, hence
+    equal codes, so a repeated shape costs one root-to-leaf path.
     """
     n = space.n
     if n > limit:
         raise SizeLimit(f"{n} points exceeds code limit {limit}")
-    base = frozenset(base)
-    nb = len(base)
-    if n == 3 and nb == 2 and space.lines == ((0, 1, 2),):
-        return ALPHA_CODE
-    best: Optional[str] = None
-
-    def encode(colors: tuple[int, ...]) -> str:
-        new_lines = sorted(tuple(sorted(colors[p] for p in ln)) for ln in space.lines)
-        body = "|".join(",".join(map(str, ln)) for ln in new_lines)
-        return f"gp{nb}.{n - nb}|{body}"
-
-    def search(colors: tuple[int, ...]) -> None:
-        nonlocal best
-        colors = _refine(space, colors)
-        cells: dict[int, list[int]] = {}
-        for p, c in enumerate(colors):
-            cells.setdefault(c, []).append(p)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            enc = encode(colors)
-            if best is None or enc < best:
-                best = enc
-            return
-        for p in target:
-            search(_individualize(colors, p))
-
-    search(tuple(0 if p in base else 1 for p in range(n)))
-    assert best is not None
-    return best
+    return _canonical_code(space, frozenset(base), {})
 
 
 class GoodPair:
@@ -266,6 +369,17 @@ class GoodPair:
 
     def __repr__(self) -> str:
         return f"GoodPair(|B|={len(self.base)}, |C|={len(self.ext)}, code={self.code[:24]!r})"
+
+
+def _coded_pair(space: LinearSpace, base: Iterable[int], codes: dict[str, str]) -> GoodPair:
+    """GoodPair(space, base, check=False), with the code looked up in or
+    added to `codes` (see _canonical_code)."""
+    gp = GoodPair.__new__(GoodPair)
+    gp.space = space
+    gp.base = frozenset(base)
+    gp.ext = frozenset(range(space.n)) - gp.base
+    gp.code = _canonical_code(space, gp.base, codes)
+    return gp
 
 
 def alpha_pair() -> GoodPair:
@@ -376,23 +490,19 @@ def copies_over_base(
 
 
 def _max_disjoint(sets: list[frozenset[int]]) -> int:
-    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
-    best = 0
+    """Largest number of pairwise disjoint sets among `sets`."""
+    return _pack(sorted(sets, key=lambda s: (len(s), sorted(s))), 0, frozenset(), 0, 0)
 
-    def rec(i: int, taken: frozenset[int], count: int) -> None:
-        nonlocal best
-        if count + (len(sets) - i) <= best:
-            return
-        if count > best:
-            best = count
-        for j in range(i, len(sets)):
-            if not sets[j] & taken:
-                rec(j + 1, taken | sets[j], count + 1)
-                # the first compatible branch dominates equal-size tails,
-                # but completeness needs the skip branch too
-        return
 
-    rec(0, frozenset(), 0)
+def _pack(sets: list[frozenset[int]], i: int, taken: frozenset[int], count: int, best: int) -> int:
+    """max(best, count + most pairwise disjoint sets of sets[i:] that
+    avoid `taken`); `count` sets, covering `taken`, are already chosen."""
+    if count + (len(sets) - i) <= best:
+        return best
+    best = max(best, count)
+    for j in range(i, len(sets)):
+        if not sets[j] & taken:
+            best = _pack(sets, j + 1, taken | sets[j], count + 1, best)
     return best
 
 
@@ -426,7 +536,9 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
     structure together with B, and C is the rest of it, so the verdict
     and the canonical code are functions of the key: point sets of M
     with the same labelled shape are verified once.  Only the lines are
-    kept for rejected shapes, and the memo dies with the call.
+    kept for rejected shapes, and the memo dies with the call.  So does
+    the code memo `codes`, keyed on first-leaf encodings (see
+    canonical_code): shapes isomorphic as pairs share one code search.
     """
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
@@ -438,6 +550,7 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
                 out.append((alpha, {0: a, 1: b, 2: c}))
 
     verified: dict[tuple[int, tuple[tuple[int, ...], ...], int], Optional[GoodPair]] = {}
+    codes: dict[str, str] = {}
     for c_mask, dc, pop_lines in iter_candidate_sets(M, max_size):
         c_size = c_mask.bit_count()
         # base candidates are the outside points on populated lines; their
@@ -488,7 +601,7 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
             if key not in verified:
                 c_idx = [relabel[p] for p in points_of(c_mask)]
                 good = is_good_pair(sub, b_idx, c_idx)
-                verified[key] = GoodPair(sub, b_idx, check=False) if good else None
+                verified[key] = _coded_pair(sub, b_idx, codes) if good else None
             gp = verified[key]
             if gp is not None:
                 out.append((gp, {i: p for p, i in relabel.items()}))

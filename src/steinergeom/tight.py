@@ -144,8 +144,14 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
             yield from expand(allowed)
             remove(q)
 
-    for root in range(n):
-        add(root)
-        yield from expand(full & ~((1 << root) - 1))
-        remove(root)
+    try:
+        for root in range(n):
+            add(root)
+            yield from expand(full & ~((1 << root) - 1))
+            remove(root)
+    finally:
+        # expand calls itself through its closure cell, a reference cycle
+        # that would keep `visited` and the counters alive until the next
+        # full collection; emptying the cell frees them when the walk ends
+        del expand
 

@@ -214,3 +214,23 @@ def max_disjoint_oracle(images):
 
 def chi_oracle(M, pair_space, base, b_embed):
     return max_disjoint_oracle(copies_oracle(M, pair_space, base, b_embed))
+
+
+def isomorphic_oracle(s1, b1, s2, b2):
+    """Whether some bijection of the points maps the lines of s1 onto the
+    lines of s2 and b1 onto b2; brute force over every bijection that
+    maps b1 onto b2."""
+    b1, b2 = sorted(b1), sorted(b2)
+    if s1.n != s2.n or len(b1) != len(b2) or len(s1.lines) != len(s2.lines):
+        return False
+    rest1 = sorted(set(range(s1.n)) - set(b1))
+    rest2 = sorted(set(range(s2.n)) - set(b2))
+    lines2 = {frozenset(ln) for ln in s2.lines}
+    for pb in permutations(b2):
+        for pr in permutations(rest2):
+            phi = dict(zip(b1, pb))
+            phi.update(zip(rest1, pr))
+            # injective on lines, and as many lines on each side
+            if all(frozenset(phi[p] for p in ln) in lines2 for ln in s1.lines):
+                return True
+    return False

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from collections import Counter
 from itertools import combinations, permutations
@@ -10,12 +11,14 @@ from steinergeom import (
     FormatError,
     GoodPair,
     LinearSpace,
+    MuFunction,
     NotStrong,
     NotZeroPrimitive,
     SizeLimit,
     D_k,
     alpha_pair,
     bases_of,
+    build,
     canonical_code,
     chain_link_pair,
     chi,
@@ -37,8 +40,10 @@ from steinergeom import (
     random_space,
     to_gp_v1,
 )
-from steinergeom.primitives import _zero_primitive, embeddings_over_base
+from steinergeom import primitives
+from steinergeom.primitives import _max_disjoint, _zero_primitive, embeddings_over_base
 from steinergeom.space import points_of, preserves_lines
+from steinergeom.tight import iter_candidate_sets
 from oracle import (
     affine_plane_3,
     chi_oracle,
@@ -46,6 +51,8 @@ from oracle import (
     embeddings_oracle,
     good_pair_oracle,
     is_strong_oracle,
+    isomorphic_oracle,
+    projective_plane_3,
     zero_primitive_oracle,
 )
 
@@ -211,6 +218,136 @@ PINNED_GALLERY_CODES = "6555e4dc4d288cfc20f2cb6b7c3b9de760a48481f25ebfd793249f4e
 def test_gallery_codes_are_pinned():
     codes = [(cycle_Ck(k).code, D_k(k).code) for k in range(1, 6)]
     assert hashlib.sha256(repr(codes).encode()).hexdigest() == PINNED_GALLERY_CODES
+
+
+def _relabelled(rng, space, base):
+    n = space.n
+    perm = rng.sample(range(n), n)
+    return LinearSpace(n, [[perm[p] for p in ln] for ln in space.lines]), [perm[p] for p in base]
+
+
+def _with_bases(rng, spaces, max_base):
+    """Each space with one random base of every size up to max_base, and
+    a random relabelling of each."""
+    out = []
+    for space in spaces:
+        for nb in range(min(max_base, space.n) + 1):
+            base = rng.sample(range(space.n), nb)
+            out += [(space, base), _relabelled(rng, space, base)]
+    return out
+
+
+def test_codes_agree_exactly_on_isomorphic_pairs():
+    rng = Random(71)
+    spaces = [fano()]
+    for n in range(3, 8):
+        for _ in range(4):
+            spaces += [random_space(rng, n, tries=rng.randrange(n, 4 * n)), random_k0(rng, n)]
+    for plane in (affine_plane_3(), projective_plane_3()):
+        for _ in range(6):
+            spaces.append(induced(plane, sorted(rng.sample(range(plane.n), rng.randrange(4, 8)))))
+    corpus = _with_bases(rng, spaces, 3)
+    codes = [canonical_code(space, base) for space, base in corpus]
+    compared = isomorphic = 0
+    for i, j in combinations(range(len(corpus)), 2):
+        (s1, b1), (s2, b2) = corpus[i], corpus[j]
+        lengths = [sorted(map(len, s.lines)) for s in (s1, s2)]
+        if (s1.n, len(b1), lengths[0]) != (s2.n, len(b2), lengths[1]):
+            # the code starts with the sizes and lists every line
+            assert codes[i] != codes[j]
+            continue
+        iso = isomorphic_oracle(s1, b1, s2, b2)
+        assert (codes[i] == codes[j]) == iso, (s1.lines, b1, s2.lines, b2)
+        compared += 1
+        isomorphic += iso
+    assert isomorphic > 200 and compared - isomorphic > 200
+
+
+def _pinned_corpus_codes():
+    rng = Random(7186)
+    spaces = []
+    for i in range(300):
+        n = rng.randrange(3, 11)
+        sampler = random_k0 if i % 3 == 0 and n <= 9 else random_space
+        spaces.append(sampler(rng, n, tries=rng.randrange(n, 4 * n)))
+    for plane in (affine_plane_3(), projective_plane_3()):
+        for _ in range(60):
+            spaces.append(induced(plane, sorted(rng.sample(range(plane.n), rng.randrange(4, plane.n + 1)))))
+        spaces.append(plane)
+    codes = [canonical_code(space, base) for space, base in _with_bases(rng, spaces, 3)]
+    stacks = []
+    for ks in ((1, 1, 1), (1, 2)):
+        M = LinearSpace(2, [])
+        for k in ks:
+            M = free_amalgam(M, cycle_Ck(k).space, [0, 1])
+        M, _ = _relabelled(rng, LinearSpace(M.n + 2, M.lines), [])
+        stacks.append((M, 10))
+    stacks += [(build(MuFunction(2), 150, seed=seed)[0], 8) for seed in (3, 11)]
+    enumerated = [[gp.code for gp, _ in enumerate_good_pairs(M, bound)] for M, bound in stacks]
+    return codes, enumerated
+
+
+# sha256 of repr(_pinned_corpus_codes()), recorded with the search that
+# visited every leaf of the refinement tree: pruning and the per-call
+# code memo must leave every code as it was
+PINNED_CORPUS_CODES = "e640a1fefd1bc2524c3a79af30822c091b2291b01e588e7477344e07f9763fd8"
+
+
+def test_corpus_codes_are_pinned():
+    codes = _pinned_corpus_codes()
+    assert hashlib.sha256(repr(codes).encode()).hexdigest() == PINNED_CORPUS_CODES
+
+
+def test_enumeration_codes_relabelled_copies_through_its_memo(monkeypatch):
+    # relabelled copies of two shapes side by side: most copies are new
+    # labelled shapes, so their codes come from the enumeration's memo
+    rng = Random(45)
+    parts = [cycle_Ck(1)] * 4 + [chain_link_pair()] * 3
+    M = LinearSpace(0, [])
+    for gp in parts:
+        space, _ = _relabelled(rng, gp.space, [])
+        M = LinearSpace(M.n + space.n, list(M.lines) + [[p + M.n for p in ln] for ln in space.lines])
+    M, _ = _relabelled(rng, M, [])
+    served = []
+    search = primitives._canonical_code
+
+    def recording(space, base, memo):
+        before = len(memo)
+        code = search(space, base, memo)
+        if len(memo) == before:
+            served.append((space, base, code))
+        return code
+
+    monkeypatch.setattr(primitives, "_canonical_code", recording)
+    out = enumerate_good_pairs(M, 6)
+    monkeypatch.undo()
+    assert len(served) >= 5
+    for space, base, code in served:
+        assert canonical_code(space, base) == code
+    for gp, _ in out:
+        assert gp.code == canonical_code(gp.space, gp.base)
+
+
+def test_code_search_packing_and_walk_leave_no_cyclic_garbage():
+    # what a call leaves in a reference cycle lives until the collector
+    # runs, which is how the candidate walk's visited set raised peak RSS
+    space = D_k(2).space
+    sets = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
+
+    def calls():
+        canonical_code(space, [])
+        _max_disjoint(sets)
+        for _ in iter_candidate_sets(space, 6):
+            pass
+
+    calls()
+    gc.collect()
+    gc.disable()
+    try:
+        calls()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_code_separates_base_choices():
