@@ -418,58 +418,75 @@ def embeddings_over_base(
         raise ValueError("base embedding does not preserve collinearity")
     need = [len(lns) for lns in pair_space.lines_by_point]
     degree = [len(lns) for lns in M.lines_by_point]
+    return _extend(M, pair_space, ext, 0, phi, used, need, degree)
 
-    def consistent(x: int, m: int) -> bool:
-        # every triple {u, w, x} of mapped u, w: the mapped points on the
-        # pair line (u, x) are exactly those whose images lie on the M-line
-        # (phi(u), m)
-        for u, pu in phi.items():
-            pl = pair_space.line_through(u, x)
-            ml = M.line_through(pu, m)
-            on_pl = {phi[w] for w in pl if w != u and w in phi} if pl else set()
-            on_ml = {q for q in ml if q != pu and q in used} if ml else set()
-            if on_pl != on_ml:
-                return False
-        return True
 
-    def candidates(x: int) -> Iterable[int]:
-        # a point collinear with two mapped points can only land on their
-        # M-line; one mapped neighbour still confines it to that image's
-        # lines.  Every candidate list is ascending, which keeps the
-        # output in lexicographic order.
-        neighbour = None
-        for u, pu in phi.items():
-            pl = pair_space.line_through(u, x)
-            if pl is None:
-                continue
-            for v in pl:
-                if v != u and v in phi:
-                    ml = M.line_through(pu, phi[v])
-                    return () if ml is None else ml
-            if neighbour is None:
-                neighbour = pu
+def _extend(
+    M: LinearSpace,
+    pair_space: LinearSpace,
+    ext: list[int],
+    i: int,
+    phi: dict[int, int],
+    used: set[int],
+    need: list[int],
+    degree: list[int],
+) -> Iterator[dict[int, int]]:
+    """The embeddings that extend phi, defined up to ext[:i] with image
+    `used`, to ext[i:], in lexicographic order; phi and used are restored
+    after each one is yielded.  need[x] and degree[m] count the lines
+    through x in the pair and through m in M."""
+    if i == len(ext):
+        yield dict(phi)
+        return
+    x = ext[i]
+    for m in _candidates(M, pair_space, phi, x):
+        if degree[m] >= need[x] and m not in used and _consistent(M, pair_space, phi, used, x, m):
+            phi[x] = m
+            used.add(m)
+            yield from _extend(M, pair_space, ext, i + 1, phi, used, need, degree)
+            used.discard(m)
+            del phi[x]
+
+
+def _consistent(
+    M: LinearSpace, pair_space: LinearSpace, phi: dict[int, int], used: set[int], x: int, m: int
+) -> bool:
+    """Mapping x to m keeps every triple {u, w, x} of mapped u, w: the
+    mapped points on the pair line (u, x) are exactly those whose images
+    lie on the M-line (phi(u), m)."""
+    for u, pu in phi.items():
+        pl = pair_space.line_through(u, x)
+        ml = M.line_through(pu, m)
+        on_pl = {phi[w] for w in pl if w != u and w in phi} if pl else set()
+        on_ml = {q for q in ml if q != pu and q in used} if ml else set()
+        if on_pl != on_ml:
+            return False
+    return True
+
+
+def _candidates(M: LinearSpace, pair_space: LinearSpace, phi: dict[int, int], x: int) -> Iterable[int]:
+    """Points of M that x may map to, ascending, which keeps the output
+    of _extend in lexicographic order.  A point collinear with two mapped
+    points can only land on their M-line; one mapped neighbour still
+    confines it to that image's lines."""
+    neighbour = None
+    for u, pu in phi.items():
+        pl = pair_space.line_through(u, x)
+        if pl is None:
+            continue
+        for v in pl:
+            if v != u and v in phi:
+                ml = M.line_through(pu, phi[v])
+                return () if ml is None else ml
         if neighbour is None:
-            return range(M.n)
-        near: set[int] = set()
-        for li in M.lines_by_point[neighbour]:
-            near.update(M.lines[li])
-        near.discard(neighbour)
-        return sorted(near)
-
-    def rec(i: int) -> Iterator[dict[int, int]]:
-        if i == len(ext):
-            yield dict(phi)
-            return
-        x = ext[i]
-        for m in candidates(x):
-            if degree[m] >= need[x] and m not in used and consistent(x, m):
-                phi[x] = m
-                used.add(m)
-                yield from rec(i + 1)
-                used.discard(m)
-                del phi[x]
-
-    return rec(0)
+            neighbour = pu
+    if neighbour is None:
+        return range(M.n)
+    near: set[int] = set()
+    for li in M.lines_by_point[neighbour]:
+        near.update(M.lines[li])
+    near.discard(neighbour)
+    return sorted(near)
 
 
 def copies_over_base(
@@ -515,6 +532,51 @@ def chi(M: LinearSpace, gp: GoodPair, b_embed: dict[int, int]) -> int:
 
 # -- enumeration -------------------------------------------------------
 
+def _base_choices(
+    weights: list[tuple[int, int]],
+    top: list[int],
+    i: int,
+    chosen: tuple[int, ...],
+    need: int,
+    slots: int,
+) -> Iterator[tuple[int, ...]]:
+    """`chosen` extended by at most `slots` points of weights[i:] whose
+    weights sum to `need`.  `weights` holds (point, weight), heaviest
+    first, and top[j] is the total weight of weights[:j].
+
+    The `slots` largest weights from index j on are weights[j:j + slots];
+    once they fall short of `need`, so do those from every later index.
+    At the root this is the emission test: a candidate set whose
+    max_size - |C| largest weights sum to less than delta(C) has no base.
+    """
+    if need == 0:
+        yield chosen
+        return
+    for j in range(i, len(weights)):
+        if top[min(j + slots, len(weights))] - top[j] < need:
+            return
+        q, w = weights[j]
+        if w <= need:
+            yield from _base_choices(weights, top, j + 1, chosen + (q,), need - w, slots - 1)
+
+
+def _line_test(M: LinearSpace, bc_mask: int, c_pts: Iterable[int]) -> bool:
+    """Every point of C lies on two or more lines of M that carry three
+    or more points of B u C (`bc_mask`).
+
+    A good pair (B, C) with |C| >= 2 passes.  For p in C, B u C - p lies
+    strictly between B and B u C, so 0-primitivity gives
+    delta(B u C - p) > delta(B u C); and delta(B u C) - delta(B u C - p)
+    is 1 minus the number of lines through p with three or more points
+    of B u C.
+    """
+    line_masks, by_point = M.line_masks, M.lines_by_point
+    return all(
+        sum((line_masks[li] & bc_mask).bit_count() >= 3 for li in by_point[p]) >= 2
+        for p in c_pts
+    )
+
+
 def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, dict[int, int]]]:
     """All good pairs with B u C inside M, |B u C| <= max_size.
 
@@ -525,11 +587,16 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
     output once per structure and bound, and incremental rechecks
     filter that grouping.
 
-    base_choices takes at most max_size - |C| base points whose weights,
-    the numbers of populated lines of C they sit on, sum to delta(C).  A
-    candidate set whose max_size - |C| largest weights fall short of
-    delta(C) therefore has no base and is skipped, and base_choices
-    stops once the weights still to come cannot reach what is missing.
+    Bases come from _base_choices: at most max_size - |C| outside points
+    whose weights, the numbers of populated lines of C they sit on, sum
+    to delta(C).  Its first test is the emission test: a candidate set
+    whose max_size - |C| largest weights fall short of delta(C) has no
+    base.  Two tests then reject a base choice before anything is built
+    for it.  A line through two base points and an extension point makes
+    the extension non-primitive.  And every point p of C must lie on two
+    or more lines with three or more points of B u C (_line_test): for a
+    good pair, delta(B u C - p) > delta(B u C), and the difference is 1
+    minus the number of such lines through p.
 
     Verification is memoized per call on (n, lines, base mask) of the
     order-preserving relabelling of B u C.  That key is the labelled
@@ -562,31 +629,12 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
                 q = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
                 weight_of[q] = weight_of.get(q, 0) + 1
-        if sum(sorted(weight_of.values(), reverse=True)[: max_size - c_size]) < dc:
-            continue
-        weights = sorted(weight_of.items())
-        # suffix[j]: total weight of weights[j:]
-        suffix = [0] * (len(weights) + 1)
-        for j in range(len(weights) - 1, -1, -1):
-            suffix[j] = suffix[j + 1] + weights[j][1]
-
-        def base_choices(i: int, chosen: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
-            if need == 0:
-                yield chosen
-                return
-            if c_size + len(chosen) >= max_size:
-                return
-            for j in range(i, len(weights)):
-                if suffix[j] < need:
-                    return
-                q, w = weights[j]
-                if w <= need:
-                    yield from base_choices(j + 1, chosen + (q,), need - w)
-
-        for b_pts in base_choices(0, (), dc):
-            pts = sorted(set(b_pts) | set(points_of(c_mask)))
-            if len(pts) > max_size:
-                continue
+        weights = sorted(weight_of.items(), key=lambda qw: (-qw[1], qw[0]))
+        top = [0]
+        for _q, w in weights:
+            top.append(top[-1] + w)
+        c_pts = points_of(c_mask)
+        for b_pts in _base_choices(weights, top, 0, (), dc, max_size - c_size):
             # a line through two base points and an extension point makes
             # the extension non-primitive, so such a choice is never good
             if any(
@@ -594,12 +642,16 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
                 for u, v in combinations(b_pts, 2)
             ):
                 continue
+            bc_mask = c_mask | mask_of(b_pts)
+            if not _line_test(M, bc_mask, c_pts):
+                continue
+            pts = points_of(bc_mask)
             relabel = {p: i for i, p in enumerate(pts)}
             sub = induced(M, pts)
             b_idx = [relabel[p] for p in b_pts]
             key = (sub.n, sub.lines, mask_of(b_idx))
             if key not in verified:
-                c_idx = [relabel[p] for p in points_of(c_mask)]
+                c_idx = [relabel[p] for p in c_pts]
                 good = is_good_pair(sub, b_idx, c_idx)
                 verified[key] = _coded_pair(sub, b_idx, codes) if good else None
             gp = verified[key]

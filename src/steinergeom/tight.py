@@ -18,11 +18,14 @@ There is one walk, always over the whole space.  enumerate_good_pairs
 consumes it, and the bounded K_mu check groups that enumeration once per
 structure and bound.
 
-Growth is pruned with the global max_lines, the most lines through any
-point of the space, as the bound on one base point's attach weight.
-Around a hub point that bound is loose, so most emitted sets have no
-base; enumerate_good_pairs discards those at emission with the sets'
-actual weights.
+Growth is pruned with bounds over the points outside the current set S,
+read off the degree order (see _growable): delta can fall by at most
+deg(q) - 1 for each point q still added, a base point's attach weight is
+at most its degree and at most |C| // 2, and an added point q populates
+at most deg(q) lines through points of S.  Once the hubs of a stack lie
+in S, their degrees no longer count.  Emitted sets are not tested for a
+base; enumerate_good_pairs does that exactly, with the sets' actual
+weights, when it chooses bases.
 """
 
 from __future__ import annotations
@@ -44,23 +47,11 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
     n = space.n
     lines = space.lines
     by_point = space.lines_by_point
-    max_lines = max((len(b) for b in by_point), default=0)
+    # (degree, point), largest degree first: the outside points of largest
+    # degree bound how far a set can still grow and what a base point can
+    # attach
+    ranked = sorted(((len(b), q) for q, b in enumerate(by_point)), reverse=True)
     full = (1 << n) - 1
-    # delta can drop by at most (lines through q) - 1 per added point, and
-    # a final set C must satisfy delta(C) <= sum of base attach weights
-    # <= (max_size - |C|) * max_lines; prefix sums of the sorted gains
-    # bound the drop achievable in k more additions
-    gains = sorted((len(b) - 1 for b in by_point if len(b) > 1), reverse=True)
-    gain_prefix = [0]
-    for g in gains:
-        gain_prefix.append(gain_prefix[-1] + g)
-    gain_prefix.extend([gain_prefix[-1]] * max_size)
-
-    def reachable(size: int, delta: int) -> bool:
-        for t in range(size, max_size + 1):
-            if delta - gain_prefix[t - size] <= (max_size - t) * max_lines:
-                return True
-        return False
 
     cnt = [0] * len(lines)
     deg = [0] * n
@@ -116,10 +107,19 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
             yield mask, delta, lines2
         if delta <= 0 or len(pts) >= max_size:
             return
-        if not reachable(len(pts), delta):
-            return
         room = max_size - len(pts)
-        if sum(2 - deg[p] for p in deficient) > room * max_lines:
+        # degrees of the `room` largest-degree points outside the set
+        top: list[int] = []
+        for d, q in ranked:
+            if not mask >> q & 1:
+                top.append(d)
+                if len(top) == room:
+                    break
+        if not _growable(len(pts), delta, max_size, top):
+            return
+        # each added point q populates at most deg(q) lines through
+        # points already in the set
+        if sum(2 - deg[p] for p in deficient) > sum(top):
             return
         succ = set()
         if deficient:
@@ -155,3 +155,23 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
         # full collection; emptying the cell frees them when the walk ends
         del expand
 
+
+def _growable(size: int, delta: int, max_size: int, top: list[int]) -> bool:
+    """False only if no final set C > S with |C| <= max_size can have
+    delta(C) covered by the weights of its base points.  S has `size`
+    points and delta `delta`; `top` holds the largest degrees of points
+    outside S, falling, one for each point C may still add.
+
+    Each point q added on the way to C lowers delta by at most
+    deg(q) - 1, so delta(C) >= delta - (the top |C| - size gains).  A base
+    point q lies outside C, and its weight, the populated lines of C
+    through q, is at most deg(q) and at most |C| // 2, since those lines
+    meet only at q and each carries two points of C.  At most
+    max_size - |C| base points fit.
+    """
+    drop = 0
+    for t in range(size + 1, size + len(top) + 1):
+        drop += top[t - size - 1] - 1
+        if delta - drop <= (max_size - t) * min(top[0], t // 2):
+            return True
+    return False

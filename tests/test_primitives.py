@@ -1,7 +1,7 @@
 import gc
 import hashlib
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
@@ -42,7 +42,7 @@ from steinergeom import (
 )
 from steinergeom import primitives
 from steinergeom.primitives import _max_disjoint, _zero_primitive, embeddings_over_base
-from steinergeom.space import points_of, preserves_lines
+from steinergeom.space import mask_of, points_of, preserves_lines
 from steinergeom.tight import iter_candidate_sets
 from oracle import (
     affine_plane_3,
@@ -333,12 +333,19 @@ def test_code_search_packing_and_walk_leave_no_cyclic_garbage():
     # runs, which is how the candidate walk's visited set raised peak RSS
     space = D_k(2).space
     sets = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
+    gp = cycle_Ck(1)
+    hub = LinearSpace(2, [])
+    for _ in range(2):
+        hub = free_amalgam(hub, gp.space, [0, 1])
 
     def calls():
         canonical_code(space, [])
         _max_disjoint(sets)
         for _ in iter_candidate_sets(space, 6):
             pass
+        assert enumerate_good_pairs(hub, 6)
+        assert len(copies_over_base(hub, gp.space, gp.base, {0: 0, 1: 1})) == 2
+        next(embeddings_over_base(hub, gp.space, gp.base, {0: 0, 1: 1}))
 
     calls()
     gc.collect()
@@ -572,6 +579,46 @@ def test_enumerate_verifies_repeated_shapes_once(shape):
         if perm == perms[0]:
             others = [gp for gp, _ in out if gp.code != ALPHA_CODE]
             assert len({id(gp) for gp in others}) < len(others)
+
+
+def test_line_test_rejects_no_good_pair():
+    # every (B, C) split with |C| >= 2, B u C whole or partial: a split the
+    # enumeration's line test rejects is never good
+    rng = Random(48)
+    ag = affine_plane_3()
+    spaces = [random_space(rng, rng.randrange(4, 8)) for _ in range(12)] + [fano()]
+    spaces += [induced(ag, sorted(rng.sample(range(9), 7))) for _ in range(4)]
+    rejected = good = 0
+    for M in spaces:
+        for roles in product(range(3), repeat=M.n):
+            B = {p for p, r in enumerate(roles) if r == 1}
+            C = {p for p, r in enumerate(roles) if r == 2}
+            if len(C) < 2:
+                continue
+            if primitives._line_test(M, mask_of(B | C), C):
+                good += good_pair_oracle(M, B, C)
+            else:
+                rejected += 1
+                assert not good_pair_oracle(M, B, C), (M.lines, B, C)
+    assert rejected > 1000 and good > 20
+
+
+def test_enumerate_matches_oracle_on_hub_stack_at_bound_8():
+    # two C_1 glued over one pair: once both hubs are in a walk set, the
+    # growth bound counts only the points outside it
+    gp = cycle_Ck(1)
+    glued = LinearSpace(2, [])
+    for _ in range(2):
+        glued = free_amalgam(glued, gp.space, [0, 1])
+    perm = Random(49).sample(range(glued.n), glued.n)
+    M = LinearSpace(glued.n, [[perm[p] for p in ln] for ln in glued.lines])
+    got = {
+        (frozenset(emb[b] for b in g.base), frozenset(emb[c] for c in g.ext))
+        for g, emb in enumerate_good_pairs(M, 8)
+    }
+    want = _oracle_pairs(M, 8)
+    assert got == want
+    assert any(len(C) == 4 and len(B) == 2 for B, C in want)
 
 
 def test_is_good_pair_vs_oracle_three_and_four_point_bases():
