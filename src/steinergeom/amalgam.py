@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .dimension import min_delta_interval
-from .errors import BaseMismatch, BoundTooSmall, NotStrong
-from .space import LinearSpace, delta_mask, induced, mask_of, preserves_lines
-from .primitives import decompose, embeddings_over_base
+from .errors import BaseMismatch, BoundTooSmall
+from .space import LinearSpace, induced, mask_of, preserves_lines
+from .primitives import _require_strong, decompose, embeddings_over_base
 
 
 def _glue(
@@ -72,8 +71,7 @@ def free_amalgam(F: LinearSpace, E: LinearSpace, D: Iterable[int]) -> LinearSpac
     dm = mask_of(d)
     if dm >> min(F.n, E.n):
         raise ValueError("shared point out of range")
-    if min_delta_interval(E, dm, E.full_mask()) < delta_mask(E, dm):
-        raise NotStrong(d, range(E.n))
+    _require_strong(E, d, range(E.n))
     return _glue(F, E, {p: p for p in d})[0]
 
 

@@ -234,7 +234,9 @@ def stats(M: LinearSpace, mu: MuFunction, *, bound: int = 6) -> dict:
     from the grouping in_K_mu_bounded has just made, and the alpha groups
     are the point pairs of each line.  chi is searched over the first
     pair's own base map: a group keyed on the base image as a set also
-    holds copies glued over it in the other orientation.
+    holds copies glued over it in the other orientation.  Alpha needs no
+    search: the copies over a pair of a line are the line's other
+    points, one point each, so chi is len(line) - 2.
     """
     hist: dict[int, int] = {}
     for ln in M.lines:
@@ -252,8 +254,11 @@ def stats(M: LinearSpace, mu: MuFunction, *, bound: int = 6) -> dict:
     saturation: dict[str, float] = {}
     counts: dict[str, int] = {}
     for pts, img, code in groups:
-        base = [pts.index(p) for p in img]
-        chi_val = _max_disjoint(copies_over_base(M, induced(M, pts), base, {i: pts[i] for i in base}))
+        if code == ALPHA_CODE:
+            chi_val = len(M.line_through(*img)) - 2
+        else:
+            base = [pts.index(p) for p in img]
+            chi_val = _max_disjoint(copies_over_base(M, induced(M, pts), base, {i: pts[i] for i in base}))
         saturation[code] = saturation.get(code, 0.0) + chi_val / max(mu.value(code), 1)
         counts[code] = counts.get(code, 0) + 1
     for code in saturation:

@@ -71,50 +71,41 @@ def min_delta_interval(
     suffix = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + gains[free[i]]
-
-    counts = [0] * len(space.lines)
-    by_point = space.lines_by_point
     base_delta = delta_mask(space, lo_mask)
-    for p in points_of(lo_mask):
-        for li in by_point[p]:
-            counts[li] += 1
+    if stop_below is None:
+        # no X in the interval has delta below base_delta - suffix[0]
+        stop_below = base_delta - suffix[0]
+    counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
+    lines = [space.lines_by_point[p] for p in free]
+    return _min_from(lines, counts, suffix, stop_below, 0, base_delta, base_delta)
 
-    best = base_delta
-    done = False
 
-    def add(p: int) -> int:
-        gain = 0
-        for li in by_point[p]:
-            if counts[li] >= 2:
-                gain += 1
-            counts[li] += 1
-        return 1 - gain
-
-    def remove(p: int) -> None:
-        for li in by_point[p]:
-            counts[li] -= 1
-
-    def rec(i: int, cur: int) -> None:
-        nonlocal best, done
-        if done:
-            return
-        if cur < best:
-            best = cur
-            if stop_below is not None and best < stop_below:
-                done = True
-                return
-        if i == len(free):
-            return
-        if cur - suffix[i] >= best:
-            return
-        p = free[i]
-        d = add(p)
-        rec(i + 1, cur + d)
-        remove(p)
-        rec(i + 1, cur)
-
-    rec(0, base_delta)
-    return best
+def _min_from(
+    lines: list, counts: list[int], suffix: list[int], stop_below: int, i: int, cur: int, best: int
+) -> int:
+    """min(best, least delta of the current set plus some of the free
+    points i, i + 1, ...), or the first value found below `stop_below`.
+    The current set has delta `cur` and `counts` points on each line;
+    lines[j] holds the lines through free point j, and suffix[i] bounds
+    the drop the free points from i on can give.  counts is restored
+    before returning."""
+    if cur < best:
+        best = cur
+        if best < stop_below:
+            return best
+    if i == len(lines) or cur - suffix[i] >= best:
+        return best
+    gain = 0
+    for li in lines[i]:
+        if counts[li] >= 2:
+            gain += 1
+        counts[li] += 1
+    best = _min_from(lines, counts, suffix, stop_below, i + 1, cur + 1 - gain, best)
+    for li in lines[i]:
+        counts[li] -= 1
+    if best < stop_below:
+        return best
+    return _min_from(lines, counts, suffix, stop_below, i + 1, cur, best)
 
 
 def _smallest_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: int) -> Optional[int]:
@@ -124,42 +115,43 @@ def _smallest_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: i
         raise SizeLimit(f"{len(free)} free points exceeds search limit {SEARCH_LIMIT}")
     gains = _point_gains(space)
     base = delta_mask(space, lo_mask)
-    counts = [0] * len(space.lines)
-    by_point = space.lines_by_point
-    for p in points_of(lo_mask):
-        for li in by_point[p]:
-            counts[li] += 1
-
-    found: Optional[int] = None
-
-    def rec(i: int, cur: int, mask: int, budget: int) -> bool:
-        nonlocal found
-        if cur < threshold:
-            found = mask
-            return True
-        if budget == 0 or i == len(free):
-            return False
-        # even taking the `budget` best remaining gains cannot get below threshold
-        top = sorted((gains[p] for p in free[i:]), reverse=True)[:budget]
-        if cur - sum(top) >= threshold:
-            return False
-        for j in range(i, len(free)):
-            p = free[j]
-            gain = 0
-            for li in by_point[p]:
-                if counts[li] >= 2:
-                    gain += 1
-                counts[li] += 1
-            if rec(j + 1, cur + 1 - gain, mask | (1 << p), budget - 1):
-                for li in by_point[p]:
-                    counts[li] -= 1
-                return True
-            for li in by_point[p]:
-                counts[li] -= 1
-        return False
-
+    counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
     for size in range(1, len(free) + 1):
-        if rec(0, base, lo_mask, size):
+        found = _first_below(space, free, gains, counts, threshold, 0, base, lo_mask, size)
+        if found is not None:
+            return found
+    return None
+
+
+def _first_below(
+    space: LinearSpace, free: list[int], gains: list[int], counts: list[int],
+    threshold: int, i: int, cur: int, mask: int, budget: int,
+) -> Optional[int]:
+    """The lex-least set with delta below `threshold` that adds at most
+    `budget` of free[i:] to `mask`, of delta `cur` and line counts
+    `counts`; None if there is none.  counts is restored before
+    returning."""
+    if cur < threshold:
+        return mask
+    if budget == 0 or i == len(free):
+        return None
+    # even taking the `budget` best remaining gains cannot get below threshold
+    top = sorted((gains[p] for p in free[i:]), reverse=True)[:budget]
+    if cur - sum(top) >= threshold:
+        return None
+    for j in range(i, len(free)):
+        p = free[j]
+        gain = 0
+        for li in space.lines_by_point[p]:
+            if counts[li] >= 2:
+                gain += 1
+            counts[li] += 1
+        found = _first_below(
+            space, free, gains, counts, threshold, j + 1, cur + 1 - gain, mask | (1 << p), budget - 1
+        )
+        for li in space.lines_by_point[p]:
+            counts[li] -= 1
+        if found is not None:
             return found
     return None
 

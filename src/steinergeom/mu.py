@@ -37,21 +37,13 @@ def decode_code(code: str) -> tuple[LinearSpace, frozenset[int]]:
 
 
 class MuFunction:
-    """alpha value, per-code overrides, and the default policy."""
+    """alpha value and per-code overrides; other codes get DEFAULT_POLICY."""
 
-    __slots__ = ("alpha_value", "overrides", "default_policy")
+    __slots__ = ("alpha_value", "overrides")
 
-    def __init__(
-        self,
-        alpha_value: int = 1,
-        overrides: Optional[dict[str, int]] = None,
-        default_policy: str = DEFAULT_POLICY,
-    ):
-        if default_policy != DEFAULT_POLICY:
-            raise ValueError(f"unknown default policy {default_policy!r}")
+    def __init__(self, alpha_value: int = 1, overrides: Optional[dict[str, int]] = None):
         self.alpha_value = int(alpha_value)
         self.overrides = dict(overrides or {})
-        self.default_policy = default_policy
 
     def line_length(self) -> int:
         """Target length of every nontrivial line: mu(alpha) + 2."""
@@ -176,14 +168,13 @@ def to_mu_v1(mu: MuFunction) -> str:
     out = [f"alpha {mu.alpha_value}"]
     for code, val in sorted(mu.overrides.items()):
         out.append(f"pair {code} {val}")
-    out.append(f"default {mu.default_policy}")
+    out.append(f"default {DEFAULT_POLICY}")
     return "\n".join(out) + "\n"
 
 
 def parse_mu_v1(text: str) -> MuFunction:
     alpha: Optional[int] = None
     overrides: dict[str, int] = {}
-    policy = DEFAULT_POLICY
     for lineno, raw in enumerate(text.splitlines(), start=1):
         row = raw.split("#", 1)[0].strip()
         if not row:
@@ -204,12 +195,10 @@ def parse_mu_v1(text: str) -> MuFunction:
             except ValueError as exc:
                 raise FormatError(lineno, str(exc)) from None
         elif parts[0] == "default" and len(parts) == 2:
-            policy = parts[1]
+            if parts[1] != DEFAULT_POLICY:
+                raise FormatError(lineno, f"unknown default policy {parts[1]!r}")
         else:
             raise FormatError(lineno, f"unrecognized row {row!r}")
     if alpha is None:
         raise FormatError(0, "missing 'alpha N' row")
-    try:
-        return MuFunction(alpha, overrides, policy)
-    except ValueError as exc:
-        raise FormatError(0, str(exc)) from exc
+    return MuFunction(alpha, overrides)

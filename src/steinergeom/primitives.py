@@ -9,13 +9,14 @@ exactly when the pairs are isomorphic with base mapped to base.
 embeddings_over_base is the one embedding search: copies_over_base and
 chi collect its extension images, amalgamate-or-identify its first one.
 
-One rule decides how a delta question is answered.  A single interval
-minimum goes through dimension.min_delta_interval (decompose's strong
-tests).  Dense per-subset tables are used only where every subset's
-value is needed: is_primitive reads the superset minimum of every
-intermediate set.  0-primitivity and good pairs need no interval
-minimum at all; they compare delta values of the sets B u C', read off
-dimension.delta_table.
+One rule decides how a delta question is answered.  Strongness
+preconditions go through dimension.is_strong and carry its witness.
+Dense per-subset tables are used only where every subset's value is
+needed: is_primitive reads the superset minimum of every intermediate
+set.  0-primitivity compares delta values of the sets B u C', read off
+dimension.delta_table.  What the calculus fixes is not searched: the
+base of a good pair is _base_mask, and a primitive step of decompose
+is the least of the closures icl(X + p).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .dimension import d_table, delta_table, min_delta_interval
+from .dimension import d_table, delta_table, icl_mask, is_strong
 from .errors import NotStrong, NotZeroPrimitive, SizeLimit
 from .space import (
     LinearSpace,
@@ -70,14 +71,10 @@ def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
     """No proper intermediate strong set between B and the whole space."""
     b_mask = mask_of(B)
     full = space.full_mask()
+    _require_strong(space, points_of(b_mask), range(space.n))
     dt, smin = _tables(space)
     m = _from_base_table(space, b_mask)
     base_delta = int(dt[b_mask])
-    if int(m[full]) < base_delta:
-        sup = np.arange(1 << space.n)
-        ok = (sup & b_mask) == b_mask
-        vals = np.where(ok, dt, dt.max() + 1)
-        raise NotStrong(points_of(b_mask), points_of(full), points_of(int(np.argmin(vals))))
     idx = np.arange(1 << space.n)
     mid = (
         ((idx & b_mask) == b_mask)
@@ -87,6 +84,13 @@ def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
         & (smin == dt)
     )
     return not bool(mid.any())
+
+
+def _require_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> None:
+    """Raise NotStrong with is_strong's witness unless lo <= hi."""
+    w = is_strong(space, lo, hi)
+    if not w.ok:
+        raise NotStrong(w.lo, w.hi, w.violating)
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -117,23 +121,41 @@ def _zero_primitive(dt: np.ndarray, b_mask: int, c_mask: int) -> bool:
     return bool((dt[b_mask | _submasks(c_mask)[1:-1]] > base_delta).all())
 
 
+def _base_mask(space: LinearSpace, b_mask: int, c_mask: int) -> int:
+    """The B-points on lines that meet C and carry three or more points of
+    B u C: the base of a 0-primitive (B, C) with |C| >= 2."""
+    b0 = 0
+    for lm in space.line_masks:
+        if lm & c_mask and (lm & (b_mask | c_mask)).bit_count() >= 3:
+            b0 |= lm & b_mask
+    return b0
+
+
 def is_good_pair(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> bool:
     """0-primitive over B with base-minimal B: C is 0-primitive over B
     and over no proper subset of B.  B u C may be any point set of the
-    space (see _zero_primitive)."""
+    space (see _zero_primitive).
+
+    No subset of B is searched.  One point c: delta(B + c) = delta(B)
+    puts c on one line with two or more points of B, and C is
+    0-primitive over any two of them and over no smaller set, so B is
+    minimal exactly when |B| = 2.  More points: take B0 = _base_mask.
+    A point of B - B0 shares no line with a point of C and a third point
+    of B u C, so it changes no delta(B C') - delta(B): C is 0-primitive
+    over B0.  A line through c in C holds at most one point of B, else
+    B + c would be an intermediate strong set; so dropping any point of
+    B0 raises delta(C/B0) above 0, and B is minimal exactly when B = B0.
+    """
     b_mask, c_mask = mask_of(B), mask_of(C)
     if b_mask & c_mask:
         raise ValueError("B and C overlap")
     if not c_mask:
         raise ValueError("C is empty")
-    dt = delta_table(space)
-    if not _zero_primitive(dt, b_mask, c_mask):
+    if not _zero_primitive(delta_table(space), b_mask, c_mask):
         return False
-    return not any(
-        _zero_primitive(dt, mask_of(sub_b), c_mask)
-        for r in range(b_mask.bit_count())
-        for sub_b in combinations(points_of(b_mask), r)
-    )
+    if c_mask.bit_count() == 1:
+        return b_mask.bit_count() == 2
+    return b_mask == _base_mask(space, b_mask, c_mask)
 
 
 def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[frozenset[int]]:
@@ -156,11 +178,7 @@ def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[fro
                 pts = points_of(lm & b_mask)
                 return [frozenset(pair) for pair in combinations(pts, 2)]
         raise NotZeroPrimitive("single extension point lies on no line based in B")
-    b0 = 0
-    for lm in space.line_masks:
-        if lm & c_mask and (lm & (b_mask | c_mask)).bit_count() >= 3:
-            b0 |= lm & b_mask
-    return [frozenset(points_of(b0))]
+    return [frozenset(points_of(_base_mask(space, b_mask, c_mask)))]
 
 
 # -- canonical codes ---------------------------------------------------
@@ -670,32 +688,24 @@ def decompose(M: LinearSpace, D: Iterable[int]) -> list[tuple[frozenset[int], in
     """Chain D = X_0 <= X_1 <= ... <= M of primitive steps.
 
     Each entry is (points of X_{i+1}, delta increment).  Steps pick the
-    smallest, then lexicographically least, strong superset; minimality
-    makes the step primitive.  Only x <= M is tested for a candidate x:
-    cur <= M holds throughout, and [cur, x] lies inside [cur, M], so
-    cur <= x follows.
+    smallest, then lexicographically least, strong superset X of the
+    current set; minimality makes the step primitive.  X <= M suffices:
+    cur <= M holds throughout, and [cur, X] lies inside [cur, M].
+
+    No subset of the free points is searched.  Such an X holds
+    icl(cur + p) for each p in X - cur, and icl(cur + p) is such a set
+    itself, so the least X is the least of the closures icl(cur + p).
     """
-    full = M.full_mask()
     cur = mask_of(D)
-    if min_delta_interval(M, cur, full) < delta_mask(M, cur):
-        raise NotStrong(points_of(cur), points_of(full))
+    _require_strong(M, points_of(cur), range(M.n))
+    full = M.full_mask()
     steps: list[tuple[frozenset[int], int]] = []
     while cur != full:
-        cur_delta = delta_mask(M, cur)
-        free = sorted(points_of(full & ~cur))
-        found = None
-        for size in range(1, len(free) + 1):
-            for combo in combinations(free, size):
-                x = cur | mask_of(combo)
-                x_delta = delta_mask(M, x)
-                if min_delta_interval(M, x, full, stop_below=x_delta) < x_delta:
-                    continue
-                found = x
-                break
-            if found is not None:
-                break
-        assert found is not None  # M itself always qualifies
-        steps.append((frozenset(points_of(found)), delta_mask(M, found) - cur_delta))
+        found = min(
+            (icl_mask(M, cur | (1 << p)) for p in points_of(full & ~cur)),
+            key=lambda x: (x.bit_count(), points_of(x)),
+        )
+        steps.append((frozenset(points_of(found)), delta_mask(M, found) - delta_mask(M, cur)))
         cur = found
     return steps
 

@@ -234,3 +234,30 @@ def isomorphic_oracle(s1, b1, s2, b2):
             if all(frozenset(phi[p] for p in ln) in lines2 for ln in s1.lines):
                 return True
     return False
+
+
+def decompose_oracle(space, D):
+    """Chain D = X_0 <= X_1 <= ... of (size, lex)-least strong supersets:
+    from X_i, the first X_i + extra, extra scanned by size and then in
+    combinations order, that is strong in the whole space (read off
+    subset_tables) and in which X_i is strong (is_strong_oracle).
+    Entries are (X_{i+1}, delta(X_{i+1}) - delta(X_i))."""
+    dt, sup = subset_tables(space)
+    full = set(range(space.n))
+    cur = set(D)
+    steps = []
+    while cur != full:
+        free = sorted(full - cur)
+        nxt = next(
+            X
+            for r in range(1, len(free) + 1)
+            for X in (cur | set(extra) for extra in combinations(free, r))
+            if sup[_mask(X)] >= dt[_mask(X)] and is_strong_oracle(space, cur, X)
+        )
+        steps.append((frozenset(nxt), delta_set(space, nxt) - delta_set(space, cur)))
+        cur = nxt
+    return steps
+
+
+def _mask(S):
+    return sum(1 << p for p in S)

@@ -79,11 +79,14 @@ def test_mu_v1_roundtrip():
         "alpha 1\npair bogus 3\n",
         "alpha 1\npair\n",
         "what 3\n",
+        "alpha 1\ndefault other\n",
     ],
 )
 def test_mu_v1_errors(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         parse_mu_v1(text)
+    # the faulty row is each input's last; a missing alpha row is line 0
+    assert exc.value.lineno == text.count("\n")
 
 
 def test_bounded_check_alpha_violation():

@@ -24,6 +24,7 @@ from steinergeom import (
     chi,
     copies_over_base,
     cycle_Ck,
+    d,
     decompose,
     delta,
     delta_table,
@@ -31,10 +32,12 @@ from steinergeom import (
     fano,
     fano_chain,
     free_amalgam,
+    icl,
     in_K0,
     induced,
     is_good_pair,
     is_primitive,
+    is_strong,
     parse_gp_v1,
     random_k0,
     random_space,
@@ -48,10 +51,12 @@ from oracle import (
     affine_plane_3,
     chi_oracle,
     copies_oracle,
+    decompose_oracle,
     embeddings_oracle,
     good_pair_oracle,
     is_strong_oracle,
     isomorphic_oracle,
+    least_below_oracle,
     projective_plane_3,
     zero_primitive_oracle,
 )
@@ -338,7 +343,15 @@ def test_code_search_packing_and_walk_leave_no_cyclic_garbage():
     for _ in range(2):
         hub = free_amalgam(hub, gp.space, [0, 1])
 
+    chain = fano_chain(2)[-1]
+
     def calls():
+        d(chain, [0, 7])
+        icl(chain, [0, 7])
+        in_K0(chain)
+        in_K0(affine_plane_3())
+        is_strong(fano(), [0], range(7))
+        decompose(chain, [])
         canonical_code(space, [])
         _max_disjoint(sets)
         for _ in iter_candidate_sets(space, 6):
@@ -685,6 +698,53 @@ def test_decompose_steps_are_strong_chain():
             cur = set(nxt)
             total += 1
         assert cur == set(range(M.n))
+
+
+def test_decompose_matches_oracle():
+    # random spaces with every strong D tried among the empty set and a
+    # few random subsets, the gallery pairs over their bases, and the
+    # Fano chain from the plane and from the empty set
+    rng = Random(61)
+    cases = []
+    for i in range(40):
+        n = rng.randrange(4, 10)
+        M = random_k0(rng, n) if i % 2 else random_space(rng, n, tries=3 * n)
+        for D in [()] + [rng.sample(range(n), rng.randrange(1, n + 1)) for _ in range(3)]:
+            if is_strong_oracle(M, D, range(n)):
+                cases.append((M, D))
+    assert sum(not D for _M, D in cases) > 10 and sum(bool(D) for _M, D in cases) > 10
+    for k in (1, 2, 3):
+        cases += [(cycle_Ck(k).space, cycle_Ck(k).base), (D_k(k).space, D_k(k).base)]
+        cases += [(fano_chain(k)[-1], range(7)), (fano_chain(k)[-1], ())]
+    for M, D in cases:
+        assert decompose(M, D) == decompose_oracle(M, D), (M.lines, D)
+
+
+def test_strongness_preconditions_carry_the_least_witness():
+    # free_amalgam, decompose and is_primitive reject a set that is not
+    # strong in the space with the (size, lex)-least set below its delta
+    rng = Random(53)
+    spaces = [fano(), affine_plane_3(), projective_plane_3()]
+    spaces += [random_space(rng, n, tries=3 * n) for n in range(6, 10)]
+    rejected = 0
+    for M in spaces:
+        n = M.n
+        for _ in range(12):
+            lo = sorted(rng.sample(range(n), rng.randrange(n)))
+            if is_strong_oracle(M, lo, range(n)):
+                continue
+            want = least_below_oracle(M, lo, range(n), delta(M, lo))
+            for call in (
+                lambda: free_amalgam(M, M, lo),
+                lambda: decompose(M, lo),
+                lambda: is_primitive(M, lo),
+            ):
+                with pytest.raises(NotStrong) as exc:
+                    call()
+                assert exc.value.lo == frozenset(lo) and exc.value.hi == frozenset(range(n))
+                assert exc.value.violating == want, (M.lines, lo)
+            rejected += 1
+    assert rejected > 20
 
 
 def test_gp_v1_roundtrip():
