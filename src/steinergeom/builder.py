@@ -9,9 +9,14 @@ sits in the queue exactly once.  Every structural change is a free
 amalgam of a strong small extension, so the growing structure stays a
 strong extension chain and line lengths stay legal by construction; a
 realization that would push chi of its own code past the mu cap at that
-base is identified with the least existing copy instead.  Commits go
-through LinearSpace.with_lines, which validates only the new lines
-against the pairs already covered.  Global bounded checks are
+base is identified with the least existing copy instead.
+
+A step costs what it adds.  Commits go through LinearSpace.with_lines,
+which validates only the new lines against the pairs already covered,
+splices them into the sorted line list and patches the point degrees
+that the base and alpha choices read; only the added lines are
+considered for the completion queue.  The copy search behind the mu cap
+reaches each copy through one leaf.  Global bounded checks are
 snapshot-time work for callers, not a per-step gate.
 """
 
@@ -104,16 +109,15 @@ def build(
     template_cursor = 0
     realize_count = 0
 
-    def enqueue_short_lines() -> None:
-        for ln in cur.lines:
+    def commit(candidate: LinearSpace, added: list[tuple[int, ...]]) -> None:
+        # every short line of cur is queued, so only the lines the commit
+        # adds can need queueing; they go in line order
+        nonlocal cur
+        cur = candidate
+        for ln in sorted(added):
             if len(ln) < target_len and (ln[0], ln[1]) not in queued_pairs:
                 complete_q.append((ln[0], ln[1]))
                 queued_pairs.add((ln[0], ln[1]))
-
-    def commit(candidate: LinearSpace) -> None:
-        nonlocal cur
-        cur = candidate
-        enqueue_short_lines()
 
     def service_add_point(i: int) -> None:
         nonlocal cur
@@ -126,7 +130,7 @@ def build(
         # short, commit() queues it again
         ln = cur.line_through(a, b)
         pid = cur.n
-        commit(cur.with_lines(pid + 1, add=[ln + (pid,)], drop=[ln]))
+        commit(cur.with_lines(pid + 1, add=[ln + (pid,)], drop=[ln]), [ln + (pid,)])
         trace.steps.append(BuildStep(i, "complete-line", (a, b, pid)))
 
     def service_complete(i: int, task: tuple[int, int]) -> None:
@@ -148,7 +152,7 @@ def build(
             # realizing piles the template's lines onto the base image, so
             # keep bases on sparse points; dense tangles make the bounded
             # checks expensive
-            if any(len(cur.lines_by_point[p]) > 1 for p in img):
+            if any(cur.degrees[p] > 1 for p in img):
                 continue
             base_map = dict(zip(base_sorted, img))
             if preserves_lines(gp.space, cur, base_map):
@@ -163,10 +167,10 @@ def build(
             a, b = sorted(rng.sample(range(cur.n), 2))
             ln = cur.line_through(a, b)
             if ln is None:
-                if any(len(cur.lines_by_point[p]) >= 4 for p in (a, b)):
+                if any(cur.degrees[p] >= 4 for p in (a, b)):
                     continue
                 pid = cur.n
-                commit(cur.with_lines(pid + 1, add=[(a, b, pid)]))
+                commit(cur.with_lines(pid + 1, add=[(a, b, pid)]), [(a, b, pid)])
                 trace.steps.append(BuildStep(i, "realize", (ALPHA_CODE, (a, b), (pid,))))
                 return
             if len(ln) < target_len:
@@ -204,7 +208,8 @@ def build(
             return
         candidate, cmap = _glue(cur, gp.space, base_map)
         new_pts = sorted(set(cmap.values()) - set(base_map.values()))
-        commit(candidate)
+        # the glued lines are the ones through a new point
+        commit(candidate, [ln for ln in candidate.lines if ln[-1] >= cur.n])
         trace.steps.append(BuildStep(i, "realize", (gp.code, base_img, tuple(new_pts))))
 
     for i in range(steps):

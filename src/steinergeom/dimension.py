@@ -45,7 +45,7 @@ class StrongExtensionWitness:
 
 def _point_gains(space: LinearSpace) -> list[int]:
     # adding point p can lower delta by at most (#lines through p) - 1
-    return [max(0, len(space.lines_by_point[p]) - 1) for p in range(space.n)]
+    return [max(0, k - 1) for k in space.degrees]
 
 
 def min_delta_interval(
@@ -196,7 +196,9 @@ def icl_mask(space: LinearSpace, x_mask: int) -> int:
     for p in range(space.n):
         bit = 1 << p
         if bit & full & ~x_mask:
-            if min_delta_interval(space, x_mask, full & ~bit) > m:
+            # the minimum over [X, M - p] is at least m, so the first
+            # value below m + 1 settles it
+            if min_delta_interval(space, x_mask, full & ~bit, stop_below=m + 1) > m:
                 out |= bit
     return out
 

@@ -8,6 +8,9 @@ exactly when the pairs are isomorphic with base mapped to base.
 
 embeddings_over_base is the one embedding search: copies_over_base and
 chi collect its extension images, amalgamate-or-identify its first one.
+copies_over_base runs it under the stabilizer-chain rule, which keeps
+one embedding per image, so a copy costs one leaf, not one leaf per
+automorphism of the pair.
 
 One rule decides how a delta question is answered.  Strongness
 preconditions go through dimension.is_strong and carry its witness.
@@ -426,6 +429,18 @@ def embeddings_over_base(
     non-collinear triple collinear; phi maps distinct lines through x to
     distinct lines through phi(x).
     """
+    return _search(M, pair_space, base, b_embed, ((),) * pair_space.n)
+
+
+def _search(
+    M: LinearSpace,
+    pair_space: LinearSpace,
+    base: Iterable[int],
+    b_embed: dict[int, int],
+    above: tuple[tuple[int, ...], ...],
+) -> Iterator[dict[int, int]]:
+    """embeddings_over_base, keeping only the embeddings with
+    phi(y) > phi(x) for every x in above[y]."""
     base = frozenset(base)
     ext = sorted(set(range(pair_space.n)) - base)
     phi = dict(b_embed)
@@ -434,9 +449,7 @@ def embeddings_over_base(
         raise ValueError("base embedding is not injective")
     if not preserves_lines(pair_space, M, b_embed):
         raise ValueError("base embedding does not preserve collinearity")
-    need = [len(lns) for lns in pair_space.lines_by_point]
-    degree = [len(lns) for lns in M.lines_by_point]
-    return _extend(M, pair_space, ext, 0, phi, used, need, degree)
+    return _extend(M, pair_space, ext, 0, phi, used, above)
 
 
 def _extend(
@@ -446,22 +459,23 @@ def _extend(
     i: int,
     phi: dict[int, int],
     used: set[int],
-    need: list[int],
-    degree: list[int],
+    above: tuple[tuple[int, ...], ...],
 ) -> Iterator[dict[int, int]]:
     """The embeddings that extend phi, defined up to ext[:i] with image
     `used`, to ext[i:], in lexicographic order; phi and used are restored
-    after each one is yielded.  need[x] and degree[m] count the lines
-    through x in the pair and through m in M."""
+    after each one is yielded.  x = ext[i] maps above the images of the
+    points in above[x], all of them in ext[:i]."""
     if i == len(ext):
         yield dict(phi)
         return
     x = ext[i]
+    need, degree = pair_space.degrees[x], M.degrees
+    floor = max((phi[w] for w in above[x]), default=-1)
     for m in _candidates(M, pair_space, phi, x):
-        if degree[m] >= need[x] and m not in used and _consistent(M, pair_space, phi, used, x, m):
+        if m > floor and degree[m] >= need and m not in used and _consistent(M, pair_space, phi, used, x, m):
             phi[x] = m
             used.add(m)
-            yield from _extend(M, pair_space, ext, i + 1, phi, used, need, degree)
+            yield from _extend(M, pair_space, ext, i + 1, phi, used, above)
             used.discard(m)
             del phi[x]
 
@@ -507,6 +521,32 @@ def _candidates(M: LinearSpace, pair_space: LinearSpace, phi: dict[int, int], x:
     return sorted(near)
 
 
+@lru_cache(maxsize=64)
+def _orbit_floors(pair_space: LinearSpace, base: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """above[y] for the stabilizer-chain rule: the extension points x_i
+    whose orbit O_i holds y != x_i.  With x_1 < x_2 < ... the extension
+    points, O_i is the orbit of x_i under the automorphisms of the pair
+    that fix B and x_1, ..., x_{i-1} pointwise, so y > x_i.
+
+    Membership is one existence test: an embedding of the pair into
+    itself is an automorphism, so y is in O_i exactly when the map that
+    fixes B + x_1 ... x_{i-1} and sends x_i to y extends to one.  The
+    group itself is never listed.
+    """
+    ext = sorted(set(range(pair_space.n)) - base)
+    above: list[list[int]] = [[] for _ in range(pair_space.n)]
+    fixed = {b: b for b in base}
+    for i, x in enumerate(ext):
+        for y in ext[i + 1:]:
+            trial = {**fixed, x: y}
+            if preserves_lines(pair_space, pair_space, trial) and next(
+                embeddings_over_base(pair_space, pair_space, trial, trial), None
+            ) is not None:
+                above[y].append(x)
+        fixed[x] = x
+    return tuple(map(tuple, above))
+
+
 def copies_over_base(
     M: LinearSpace,
     pair_space: LinearSpace,
@@ -514,11 +554,22 @@ def copies_over_base(
     b_embed: dict[int, int],
 ) -> list[frozenset[int]]:
     """Distinct extension images phi(C) of the embeddings_over_base,
-    sorted; more than COPY_CAP of them raises SizeLimit."""
-    ext = sorted(set(range(pair_space.n)) - frozenset(base))
-    images: set[frozenset[int]] = set()
-    for phi in embeddings_over_base(M, pair_space, base, b_embed):
-        images.add(frozenset(phi[x] for x in ext))
+    sorted; more than COPY_CAP of them raises SizeLimit.
+
+    Each image is collected once, by the stabilizer-chain rule of
+    subgraph enumeration (Grochow and Kellis, RECOMB 2007).  Embeddings
+    with one image differ by an automorphism g of the pair that fixes B
+    pointwise, phi' = phi o g.  The search keeps phi only when
+    phi(x_i) < phi(y) for every y in the orbit O_i (see _orbit_floors):
+    the orbit of x_i under the automorphisms that fix x_1 ... x_{i-1}
+    indexes the choices of g left at step i, and exactly one of them
+    puts x_i at the least image, so each image is reached by one leaf.
+    """
+    base = frozenset(base)
+    ext = sorted(set(range(pair_space.n)) - base)
+    images: list[frozenset[int]] = []
+    for phi in _search(M, pair_space, base, b_embed, _orbit_floors(pair_space, base)):
+        images.append(frozenset(phi[x] for x in ext))
         if len(images) > COPY_CAP:
             raise SizeLimit(f"more than {COPY_CAP} copies")
     return sorted(images, key=sorted)

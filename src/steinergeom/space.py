@@ -8,6 +8,7 @@ modules use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -58,18 +59,24 @@ class LinearSpace:
     """Immutable finite linear space on points 0..n-1.
 
     Invariants: every stored line has >= 3 strictly increasing in-range
-    points, and two stored lines share at most one point.
+    points, and two stored lines share at most one point.  `degrees[p]`
+    is the number of stored lines through p.
     """
 
-    __slots__ = ("n", "lines", "line_masks", "_lines_by_point", "_pair_line")
+    __slots__ = ("n", "lines", "line_masks", "degrees", "_lines_by_point", "_pair_line")
 
     def __init__(self, n: int, lines: Iterable[Sequence[int]]):
         norm = _normalized(n, lines)
         seen: dict[tuple[int, int], tuple[int, ...]] = {}
         _cover(seen, norm)
+        deg = [0] * n
+        for ln in norm:
+            for p in ln:
+                deg[p] += 1
         self.n = n
         self.lines = tuple(norm)
         self.line_masks = tuple(mask_of(ln) for ln in self.lines)
+        self.degrees = tuple(deg)
         self._lines_by_point = None
         self._pair_line = seen
 
@@ -84,7 +91,9 @@ class LinearSpace:
 
         Equal to LinearSpace(n, kept + added), and raises the same
         exception types, but validates only the added lines against the
-        pairs that stay covered.
+        pairs that stay covered.  The sorted line list is spliced and the
+        point degrees patched, so a commit costs what it changes plus
+        copying the parent's tuples.
         """
         if n < self.n:
             raise ValueError(f"cannot shrink {self.n} points to {n}")
@@ -99,14 +108,24 @@ class LinearSpace:
         if any(pair_line.get(ln[:2]) == ln for ln in add):
             raise ValueError("duplicate lines")
         _cover(pair_line, add)
-        kept = [
-            item for item in zip(self.lines, self.line_masks) if item[0] not in drop
-        ]
-        rows = sorted(kept + [(ln, mask_of(ln)) for ln in add])
+        lines, masks = list(self.lines), list(self.line_masks)
+        deg = list(self.degrees) + [0] * (n - self.n)
+        for ln in drop:
+            j = bisect_left(lines, ln)
+            del lines[j], masks[j]
+            for p in ln:
+                deg[p] -= 1
+        for ln in add:
+            j = bisect_left(lines, ln)
+            lines.insert(j, ln)
+            masks.insert(j, mask_of(ln))
+            for p in ln:
+                deg[p] += 1
         out = LinearSpace.__new__(LinearSpace)
         out.n = n
-        out.lines = tuple(ln for ln, _ in rows)
-        out.line_masks = tuple(lm for _, lm in rows)
+        out.lines = tuple(lines)
+        out.line_masks = tuple(masks)
+        out.degrees = tuple(deg)
         out._lines_by_point = None
         out._pair_line = pair_line
         return out

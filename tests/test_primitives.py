@@ -26,6 +26,7 @@ from steinergeom import (
     cycle_Ck,
     d,
     decompose,
+    default_templates,
     delta,
     delta_table,
     enumerate_good_pairs,
@@ -422,6 +423,102 @@ def test_copies_validates_embedding():
     a = alpha_pair()
     with pytest.raises(ValueError):
         copies_over_base(LinearSpace(4, []), a.space, a.base, {0: 0, 1: 0})
+
+
+def _copy_search_hosts():
+    """(host, base maps per template code) for the copy-search oracle:
+    builder outputs with the base maps their traces realized or
+    identified over, relabelled C_1/C_2 hub stacks with the hub pair in
+    both orientations, Fano-chain tops, three disjoint Fano planes, and
+    three chain links glued over one triangle."""
+    rng = Random(71)
+    hosts = []
+    for alpha in (1, 2, 3):
+        M, trace = build(MuFunction(alpha), 600, seed=alpha)
+        maps = {}
+        for st in trace.steps:
+            if st.kind in ("realize", "identify") and st.payload[0] != ALPHA_CODE:
+                maps.setdefault(st.payload[0], []).append(st.payload[1])
+        hosts.append((M, maps))
+    for ks in ((1, 1, 1), (1, 2), (2, 2)):
+        M = LinearSpace(2, [])
+        for k in ks:
+            M = free_amalgam(M, cycle_Ck(k).space, [0, 1])
+        perm = rng.sample(range(M.n), M.n)
+        M = LinearSpace(M.n, [[perm[p] for p in ln] for ln in M.lines])
+        hub = (perm[0], perm[1])
+        hosts.append((M, {None: [hub, hub[::-1]]}))
+    for k in (2, 3):
+        hosts.append((fano_chain(k)[-1], {}))
+    planes = [[7 * i + p for p in ln] for i in range(3) for ln in fano().lines]
+    hosts.append((LinearSpace(22, planes), {}))
+    link, M = chain_link_pair(), LinearSpace(4, [])
+    for _ in range(3):
+        M = free_amalgam(M, link.space, [0, 1, 2])
+    hosts.append((M, {link.code: [(0, 1, 2), (2, 0, 1)]}))
+    return rng, hosts
+
+
+def test_copies_over_base_vs_unconstrained_search():
+    # the symmetry-broken search reaches every image of the plain one,
+    # each through exactly one leaf
+    templates = default_templates(10) + [cycle_Ck(3), D_k(2)]
+    rng, hosts = _copy_search_hosts()
+    checked = multi = 0
+    for M, maps in hosts:
+        for gp in templates:
+            base = sorted(gp.base)
+            imgs = maps.get(gp.code, []) + (maps.get(None, []) if len(base) == 2 else [])
+            imgs += [tuple(rng.sample(range(M.n), len(base))) for _ in range(6)]
+            for img in imgs:
+                emb = dict(zip(base, img))
+                if not preserves_lines(gp.space, M, emb):
+                    continue
+                ext = sorted(gp.ext)
+                want = sorted(
+                    {frozenset(phi[x] for x in ext) for phi in embeddings_over_base(M, gp.space, base, emb)},
+                    key=sorted,
+                )
+                floors = primitives._orbit_floors(gp.space, gp.base)
+                leaves = [frozenset(phi[x] for x in ext) for phi in primitives._search(M, gp.space, base, emb, floors)]
+                assert len(leaves) == len(set(leaves))
+                assert copies_over_base(M, gp.space, base, emb) == want
+                checked += 1
+                multi += len(want) > 1
+    assert checked > 100 and multi > 10
+
+
+def test_copy_search_takes_one_leaf_per_image_of_the_pair_itself():
+    for gp in default_templates(10) + [cycle_Ck(3), D_k(2)]:
+        ident = {b: b for b in gp.base}
+        assert copies_over_base(gp.space, gp.space, gp.base, ident) == [gp.ext]
+        floors = primitives._orbit_floors(gp.space, gp.base)
+        assert len(list(primitives._search(gp.space, gp.space, gp.base, ident, floors))) == 1
+    fano_pair = D_k(1)
+    assert len(list(embeddings_over_base(fano_pair.space, fano_pair.space, (), {}))) == 168
+
+
+def test_orbits_come_from_existence_tests(monkeypatch):
+    # eight isolated points over the empty base: each orbit is every
+    # later point, found with one first embedding per (x, y) test, not
+    # by listing the 8! automorphisms
+    drawn = []
+    search = primitives.embeddings_over_base
+
+    def counted(*args):
+        for phi in search(*args):
+            drawn.append(phi)
+            yield phi
+
+    monkeypatch.setattr(primitives, "embeddings_over_base", counted)
+    P = LinearSpace(8, [])
+    primitives._orbit_floors.cache_clear()
+    floors = primitives._orbit_floors(P, frozenset())
+    assert floors == tuple(tuple(range(y)) for y in range(8))
+    assert len(drawn) == 28
+    # one leaf per copy: C(9, 8) images in a 9-point host with no lines
+    assert len(list(primitives._search(LinearSpace(9, []), P, (), {}, floors))) == 9
+    assert len(copies_over_base(LinearSpace(9, []), P, (), {})) == 9
 
 
 @pytest.mark.parametrize("nb", [0, 2, 3])

@@ -83,10 +83,19 @@ def test_with_lines_matches_constructor():
         assert got == want and hash(got) == hash(want)
         assert got.lines == want.lines and got.line_masks == want.line_masks
         assert got.lines_by_point == want.lines_by_point
+        assert got.degrees == want.degrees == tuple(len(lns) for lns in want.lines_by_point)
         for a, b in combinations(range(n), 2):
             assert got.line_through(a, b) == want.line_through(a, b)
         seen["ok"] += 1
     assert min(seen[k] for k in ("ok", "ValueError", "AxiomViolation")) > 50
+
+
+def test_degrees_count_the_lines_through_each_point():
+    rng = Random(62)
+    for _ in range(200):
+        S = random_space(rng, rng.randrange(12))
+        assert S.degrees == tuple(len(lns) for lns in S.lines_by_point)
+        assert S.degrees == tuple(sum(p in ln for ln in S.lines) for p in range(S.n))
 
 
 @pytest.mark.parametrize(
