@@ -35,6 +35,7 @@ from .errors import (
     PairNotOnTriple,
     SizeLimit,
     SteinerGeomError,
+    TooManyPoints,
 )
 from .gallery import CycleGraph, D_k, cycle_Ck, cycle_graph, fano, fano_chain
 from .interop import (

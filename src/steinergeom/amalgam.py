@@ -106,9 +106,14 @@ def amalgamate_or_identify(
     step's extension is identified with its least copy inside the current
     structure: the first of embeddings_over_base, whose extension images
     are lexicographically least.  F and E are first verified against mu
-    at the same bound; each step's recheck then runs the one bounded
-    check on the candidate and keeps only the violations whose groups
-    meet the step's new points.
+    at the same bound.  Each step's recheck then asks the bounded check
+    only for the violations whose groups meet a point outside F: the
+    check reuses F's cached copy grouping, since F is the structure the
+    candidate induces on F's points, and enumerates only the good pairs
+    through the other points.  That list equals the one restricted to
+    the step's new points: every kept step passed its recheck, so the
+    current structure holds no violation, and a group that misses the
+    new points has the same copies in the candidate as in it.
     """
     from .mu import in_K_mu_bounded
 
@@ -133,8 +138,7 @@ def amalgamate_or_identify(
         base_idx = [rel[p] for p in step_pts if p in emb]
         base_map = {rel[p]: emb[p] for p in step_pts if p in emb}
         candidate, cmap = _glue(cur, step_space, base_map)
-        new_pts = sorted(set(cmap.values()) - set(base_map.values()))
-        ok, viols = in_K_mu_bounded(candidate, mu, bound, touching=new_pts)
+        ok, viols = in_K_mu_bounded(candidate, mu, bound, touching=range(F.n, candidate.n))
         if ok:
             cur = candidate
             grew = True

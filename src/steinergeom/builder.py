@@ -355,7 +355,8 @@ def parse_trace_v1(text: str) -> BuildTrace:
                 try:
                     snap = parse_ls_v1("\n".join(lines[start:i]))
                 except FormatError as exc:
-                    raise FormatError(start + exc.lineno, f"in snapshot {idx}: {exc}") from None
+                    # same class, so an over-cap snapshot stays a SizeLimit
+                    raise type(exc)(start + exc.lineno, f"in snapshot {idx}: {exc}") from None
                 trace.snapshots.append((idx, snap))
                 i += 1
             else:

@@ -70,6 +70,8 @@ def _emit(args, human: str, payload: dict) -> None:
 def cmd_validate(args) -> int:
     try:
         space = parse_ls_v1(_read(args.file))
+    except SizeLimit:
+        raise
     except (FormatError, SteinerGeomError) as exc:
         _emit(args, f"invalid: {exc}", {"ok": False, "error": str(exc)})
         return 1

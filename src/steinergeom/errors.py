@@ -31,6 +31,11 @@ class SizeLimit(SteinerGeomError):
     """A search exceeded its configured exhaustive-search bound."""
 
 
+class TooManyPoints(FormatError, SizeLimit):
+    """A text input declares more points than space.MAX_POINTS; raised
+    on its `points` row before anything is allocated."""
+
+
 class NotStrong(SteinerGeomError):
     """A precondition `lo <= hi` (strong substructure) failed."""
 

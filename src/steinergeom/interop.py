@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import FormatError, SizeLimit
-from .space import LinearSpace
+from .errors import FormatError, SizeLimit, TooManyPoints
+from .space import MAX_POINTS, LinearSpace
 
 MATROID_CHECK_LIMIT = 12
 
@@ -134,6 +134,10 @@ def parse_inc_v1(text: str) -> IncidenceStructure:
                 n = int(parts[1])
             except ValueError:
                 raise FormatError(lineno, f"bad point count {parts[1]!r}") from None
+            if n < 0:
+                raise FormatError(lineno, f"negative point count {n}")
+            if n > MAX_POINTS:
+                raise TooManyPoints(lineno, f"{n} points exceeds the cap of {MAX_POINTS}")
         elif parts[0] == "line" and len(parts) >= 2 and parts[1].endswith(":"):
             try:
                 lines.append(tuple(int(x) for x in parts[2:]))

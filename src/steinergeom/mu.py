@@ -13,9 +13,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .errors import FormatError
+from .errors import AxiomViolation, FormatError, SizeLimit, TooManyPoints
 from .primitives import ALPHA_CODE, _max_disjoint, enumerate_good_pairs
-from .space import LinearSpace, delta_mask, mask_of
+from .space import MAX_POINTS, LinearSpace, delta_mask, induced, mask_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
 
@@ -33,7 +33,14 @@ def decode_code(code: str) -> tuple[LinearSpace, frozenset[int]]:
         lines = [tuple(int(x) for x in part.split(",")) for part in body.split("|")] if body else []
     except ValueError:
         raise ValueError(f"malformed canonical code: {code!r}") from None
-    return LinearSpace(nb + nc, lines), frozenset(range(nb))
+    if nb < 0 or nc < 0:
+        raise ValueError(f"malformed canonical code: {code!r}")
+    if nb + nc > MAX_POINTS:
+        raise SizeLimit(f"code of {nb + nc} points exceeds the cap of {MAX_POINTS}")
+    try:
+        return LinearSpace(nb + nc, lines), frozenset(range(nb))
+    except AxiomViolation as exc:
+        raise ValueError(f"malformed canonical code: {exc}") from None
 
 
 class MuFunction:
@@ -103,8 +110,10 @@ def in_K_mu_bounded(
     With `touching`, only the violations whose group meets those points
     are returned: the line for alpha, else the base image or one of the
     copies over it.  The list is the full one filtered, in the same
-    order, so it is sound for incremental rechecks, where any new
-    violation involves a pair through a new point.
+    order, and it is computed without the full grouping (see
+    _copy_groups_touching): the groups come from the cached grouping of
+    the structure induced on the other points and from the good pairs
+    whose B u C meets the touched points.
     """
     want = frozenset(touching)
     violations: list[tuple[str, tuple[int, ...], int, int]] = []
@@ -115,12 +124,10 @@ def in_K_mu_bounded(
         if len(ln) > max_len:
             violations.append((ALPHA_CODE, (ln[0], ln[1]), len(ln) - 2, mu.alpha_value))
 
-    groups = _copy_groups_full(M, bound)
+    groups = _copy_groups_touching(M, bound, want) if want else _copy_groups_full(M, bound)
     # many groups share a code, and mu.value decodes the code each time
     caps: dict[str, int] = {}
     for (code, base_img), copies in sorted(groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
-        if want and want.isdisjoint(base_img) and all(want.isdisjoint(c) for c in copies):
-            continue
         cap = caps.get(code)
         if cap is None:
             cap = caps[code] = mu.value(code)
@@ -130,9 +137,22 @@ def in_K_mu_bounded(
     return not violations, violations
 
 
-# its readers are the next check of the same structure (another mu, or
-# builder.stats); every incremental recheck also lands here, so a larger
-# cache would only keep groupings of candidates that are never read again
+def _group(pairs) -> dict[tuple[str, frozenset[int]], set[frozenset[int]]]:
+    """Extension images per (code, base image) of enumerated good pairs,
+    excluding alpha."""
+    out: dict[tuple[str, frozenset[int]], set[frozenset[int]]] = {}
+    for gp, emb in pairs:
+        if gp.code == ALPHA_CODE:
+            continue
+        key = (gp.code, frozenset(emb[b] for b in gp.base))
+        out.setdefault(key, set()).add(frozenset(emb[c] for c in gp.ext))
+    return out
+
+
+# the only grouping cache.  Its readers are the next check of the same
+# structure (another mu, or builder.stats) and the rechecks of
+# amalgamate_or_identify, whose untouched part is always the F checked
+# at entry; a candidate's own grouping is never stored
 @lru_cache(maxsize=2)
 def _copy_groups_full(
     M: LinearSpace, bound: int
@@ -144,13 +164,33 @@ def _copy_groups_full(
     base image, so one enumeration collects complete copy lists.  The
     result is cached and read-only: every caller gets the same object.
     """
-    out: dict[tuple[str, frozenset[int]], set[frozenset[int]]] = {}
-    for gp, emb in enumerate_good_pairs(M, bound):
-        if gp.code == ALPHA_CODE:
-            continue
-        key = (gp.code, frozenset(emb[b] for b in gp.base))
-        out.setdefault(key, set()).add(frozenset(emb[c] for c in gp.ext))
-    return MappingProxyType({key: frozenset(copies) for key, copies in out.items()})
+    groups = _group(enumerate_good_pairs(M, bound))
+    return MappingProxyType({key: frozenset(copies) for key, copies in groups.items()})
+
+
+def _copy_groups_touching(
+    M: LinearSpace, bound: int, want: frozenset[int]
+) -> dict[tuple[str, frozenset[int]], set[frozenset[int]]]:
+    """The groups of _copy_groups_full(M, bound) that meet `want`, with
+    the same copies.
+
+    Whether (B, C) is a good pair, and its code, depend only on the
+    structure induced on B u C.  So the pairs whose B u C misses `want`
+    are exactly those of the structure induced on the other points, and
+    only the pairs meeting `want` are enumerated in M.  A group meets
+    `want` exactly when one of its pairs does; its other copies, over a
+    base that misses `want`, come from the cached grouping of the induced
+    structure, mapped back to M's points.
+    """
+    old = [p for p in range(M.n) if p not in want]
+    pos = {p: i for i, p in enumerate(old)}
+    parent = _copy_groups_full(induced(M, old), bound)
+    groups = _group(enumerate_good_pairs(M, bound, _touching=M.full_mask() & ~mask_of(old)))
+    for (code, base_img), copies in groups.items():
+        if want.isdisjoint(base_img):
+            key = (code, frozenset(pos[b] for b in base_img))
+            copies.update(frozenset(old[c] for c in copy) for copy in parent.get(key, ()))
+    return groups
 
 
 def mu_X(X: Iterable[int], alpha_value: int = 1) -> MuFunction:
@@ -194,6 +234,8 @@ def parse_mu_v1(text: str) -> MuFunction:
                 decode_code(parts[1])
             except ValueError as exc:
                 raise FormatError(lineno, str(exc)) from None
+            except SizeLimit as exc:
+                raise TooManyPoints(lineno, str(exc)) from None
         elif parts[0] == "default" and len(parts) == 2:
             if parts[1] != DEFAULT_POLICY:
                 raise FormatError(lineno, f"unknown default policy {parts[1]!r}")

@@ -646,15 +646,23 @@ def _line_test(M: LinearSpace, bc_mask: int, c_pts: Iterable[int]) -> bool:
     )
 
 
-def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, dict[int, int]]]:
+def enumerate_good_pairs(
+    M: LinearSpace, max_size: int, *, _touching: Optional[int] = None
+) -> list[tuple[GoodPair, dict[int, int]]]:
     """All good pairs with B u C inside M, |B u C| <= max_size.
 
     Single-point extensions are exactly the alpha instances and are read
     off the lines; larger extensions come from the candidate-set walk
     plus base recovery among attached points, each verified exactly.
     This is the one enumeration: the bounded K_mu check groups its
-    output once per structure and bound, and incremental rechecks
-    filter that grouping.
+    output once per structure and bound.
+
+    `_touching`, a point mask, is private to that check's incremental
+    rechecks: when given, only the pairs whose B u C meets it are
+    returned.  An emitted set C that misses it and has no populated line
+    through one of its points is skipped, since every base point lies on
+    a populated line of C; then base choices whose B u C misses it, and
+    alpha instances whose three points miss it.
 
     Bases come from _base_choices: at most max_size - |C| outside points
     whose weights, the numbers of populated lines of C they sit on, sum
@@ -678,16 +686,23 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
     """
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
+    touch = M.full_mask() if _touching is None else _touching
     out: list[tuple[GoodPair, dict[int, int]]] = []
     alpha = alpha_pair()
-    for ln in M.lines:
+    for ln, lm in zip(M.lines, M.line_masks):
+        if not lm & touch:
+            continue
         for c in ln:
             for a, b in combinations([p for p in ln if p != c], 2):
-                out.append((alpha, {0: a, 1: b, 2: c}))
+                if touch & (1 << a | 1 << b | 1 << c):
+                    out.append((alpha, {0: a, 1: b, 2: c}))
 
     verified: dict[tuple[int, tuple[tuple[int, ...], ...], int], Optional[GoodPair]] = {}
     codes: dict[str, str] = {}
     for c_mask, dc, pop_lines in iter_candidate_sets(M, max_size):
+        meets = c_mask & touch
+        if not meets and not any(M.line_masks[li] & touch for li in pop_lines):
+            continue
         c_size = c_mask.bit_count()
         # base candidates are the outside points on populated lines; their
         # weight is how many such lines they sit on
@@ -704,6 +719,8 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
             top.append(top[-1] + w)
         c_pts = points_of(c_mask)
         for b_pts in _base_choices(weights, top, 0, (), dc, max_size - c_size):
+            if not meets and not any(touch >> q & 1 for q in b_pts):
+                continue
             # a line through two base points and an extension point makes
             # the extension non-primitive, so such a choice is never good
             if any(

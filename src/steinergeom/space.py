@@ -12,7 +12,11 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AxiomViolation, FormatError
+from .errors import AxiomViolation, FormatError, TooManyPoints
+
+# the largest `points N` a text format accepts; the parsers check it
+# before they allocate anything for the points
+MAX_POINTS = 1 << 16
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -313,9 +317,11 @@ def parse_ls_v1(text: str) -> LinearSpace:
     except StopIteration:
         raise FormatError(lineno, "missing 'points N' line") from None
     parts = pts.split()
-    if len(parts) != 2 or parts[0] != "points" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "points" or not parts[1].isdecimal():
         raise FormatError(lineno, f"expected 'points N', got '{pts}'")
     n = int(parts[1])
+    if n > MAX_POINTS:
+        raise TooManyPoints(lineno, f"{n} points exceeds the cap of {MAX_POINTS}")
     lines = []
     seen: dict[tuple[int, ...], int] = {}
     for lineno, row in it:

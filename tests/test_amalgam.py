@@ -1,3 +1,4 @@
+import hashlib
 import pytest
 from random import Random
 
@@ -9,6 +10,7 @@ from steinergeom import (
     MuFunction,
     NotStrong,
     amalgamate_or_identify,
+    cycle_Ck,
     decompose,
     delta,
     free_amalgam,
@@ -16,7 +18,9 @@ from steinergeom import (
     in_K_mu_bounded,
     induced,
     is_strong,
+    mu_X,
     random_k0,
+    to_ls_v1,
 )
 from oracle import embeddings_oracle
 
@@ -176,3 +180,74 @@ def test_identify_takes_lex_least_embedding():
         assert res.e_embedding == emb
         done += 1
     assert done >= 10
+
+
+def _hub(ks):
+    """Copies of C_k for k in ks glued over the pair {0, 1}."""
+    M = LinearSpace(2, [])
+    for k in ks:
+        M = free_amalgam(M, cycle_Ck(k).space, [0, 1])
+    return M
+
+
+def _on_line(M, line):
+    """M plus one new point on `line`; a point on one line keeps K_0."""
+    return LinearSpace(M.n + 1, [ln + (M.n,) if ln == line else ln for ln in M.lines])
+
+
+def _pinned_triples():
+    """20 seeded (F, E, D, mu, bound) inputs.  In 12 random K_0 triples
+    whose D has a line, both sides put a new point on that line half the
+    time, so the free amalgam overfills it.  In 8 more, F holds two
+    copies of C_1 over the pair {0, 1} and E holds another one, with
+    lines through new points drawn on top, so a step is rejected for a
+    cycle code, in some inputs after earlier steps of E were kept."""
+    rng = Random(44)
+    out = []
+    while len(out) < 12:
+        D = random_k0(rng, rng.randrange(3, 6))
+        if not D.lines:
+            continue
+        F = grow_k0(rng, D, rng.randrange(1, 5))
+        E = grow_k0(rng, D, rng.randrange(1, 5))
+        mu = MuFunction(rng.choice([1, 2]))
+        if mu.alpha_value == 2 and rng.random() < 0.5:
+            F, E = _on_line(F, D.lines[0]), _on_line(E, D.lines[0])
+        bound = rng.choice([6, 7, 8])
+        if not is_strong(E, range(D.n), range(E.n)).ok:
+            continue
+        if not in_K_mu_bounded(F, mu, bound)[0] or not in_K_mu_bounded(E, mu, bound)[0]:
+            continue
+        out.append((F, E, range(D.n), mu, bound))
+    while len(out) < 20:
+        F, E = _hub((1, 1)), grow_k0(rng, _hub((1,)), rng.randrange(0, 4))
+        mu = mu_X(rng.choice([(), (), (1,)]))
+        if not is_strong(E, [0, 1], range(E.n)).ok:
+            continue
+        bound = max(6, *(len(x) for x, _inc in decompose(E, [0, 1])))
+        if not in_K_mu_bounded(F, mu, bound)[0] or not in_K_mu_bounded(E, mu, bound)[0]:
+            continue
+        out.append((F, E, [0, 1], mu, bound))
+    return out
+
+
+# sha256 of repr() of the list of amalgamate_or_identify results on
+# _pinned_triples(), each (outcome, ls-v1 text, sorted embedding,
+# violations) or ("bound-too-small", message); recorded before the
+# bounded recheck reused F's copy grouping
+PINNED_AMALGAMS = "c4b2447cd7b1cb15b20b27eaa0400f1fe041ad157984aad4dcf525c3908f822e"
+
+
+def test_amalgamate_outputs_are_pinned():
+    got = []
+    for F, E, D, mu, bound in _pinned_triples():
+        try:
+            res = amalgamate_or_identify(F, E, D, mu, bound)
+        except BoundTooSmall as exc:
+            got.append(("bound-too-small", str(exc)))
+            continue
+        got.append((res.outcome, to_ls_v1(res.structure), sorted(res.e_embedding.items()), res.violations))
+    outcomes = {g[0] for g in got}
+    assert {"free", "identified"} <= outcomes
+    assert any(v[0] != "alpha" for g in got if g[0] != "bound-too-small" for v in g[3])
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == PINNED_AMALGAMS

@@ -19,6 +19,8 @@ from steinergeom import (
     stats,
     to_trace_v1,
 )
+from steinergeom.errors import SizeLimit, TooManyPoints
+from steinergeom.space import MAX_POINTS
 
 
 def small_build(mu, steps=120, seed=5, **kw):
@@ -119,6 +121,14 @@ def test_trace_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(FormatError) as exc:
         parse_trace_v1(text)
     assert exc.value.lineno == lineno
+
+
+def test_trace_snapshot_over_the_point_cap_stays_a_size_limit():
+    text = f"trace v1\nsnapshot 0 begin\nlinear-space v1\npoints {MAX_POINTS + 1}\nsnapshot end\n"
+    with pytest.raises(TooManyPoints) as exc:
+        parse_trace_v1(text)
+    assert exc.value.lineno == 4
+    assert isinstance(exc.value, SizeLimit)
 
 
 @pytest.mark.parametrize("alpha", [3, 4])

@@ -4,6 +4,7 @@ import pytest
 
 from steinergeom import fano, to_gp_v1, to_ls_v1, to_mu_v1, LinearSpace, MuFunction
 from steinergeom.cli import main
+from steinergeom.space import MAX_POINTS
 
 
 @pytest.fixture
@@ -170,3 +171,14 @@ def test_size_limit_exit_code(tmp_path, capsys):
     p = tmp_path / "big.ls"
     p.write_text("linear-space v1\npoints 30\n")
     assert main(["d", str(p), "--set", "0"]) == 3
+
+
+def test_point_cap_exit_code(tmp_path, capsys):
+    ls = tmp_path / "over.ls"
+    ls.write_text(f"linear-space v1\npoints {MAX_POINTS + 1}\n")
+    inc = tmp_path / "over.inc"
+    inc.write_text(f"# one more than the cap\npoints {MAX_POINTS + 1}\n")
+    for argv in (["validate", str(ls)], ["d", str(ls), "--set", "0"],
+                 ["convert", "--to", "one-sorted", str(inc)]):
+        assert main(argv) == 3
+        assert "line 2:" in capsys.readouterr().err

@@ -17,6 +17,8 @@ from steinergeom import (
     to_pbd_text,
     to_two_sorted,
 )
+from steinergeom.errors import TooManyPoints
+from steinergeom.space import MAX_POINTS
 
 
 def test_two_sorted_fano_adds_nothing():
@@ -96,8 +98,24 @@ def test_inc_v1_roundtrip():
         "points 3\nline 0: 0 1 q\n",
         "points 3\nwhat\n",
         "points 3\nline 0: 0 1\nline 1: 0 1 2\n",
+        "points -5\n",
     ],
 )
 def test_inc_v1_errors(text):
     with pytest.raises(FormatError):
         parse_inc_v1(text)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("# a count below zero\npoints -5\n", FormatError),
+        (f"\npoints {MAX_POINTS + 1}\nline 0: 0 1\n", TooManyPoints),
+    ],
+)
+def test_inc_v1_point_count_is_checked_on_its_row(text, error):
+    with pytest.raises(error) as exc:
+        parse_inc_v1(text)
+    assert exc.value.lineno == 2
+    if error is TooManyPoints:
+        assert isinstance(exc.value, FormatError) and isinstance(exc.value, SizeLimit)

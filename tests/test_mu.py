@@ -19,12 +19,18 @@ from steinergeom import (
     fano,
     free_amalgam,
     in_K_mu_bounded,
+    induced,
+    is_strong,
     mu_X,
     parse_mu_v1,
+    random_k0,
     to_mu_v1,
     validate_mu,
 )
-from steinergeom.mu import _copy_groups_full
+from steinergeom.errors import SizeLimit, TooManyPoints
+from steinergeom.mu import _copy_groups_full, _copy_groups_touching
+from steinergeom.space import MAX_POINTS
+from test_amalgam import grow_k0
 
 
 def test_line_length():
@@ -80,6 +86,9 @@ def test_mu_v1_roundtrip():
         "alpha 1\npair\n",
         "what 3\n",
         "alpha 1\ndefault other\n",
+        # two lines of the code share the pair (0, 2)
+        "alpha 1\npair gp2.4|0,2,3|0,2,5|1,2,4|1,3,5 3\n",
+        "alpha 1\npair gp-2.4| 3\n",
     ],
 )
 def test_mu_v1_errors(text):
@@ -87,6 +96,12 @@ def test_mu_v1_errors(text):
         parse_mu_v1(text)
     # the faulty row is each input's last; a missing alpha row is line 0
     assert exc.value.lineno == text.count("\n")
+
+
+def test_mu_v1_code_over_the_point_cap_is_a_size_limit():
+    with pytest.raises(TooManyPoints) as exc:
+        parse_mu_v1(f"alpha 1\npair gp2.{MAX_POINTS - 1}| 3\n")
+    assert exc.value.lineno == 2 and isinstance(exc.value, SizeLimit)
 
 
 def test_bounded_check_alpha_violation():
@@ -191,6 +206,65 @@ def test_bounded_check_touching_is_sound_on_violating_stacks():
                     assert v in part
                     met += 1
     assert met >= 1
+
+
+def _recheck_chains(rng):
+    """(parent, M, bound) with M extending parent by new points."""
+    # a C_1 copy whose extension lies in the parent: the new point 7 is a
+    # base point, put on two parent lines that each carry two points of
+    # the extension {1, 2, 3, 4}
+    parent = LinearSpace(7, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 6)])
+    yield parent, LinearSpace(8, [(0, 1, 2), (0, 3, 4), (1, 3, 5, 7), (2, 4, 6, 7)]), 7
+    # towers of free amalgams: C_1 copies over a hub pair, then random
+    # K_0 pieces over the points 0..k-1 when those are strong in the piece
+    M = LinearSpace(2, [])
+    for _ in range(3):
+        nxt = free_amalgam(M, cycle_Ck(1).space, [0, 1])
+        yield M, nxt, 6
+        M = nxt
+    done = 0
+    while done < 4:
+        k = rng.randrange(2, 5)
+        E = grow_k0(rng, induced(M, range(k)), rng.randrange(1, 4))
+        if not is_strong(E, range(k), range(E.n)).ok:
+            continue
+        nxt = free_amalgam(M, E, range(k))
+        yield M, nxt, 6
+        M = nxt
+        done += 1
+    # random_k0 chains
+    for _ in range(6):
+        M = random_k0(rng, rng.randrange(4, 8))
+        for _ in range(2):
+            nxt = grow_k0(rng, M, rng.randrange(1, 3))
+            yield M, nxt, 7
+            M = nxt
+
+
+def test_touching_recheck_equals_the_filtered_full_check():
+    met_old_ext = 0
+    for parent, M, bound in _recheck_chains(Random(53)):
+        T = frozenset(range(parent.n, M.n))
+        assert induced(M, range(parent.n)) == parent
+        in_K_mu_bounded(parent, MuFunction(2), bound)
+        full = _copy_groups_full(M, bound)
+        want = {
+            key: set(copies)
+            for key, copies in full.items()
+            if T & key[1] or any(T & c for c in copies)
+        }
+        assert _copy_groups_touching(M, bound, T) == want
+        # a new base point whose copies all lie in the parent
+        met_old_ext += sum(1 for (_code, base), copies in want.items()
+                           if T & base and not any(T & c for c in copies))
+        # caps of 0 make every line and every group a violation
+        zero = MuFunction(0, {code: 0 for code, _img in full})
+        for mu in (MuFunction(2), zero):
+            _, all_viols = in_K_mu_bounded(M, mu, bound)
+            ok, part = in_K_mu_bounded(M, mu, bound, touching=T)
+            assert part == [v for v in all_viols if _violation_points(M, bound, v) & T]
+            assert ok == (not part)
+    assert met_old_ext
 
 
 def test_copy_groups_cache_is_read_only():

@@ -7,17 +7,21 @@ from steinergeom import (
     AxiomViolation,
     FormatError,
     LinearSpace,
+    SizeLimit,
     delta,
     delta_rel,
     fano,
     induced,
     lines_based_in,
     pair_coverage,
+    parse_gp_v1,
     parse_ls_v1,
     random_space,
     to_ls_v1,
     validate,
 )
+from steinergeom.errors import TooManyPoints
+from steinergeom.space import MAX_POINTS
 from oracle import delta_from_triples, delta_set
 
 
@@ -236,6 +240,7 @@ def test_ls_v1_comments_and_blank_lines():
         "wrong header\npoints 3\n",
         "linear-space v1\n",
         "linear-space v1\npoints x\n",
+        "linear-space v1\npoints \u00b2\n",
         "linear-space v1\npoints 3\nline 0 1\n",
         "linear-space v1\npoints 3\nline 2 1 0\n",
         "linear-space v1\npoints 3\nline 0 1 5\n",
@@ -246,6 +251,19 @@ def test_ls_v1_comments_and_blank_lines():
 def test_ls_v1_parse_errors(text):
     with pytest.raises(FormatError):
         parse_ls_v1(text)
+
+
+def test_ls_v1_point_cap_is_checked_on_the_points_row():
+    text = f"linear-space v1\n# one more than the cap\npoints {MAX_POINTS + 1}\nline 0 1 2\n"
+    with pytest.raises(TooManyPoints) as exc:
+        parse_ls_v1(text)
+    assert isinstance(exc.value, FormatError) and isinstance(exc.value, SizeLimit)
+    assert exc.value.lineno == 3
+    # gp-v1 goes through the same parser, with the same line numbers
+    with pytest.raises(TooManyPoints) as exc:
+        parse_gp_v1(text + "base 0 1\n")
+    assert exc.value.lineno == 3
+    assert parse_ls_v1(f"linear-space v1\npoints {MAX_POINTS}\n").n == MAX_POINTS
 
 
 def test_ls_v1_conflicting_lines_report_the_later_row():
