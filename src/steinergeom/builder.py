@@ -323,7 +323,9 @@ def _parse_payload(kind: str, toks: list[str]) -> tuple:
 
 def parse_trace_v1(text: str) -> BuildTrace:
     lines = text.splitlines()
-    if not lines or lines[0].strip() != "trace v1":
+    if not lines:
+        raise FormatError(0, "empty input")
+    if lines[0].strip() != "trace v1":
         raise FormatError(1, "expected 'trace v1' header")
     trace = BuildTrace(seed=0, template_max=0, mu_hash="")
     i = 1

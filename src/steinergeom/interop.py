@@ -8,6 +8,7 @@ again.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -16,6 +17,11 @@ from .errors import FormatError, SizeLimit, TooManyPoints
 from .space import MAX_POINTS, LinearSpace
 
 MATROID_CHECK_LIMIT = 12
+
+
+# the pairs of a line of at most this many points are stored one by one;
+# a longer line is kept as its points, so checking it costs its length
+SHORT_LINE = 16
 
 
 @dataclass(frozen=True)
@@ -27,24 +33,89 @@ class IncidenceStructure:
     lines: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: dict[tuple[int, int], tuple[int, ...]] = {}
-        for ln in self.lines:
+        """Raise ValueError on the first bad line, on the first pair of a
+        line that an earlier line holds, in combinations order, or else on
+        the first pair of combinations(range(n), 2) that no line holds.
+
+        No pair of a long line is stored.  Once no two lines share a pair,
+        the lines cover sum C(|line|, 2) distinct pairs, so every pair is
+        covered exactly when that sum is C(n, 2).
+        """
+        partners: defaultdict[int, set[int]] = defaultdict(set)
+        long_through: defaultdict[int, list[int]] = defaultdict(list)
+        pairs = 0
+        for j, ln in enumerate(self.lines):
             if len(ln) < 2:
                 raise ValueError(f"line {ln} has fewer than 2 points")
             if list(ln) != sorted(set(ln)):
                 raise ValueError(f"line {ln} is not strictly increasing")
             if ln[0] < 0 or ln[-1] >= self.n:
                 raise ValueError(f"line {ln} out of range")
-            for pair in combinations(ln, 2):
-                if pair in seen:
-                    raise ValueError(f"pair {pair} lies on two lines")
-                seen[pair] = ln
-        for pair in combinations(range(self.n), 2):
-            if pair not in seen:
-                raise ValueError(f"pair {pair} lies on no line")
+            # the first pair of ln, in combinations order, that an earlier
+            # line holds; a short line's own pairs are distinct, so they
+            # are entered as they are checked
+            shared = None
+            if len(ln) > SHORT_LINE:
+                shared = _first_short_partner(ln, partners)
+            else:
+                for a, b in combinations(ln, 2):
+                    if b in partners[a]:
+                        shared = (a, b)
+                        break
+                    partners[a].add(b)
+                    partners[b].add(a)
+            if long_through:
+                shared = min(filter(None, (shared, _first_long_pair(ln, long_through))), default=None)
+            if shared is not None:
+                raise ValueError(f"pair {shared} lies on two lines")
+            if len(ln) > SHORT_LINE:
+                for p in ln:
+                    long_through[p].append(j)
+            pairs += len(ln) * (len(ln) - 1) // 2
+        if self.n > 1 and pairs < self.n * (self.n - 1) // 2:
+            raise ValueError(f"pair {_first_uncovered_pair(self.n, self.lines)} lies on no line")
 
     def incidences(self) -> int:
         return sum(len(ln) for ln in self.lines)
+
+
+def _first_uncovered_pair(n: int, lines: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """The first pair of combinations(range(n), 2) on no line, for lines
+    that share no pair and leave one uncovered.
+
+    A point a lies on a covered pair with sum (|line| - 1) points over
+    the lines through it.  Take the least a short of n - 1: a partner
+    b < a it misses would make b an earlier such point, so the least
+    missed partner is above a."""
+    near = Counter()
+    for ln in lines:
+        for p in ln:
+            near[p] += len(ln) - 1
+    a = next(p for p in range(n) if near[p] < n - 1)
+    covered = {q for ln in lines if a in ln for q in ln}
+    return a, next(b for b in range(a + 1, n) if b not in covered)
+
+
+def _first_short_partner(ln: tuple[int, ...], partners: dict[int, set[int]]) -> tuple[int, int] | None:
+    """The first pair of ln that an earlier short line holds; `partners`
+    maps a point to the points it shares a short line with."""
+    on = set(ln)
+    for a in ln:
+        hit = [b for b in partners.get(a, ()) if b > a and b in on]
+        if hit:
+            return a, min(hit)
+    return None
+
+
+def _first_long_pair(ln: tuple[int, ...], long_through: dict[int, list[int]]) -> tuple[int, int] | None:
+    """The first pair of ln that an earlier long line holds.  Earlier
+    lines share no pair, so each meets ln in a set whose two least points
+    are the first pair it shares with ln."""
+    met: defaultdict[int, list[int]] = defaultdict(list)
+    for p in ln:
+        for i in long_through.get(p, ()):
+            met[i].append(p)
+    return min(((pts[0], pts[1]) for pts in met.values() if len(pts) >= 2), default=None)
 
 
 @dataclass(frozen=True)

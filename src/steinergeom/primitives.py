@@ -20,10 +20,15 @@ set.  0-primitivity compares delta values of the sets B u C', read off
 dimension.delta_table.  What the calculus fixes is not searched: the
 base of a good pair is _base_mask, and a primitive step of decompose
 is the least of the closures icl(X + p).
+
+enumerate_good_pairs verifies and codes each labelled shape once per
+process: a bounded shape cache keeps the verdict and code of the shapes
+used last, across calls and structures.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
@@ -35,7 +40,6 @@ from .errors import NotStrong, NotZeroPrimitive, SizeLimit
 from .space import (
     LinearSpace,
     delta_mask,
-    induced,
     mask_of,
     parse_ls_v1,
     points_of,
@@ -47,6 +51,9 @@ from .tight import iter_candidate_sets
 DEFAULT_CODE_LIMIT = 16
 COPY_CAP = 10000
 ALPHA_CODE = "alpha"
+# labelled good-pair shapes whose verdict and code enumerate_good_pairs
+# keeps between calls, least recently used dropped first
+SHAPE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=4)
@@ -340,9 +347,12 @@ def canonical_code(space: LinearSpace, base: Iterable[int], *, limit: int = DEFA
     in the orbit of a searched child under the automorphisms found so
     far: each skipped subtree is an automorphic image of a searched one,
     with the same leaf encodings.  See _subtree_min and _canonical_code.
-    Within one enumerate_good_pairs call, codes are also kept per first-
-    leaf encoding: equal first leaves mean isomorphic inputs, hence
-    equal codes, so a repeated shape costs one root-to-leaf path.
+    enumerate_good_pairs codes each labelled shape once per process: its
+    shape cache keeps the codes of the SHAPE_CACHE_SIZE shapes used last.
+    A shape not in it is coded with a memo kept per enumerate_good_pairs
+    call and keyed on first-leaf encodings: equal first leaves mean
+    isomorphic inputs, hence equal codes, so a shape isomorphic to one
+    coded earlier in the call costs one root-to-leaf path.
     """
     n = space.n
     if n > limit:
@@ -392,14 +402,13 @@ class GoodPair:
         return f"GoodPair(|B|={len(self.base)}, |C|={len(self.ext)}, code={self.code[:24]!r})"
 
 
-def _coded_pair(space: LinearSpace, base: Iterable[int], codes: dict[str, str]) -> GoodPair:
-    """GoodPair(space, base, check=False), with the code looked up in or
-    added to `codes` (see _canonical_code)."""
+def _coded_pair(space: LinearSpace, base: Iterable[int], code: str) -> GoodPair:
+    """GoodPair(space, base, check=False) with its code already known."""
     gp = GoodPair.__new__(GoodPair)
     gp.space = space
     gp.base = frozenset(base)
     gp.ext = frozenset(range(space.n)) - gp.base
-    gp.code = _canonical_code(space, gp.base, codes)
+    gp.code = code
     return gp
 
 
@@ -646,6 +655,48 @@ def _line_test(M: LinearSpace, bc_mask: int, c_pts: Iterable[int]) -> bool:
     )
 
 
+Shape = tuple[int, tuple[tuple[int, ...], ...], int]
+
+# labelled shape -> its code, or None when it is not a good pair
+_shape_codes: OrderedDict[Shape, Optional[str]] = OrderedDict()
+
+
+def _shape(M: LinearSpace, bc_mask: int, b_pts: Iterable[int]) -> tuple[tuple[int, ...], Shape]:
+    """The points of B u C, ascending, and the labelled shape of (B, C):
+    (n, lines, base mask) of the structure induced on B u C, relabelled
+    order-preservingly, as induced() would give it.  Only the lines
+    through points of B u C are read."""
+    pts = points_of(bc_mask)
+    relabel = {p: i for i, p in enumerate(pts)}
+    line_masks, by_point = M.line_masks, M.lines_by_point
+    lines = sorted(
+        tuple(relabel[q] for q in M.lines[li] if q in relabel)
+        for li in {li for p in pts for li in by_point[p]}
+        if (line_masks[li] & bc_mask).bit_count() >= 3
+    )
+    return pts, (len(pts), tuple(lines), mask_of(relabel[p] for p in b_pts))
+
+
+def _shape_pair(shape: Shape, codes: dict[str, str]) -> Optional[GoodPair]:
+    """The GoodPair of a labelled shape, or None when the shape is not a
+    good pair.  The verdict and the code come from _shape_codes; a shape
+    not in it is verified and coded, with `codes` as the first-leaf memo
+    (see _canonical_code), and added."""
+    n, lines, b_mask = shape
+    base = points_of(b_mask)
+    if shape in _shape_codes:
+        _shape_codes.move_to_end(shape)
+        code = _shape_codes[shape]
+        return None if code is None else _coded_pair(LinearSpace(n, lines), base, code)
+    space = LinearSpace(n, lines)
+    ext = points_of(space.full_mask() & ~b_mask)
+    code = _canonical_code(space, frozenset(base), codes) if is_good_pair(space, base, ext) else None
+    _shape_codes[shape] = code
+    if len(_shape_codes) > SHAPE_CACHE_SIZE:
+        _shape_codes.popitem(last=False)
+    return None if code is None else _coded_pair(space, base, code)
+
+
 def enumerate_good_pairs(
     M: LinearSpace, max_size: int, *, _touching: Optional[int] = None
 ) -> list[tuple[GoodPair, dict[int, int]]]:
@@ -675,14 +726,16 @@ def enumerate_good_pairs(
     good pair, delta(B u C - p) > delta(B u C), and the difference is 1
     minus the number of such lines through p.
 
-    Verification is memoized per call on (n, lines, base mask) of the
-    order-preserving relabelling of B u C.  That key is the labelled
-    structure together with B, and C is the rest of it, so the verdict
-    and the canonical code are functions of the key: point sets of M
-    with the same labelled shape are verified once.  Only the lines are
-    kept for rejected shapes, and the memo dies with the call.  So does
-    the code memo `codes`, keyed on first-leaf encodings (see
-    canonical_code): shapes isomorphic as pairs share one code search.
+    Verification is keyed on the labelled shape (n, lines, base mask) of
+    the order-preserving relabelling of B u C (_shape).  That key is the
+    labelled structure together with B, and C is the rest of it, so the
+    verdict and the canonical code are functions of the key.  Both are
+    kept in the shape cache, which outlives the call and holds the
+    SHAPE_CACHE_SIZE shapes used last: a shape seen before, in this call
+    or an earlier one, is neither verified nor coded again.  Within a
+    call, copies of one shape share one GoodPair.  The first-leaf code
+    memo `codes` (see canonical_code) dies with the call: shapes
+    isomorphic as pairs share one code search.
     """
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
@@ -697,7 +750,7 @@ def enumerate_good_pairs(
                 if touch & (1 << a | 1 << b | 1 << c):
                     out.append((alpha, {0: a, 1: b, 2: c}))
 
-    verified: dict[tuple[int, tuple[tuple[int, ...], ...], int], Optional[GoodPair]] = {}
+    pairs: dict[Shape, Optional[GoodPair]] = {}
     codes: dict[str, str] = {}
     for c_mask, dc, pop_lines in iter_candidate_sets(M, max_size):
         meets = c_mask & touch
@@ -731,18 +784,12 @@ def enumerate_good_pairs(
             bc_mask = c_mask | mask_of(b_pts)
             if not _line_test(M, bc_mask, c_pts):
                 continue
-            pts = points_of(bc_mask)
-            relabel = {p: i for i, p in enumerate(pts)}
-            sub = induced(M, pts)
-            b_idx = [relabel[p] for p in b_pts]
-            key = (sub.n, sub.lines, mask_of(b_idx))
-            if key not in verified:
-                c_idx = [relabel[p] for p in c_pts]
-                good = is_good_pair(sub, b_idx, c_idx)
-                verified[key] = _coded_pair(sub, b_idx, codes) if good else None
-            gp = verified[key]
+            pts, shape = _shape(M, bc_mask, b_pts)
+            if shape not in pairs:
+                pairs[shape] = _shape_pair(shape, codes)
+            gp = pairs[shape]
             if gp is not None:
-                out.append((gp, {i: p for p, i in relabel.items()}))
+                out.append((gp, dict(enumerate(pts))))
     out.sort(
         key=lambda item: (
             sorted(item[1].values()),

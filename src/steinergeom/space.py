@@ -319,7 +319,12 @@ def parse_ls_v1(text: str) -> LinearSpace:
     parts = pts.split()
     if len(parts) != 2 or parts[0] != "points" or not parts[1].isdecimal():
         raise FormatError(lineno, f"expected 'points N', got '{pts}'")
-    n = int(parts[1])
+    # int() refuses more than 4,300 digits, and a count with more digits
+    # than the cap, leading zeros aside, is over it
+    digits = parts[1].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_POINTS)):
+        raise TooManyPoints(lineno, f"a {len(digits)}-digit point count exceeds the cap of {MAX_POINTS}")
+    n = int(digits)
     if n > MAX_POINTS:
         raise TooManyPoints(lineno, f"{n} points exceeds the cap of {MAX_POINTS}")
     lines = []

@@ -1,5 +1,9 @@
-import pytest
+import time
+from collections import Counter
+from itertools import combinations
 from random import Random
+
+import pytest
 
 from steinergeom import (
     FormatError,
@@ -18,6 +22,7 @@ from steinergeom import (
     to_two_sorted,
 )
 from steinergeom.errors import TooManyPoints
+from steinergeom.interop import SHORT_LINE
 from steinergeom.space import MAX_POINTS
 
 
@@ -49,6 +54,72 @@ def test_incidence_structure_validation():
         IncidenceStructure(2, ((0,), (0, 1)))
     with pytest.raises(ValueError, match="out of range"):
         IncidenceStructure(2, ((0, 2),))
+
+
+def _first_fault_by_pairs(n, lines):
+    """IncidenceStructure's error message, found by storing every pair."""
+    seen = set()
+    for ln in lines:
+        if len(ln) < 2:
+            return f"line {ln} has fewer than 2 points"
+        if list(ln) != sorted(set(ln)):
+            return f"line {ln} is not strictly increasing"
+        if ln[0] < 0 or ln[-1] >= n:
+            return f"line {ln} out of range"
+        for pair in combinations(ln, 2):
+            if pair in seen:
+                return f"pair {pair} lies on two lines"
+            seen.add(pair)
+    for pair in combinations(range(n), 2):
+        if pair not in seen:
+            return f"pair {pair} lies on no line"
+    return None
+
+
+def test_incidence_structure_reports_the_first_fault_of_the_pair_scan():
+    # two-sorted views of random spaces with long lines (more points than
+    # SHORT_LINE) and short ones, then lines dropped, merged or added
+    rng = Random(73)
+    faults = Counter()
+    for _ in range(300):
+        n = rng.randrange(2, 48)
+        pts = rng.sample(range(n), rng.randrange(2, n + 1))
+        base = [tuple(sorted(pts[:SHORT_LINE + 4]))] if len(pts) > 2 else []
+        M = LinearSpace(n, [ln for ln in base if len(ln) >= 3])
+        lines = list(to_two_sorted(M).lines)
+        for _ in range(rng.randrange(3)):
+            move = rng.randrange(3)
+            if move == 0 and lines:
+                lines.pop(rng.randrange(len(lines)))
+            elif move == 1 and len(lines) >= 2:
+                a, b = rng.sample(lines, 2)
+                lines.append(tuple(sorted(set(a) | set(b))))
+            else:
+                lines.append(tuple(sorted(rng.sample(range(n), rng.randrange(2, min(n, 24) + 1)))))
+        lines = sorted(lines) if rng.random() < 0.5 else rng.sample(lines, len(lines))
+        want = _first_fault_by_pairs(n, lines)
+        if want is None:
+            IncidenceStructure(n, tuple(lines))
+        else:
+            with pytest.raises(ValueError) as exc:
+                IncidenceStructure(n, tuple(lines))
+            assert str(exc.value) == want
+        faults[want.split()[-1] if want else "ok"] += 1
+    assert min(faults[k] for k in ("ok", "lines", "line")) >= 20
+
+
+def test_incidence_structure_checks_one_long_line_without_its_pairs():
+    # 5,000 points on one line are 12.5 million pairs; the check reads
+    # each point a few times
+    n = 5000
+    start = time.perf_counter()
+    inc = parse_inc_v1(f"points {n}\nline 0: " + " ".join(map(str, range(n))) + "\n")
+    assert inc.incidences() == n
+    with pytest.raises(FormatError, match=r"pair \(0, 5000\) lies on no line"):
+        parse_inc_v1(f"points {n + 1}\nline 0: " + " ".join(map(str, range(n))) + "\n")
+    with pytest.raises(FormatError, match=r"pair \(1, 2\) lies on two lines"):
+        parse_inc_v1(f"points {n}\nline 0: " + " ".join(map(str, range(n))) + "\nline 1: 1 2\n")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_pbd_fano():

@@ -48,6 +48,7 @@ from steinergeom import primitives
 from steinergeom.primitives import _max_disjoint, _zero_primitive, embeddings_over_base
 from steinergeom.space import mask_of, points_of, preserves_lines
 from steinergeom.tight import iter_candidate_sets
+from test_amalgam import grow_k0
 from oracle import (
     affine_plane_3,
     chi_oracle,
@@ -306,7 +307,9 @@ def test_corpus_codes_are_pinned():
 
 def test_enumeration_codes_relabelled_copies_through_its_memo(monkeypatch):
     # relabelled copies of two shapes side by side: most copies are new
-    # labelled shapes, so their codes come from the enumeration's memo
+    # labelled shapes, so their codes come from the enumeration's memo;
+    # a shape cache warmed by earlier tests would serve them instead
+    primitives._shape_codes.clear()
     rng = Random(45)
     parts = [cycle_Ck(1)] * 4 + [chain_link_pair()] * 3
     M = LinearSpace(0, [])
@@ -689,6 +692,73 @@ def test_enumerate_verifies_repeated_shapes_once(shape):
         if perm == perms[0]:
             others = [gp for gp, _ in out if gp.code != ALPHA_CODE]
             assert len({id(gp) for gp in others}) < len(others)
+
+
+def _shape_cache_corpus():
+    """(M, bound) pairs that share labelled shapes: relabelled C_1/C_2 hub
+    stacks, 150-step builds, and grow_k0 triples (F, E, F + E over D) as
+    amalgamate_or_identify gets them."""
+    rng = Random(83)
+    out = []
+    for ks in ((1, 1, 1), (1, 2)):
+        M = LinearSpace(2, [])
+        for k in ks:
+            M = free_amalgam(M, cycle_Ck(k).space, [0, 1])
+        M, _ = _relabelled(rng, LinearSpace(M.n + 2, M.lines), [])
+        out.append((M, 10))
+    out += [(build(MuFunction(2), 150, seed=seed)[0], 8) for seed in (31, 32)]
+    D = LinearSpace(3, [(0, 1, 2)])
+    while len(out) < 13:
+        F, E = grow_k0(rng, D, rng.randrange(2, 5)), grow_k0(rng, D, rng.randrange(2, 5))
+        if is_strong(E, [0, 1, 2], range(E.n)).ok:
+            out += [(F, F.n), (E, E.n), (free_amalgam(F, E, [0, 1, 2]), 8)]
+    return out
+
+
+def _pair_rows(out):
+    return [(gp.code, gp.space, gp.base, emb) for gp, emb in out]
+
+
+def test_shape_cache_is_sound_and_bounded(monkeypatch):
+    verified = Counter()
+    check = primitives.is_good_pair
+
+    def counting(space, B, C):
+        verified[size] += 1
+        return check(space, B, C)
+
+    size = "cold"
+    corpus = _shape_cache_corpus()
+    monkeypatch.setattr(primitives, "is_good_pair", counting)
+    cold = []
+    for M, bound in corpus:
+        primitives._shape_codes.clear()
+        out = enumerate_good_pairs(M, bound)
+        pairs = [
+            (frozenset(emb[b] for b in gp.base), frozenset(emb[c] for c in gp.ext))
+            for gp, emb in out
+        ]
+        # one row per good pair, each on the induced structure of its points
+        assert len(set(pairs)) == len(pairs)
+        for gp, emb in out:
+            assert gp.code == ALPHA_CODE or gp.space == induced(M, emb.values())
+        if M.n <= 8:
+            assert set(pairs) == _oracle_pairs(M, bound)
+        cold.append(_pair_rows(out))
+    # each structure after the others: every call but the first starts
+    # from a cache warmed on other structures, and shapes are reused;
+    # then a cache far smaller than the shapes seen, which evicts within
+    # calls and keeps only its size
+    full = primitives.SHAPE_CACHE_SIZE
+    for size in (full, 16):
+        monkeypatch.setattr(primitives, "SHAPE_CACHE_SIZE", size)
+        primitives._shape_codes.clear()
+        for i in reversed(range(len(corpus))):
+            M, bound = corpus[i]
+            assert _pair_rows(enumerate_good_pairs(M, bound)) == cold[i]
+            assert len(primitives._shape_codes) <= size
+    assert len(primitives._shape_codes) == 16
+    assert verified[full] < verified[16] <= verified["cold"]
 
 
 def test_line_test_rejects_no_good_pair():
