@@ -52,7 +52,6 @@ from .interop import (
 )
 from .mu import (
     MuFunction,
-    decode_code,
     in_K_mu_bounded,
     mu_X,
     parse_mu_v1,
@@ -67,6 +66,7 @@ from .primitives import (
     canonical_code,
     chi,
     copies_over_base,
+    decode_code,
     decompose,
     enumerate_good_pairs,
     is_good_pair,

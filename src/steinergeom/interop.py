@@ -24,6 +24,14 @@ MATROID_CHECK_LIMIT = 12
 SHORT_LINE = 16
 
 
+class _LineError(ValueError):
+    """A bad line, or a pair on two lines; `lines` indexes the lines at fault."""
+
+    def __init__(self, message: str, lines: tuple[int, ...]):
+        super().__init__(message)
+        self.lines = lines
+
+
 @dataclass(frozen=True)
 class IncidenceStructure:
     """Points 0..n-1 and lines of >= 2 points; every pair on exactly one
@@ -46,11 +54,11 @@ class IncidenceStructure:
         pairs = 0
         for j, ln in enumerate(self.lines):
             if len(ln) < 2:
-                raise ValueError(f"line {ln} has fewer than 2 points")
+                raise _LineError(f"line {ln} has fewer than 2 points", (j,))
             if list(ln) != sorted(set(ln)):
-                raise ValueError(f"line {ln} is not strictly increasing")
+                raise _LineError(f"line {ln} is not strictly increasing", (j,))
             if ln[0] < 0 or ln[-1] >= self.n:
-                raise ValueError(f"line {ln} out of range")
+                raise _LineError(f"line {ln} out of range", (j,))
             # the first pair of ln, in combinations order, that an earlier
             # line holds; a short line's own pairs are distinct, so they
             # are entered as they are checked
@@ -67,7 +75,8 @@ class IncidenceStructure:
             if long_through:
                 shared = min(filter(None, (shared, _first_long_pair(ln, long_through))), default=None)
             if shared is not None:
-                raise ValueError(f"pair {shared} lies on two lines")
+                i = next(i for i, other in enumerate(self.lines) if set(shared) <= set(other))
+                raise _LineError(f"pair {shared} lies on two lines", (i, j))
             if len(ln) > SHORT_LINE:
                 for p in ln:
                     long_through[p].append(j)
@@ -211,17 +220,20 @@ def parse_inc_v1(text: str) -> IncidenceStructure:
                 raise TooManyPoints(lineno, f"{n} points exceeds the cap of {MAX_POINTS}")
         elif parts[0] == "line" and len(parts) >= 2 and parts[1].endswith(":"):
             try:
-                lines.append(tuple(int(x) for x in parts[2:]))
+                lines.append((tuple(int(x) for x in parts[2:]), lineno))
             except ValueError:
                 raise FormatError(lineno, f"non-integer point id in {row!r}") from None
         else:
             raise FormatError(lineno, f"unrecognized row {row!r}")
     if n is None:
         raise FormatError(0, "missing 'points N' row")
+    lines.sort()
     try:
-        return IncidenceStructure(n, tuple(sorted(lines)))
+        return IncidenceStructure(n, tuple(ln for ln, _ in lines))
     except ValueError as exc:
-        raise FormatError(0, str(exc)) from exc
+        # a bad line on its row, a shared pair on the later row, else line 0
+        at = max((lines[i][1] for i in getattr(exc, "lines", ())), default=0)
+        raise FormatError(at, str(exc)) from exc
 
 
 def to_pbd_text(r: PBDRecord) -> str:

@@ -13,34 +13,12 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .errors import AxiomViolation, FormatError, SizeLimit, TooManyPoints
-from .primitives import ALPHA_CODE, _max_disjoint, enumerate_good_pairs
-from .space import MAX_POINTS, LinearSpace, delta_mask, induced, mask_of
+from .errors import FormatError, SizeLimit, TooManyPoints
+from .primitives import ALPHA_CODE, DEFAULT_CODE_LIMIT, _max_disjoint, canonical_code, decode_code
+from .primitives import enumerate_good_pairs
+from .space import LinearSpace, delta_mask, induced, mask_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
-
-
-def decode_code(code: str) -> tuple[LinearSpace, frozenset[int]]:
-    """Rebuild the (space, base) normal form a canonical code encodes."""
-    if code == ALPHA_CODE:
-        return LinearSpace(3, [(0, 1, 2)]), frozenset((0, 1))
-    if not code.startswith("gp"):
-        raise ValueError(f"not a canonical code: {code!r}")
-    head, _, body = code.partition("|")
-    nb_s, _, nc_s = head[2:].partition(".")
-    try:
-        nb, nc = int(nb_s), int(nc_s)
-        lines = [tuple(int(x) for x in part.split(",")) for part in body.split("|")] if body else []
-    except ValueError:
-        raise ValueError(f"malformed canonical code: {code!r}") from None
-    if nb < 0 or nc < 0:
-        raise ValueError(f"malformed canonical code: {code!r}")
-    if nb + nc > MAX_POINTS:
-        raise SizeLimit(f"code of {nb + nc} points exceeds the cap of {MAX_POINTS}")
-    try:
-        return LinearSpace(nb + nc, lines), frozenset(range(nb))
-    except AxiomViolation as exc:
-        raise ValueError(f"malformed canonical code: {exc}") from None
 
 
 class MuFunction:
@@ -212,6 +190,12 @@ def to_mu_v1(mu: MuFunction) -> str:
     return "\n".join(out) + "\n"
 
 
+def _value(what: str, text: str) -> int:
+    if not text.isdecimal():
+        raise ValueError(f"{what} value {text!r} is not an integer >= 0")
+    return int(text)
+
+
 def parse_mu_v1(text: str) -> MuFunction:
     alpha: Optional[int] = None
     overrides: dict[str, int] = {}
@@ -220,27 +204,25 @@ def parse_mu_v1(text: str) -> MuFunction:
         if not row:
             continue
         parts = row.split()
-        if parts[0] == "alpha" and len(parts) == 2:
-            try:
-                alpha = int(parts[1])
-            except ValueError:
-                raise FormatError(lineno, f"bad alpha value {parts[1]!r}") from None
-        elif parts[0] == "pair" and len(parts) == 3:
-            try:
-                overrides[parts[1]] = int(parts[2])
-            except ValueError:
-                raise FormatError(lineno, f"bad pair value {parts[2]!r}") from None
-            try:
-                decode_code(parts[1])
-            except ValueError as exc:
-                raise FormatError(lineno, str(exc)) from None
-            except SizeLimit as exc:
-                raise TooManyPoints(lineno, str(exc)) from None
-        elif parts[0] == "default" and len(parts) == 2:
-            if parts[1] != DEFAULT_POLICY:
-                raise FormatError(lineno, f"unknown default policy {parts[1]!r}")
-        else:
-            raise FormatError(lineno, f"unrecognized row {row!r}")
+        try:
+            if parts[0] == "alpha" and len(parts) == 2:
+                alpha = _value("alpha", parts[1])
+            elif parts[0] == "pair" and len(parts) == 3:
+                code, value = parts[1], _value("pair", parts[2])
+                space, base = decode_code(code)
+                # enumerations give canonical codes of at most DEFAULT_CODE_LIMIT points
+                if space.n <= DEFAULT_CODE_LIMIT and (canon := canonical_code(space, base)) != code:
+                    raise ValueError(f"code {code!r} is not canonical; its shape's code is {canon!r}")
+                overrides[code] = value
+            elif parts[0] == "default" and len(parts) == 2:
+                if parts[1] != DEFAULT_POLICY:
+                    raise ValueError(f"unknown default policy {parts[1]!r}")
+            else:
+                raise ValueError(f"unrecognized row {row!r}")
+        except ValueError as exc:
+            raise FormatError(lineno, str(exc)) from None
+        except SizeLimit as exc:
+            raise TooManyPoints(lineno, str(exc)) from None
     if alpha is None:
         raise FormatError(0, "missing 'alpha N' row")
     return MuFunction(alpha, overrides)

@@ -21,14 +21,15 @@ dimension.delta_table.  What the calculus fixes is not searched: the
 base of a good pair is _base_mask, and a primitive step of decompose
 is the least of the closures icl(X + p).
 
-enumerate_good_pairs verifies and codes each labelled shape once per
-process: a bounded shape cache keeps the verdict and code of the shapes
-used last, across calls and structures.
+canonical_code is the only path to a code, and decode_code reads one
+back.  Two lru_caches of SHAPE_CACHE_SIZE entries, read by cache_info(),
+keep code work across calls: _least_leaf maps a first-leaf encoding to
+its code, and _shape_code a labelled shape of enumerate_good_pairs to
+its verdict and code.  Both keep strings only, never a space.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
@@ -36,8 +37,9 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .dimension import d_table, delta_table, icl_mask, is_strong
-from .errors import NotStrong, NotZeroPrimitive, SizeLimit
+from .errors import AxiomViolation, FormatError, NotStrong, NotZeroPrimitive, SizeLimit
 from .space import (
+    MAX_POINTS,
     LinearSpace,
     delta_mask,
     mask_of,
@@ -51,8 +53,7 @@ from .tight import iter_candidate_sets
 DEFAULT_CODE_LIMIT = 16
 COPY_CAP = 10000
 ALPHA_CODE = "alpha"
-# labelled good-pair shapes whose verdict and code enumerate_good_pairs
-# keeps between calls, least recently used dropped first
+# entries of each code cache, _shape_code and _least_leaf
 SHAPE_CACHE_SIZE = 1024
 
 
@@ -236,6 +237,29 @@ def _encode(space: LinearSpace, nb: int, colors: tuple[int, ...]) -> str:
     return f"gp{nb}.{space.n - nb}|{body}"
 
 
+def decode_code(code: str) -> tuple[LinearSpace, frozenset[int]]:
+    """The (space, base) normal form a code encodes, base first: _encode's inverse."""
+    if code == ALPHA_CODE:
+        return LinearSpace(3, [(0, 1, 2)]), frozenset((0, 1))
+    if not code.startswith("gp"):
+        raise ValueError(f"not a canonical code: {code!r}")
+    head, _, body = code.partition("|")
+    nb_s, _, nc_s = head[2:].partition(".")
+    try:
+        nb, nc = int(nb_s), int(nc_s)
+        lines = [tuple(int(x) for x in part.split(",")) for part in body.split("|")] if body else []
+    except ValueError:
+        raise ValueError(f"malformed canonical code: {code!r}") from None
+    if nb < 0 or nc < 0:
+        raise ValueError(f"malformed canonical code: {code!r}")
+    if nb + nc > MAX_POINTS:
+        raise SizeLimit(f"code of {nb + nc} points exceeds the cap of {MAX_POINTS}")
+    try:
+        return LinearSpace(nb + nc, lines), frozenset(range(nb))
+    except AxiomViolation as exc:
+        raise ValueError(f"malformed canonical code: {exc}") from None
+
+
 def _find(parent: list[int], p: int) -> int:
     while parent[p] != p:
         parent[p] = parent[parent[p]]
@@ -283,29 +307,30 @@ def _subtree_min(
     return best
 
 
-def _canonical_code(space: LinearSpace, base: frozenset[int], memo: dict[str, str]) -> str:
-    """canonical_code without the size check; `memo` maps first-leaf
-    encodings to codes and is read and extended."""
-    n, nb = space.n, len(base)
-    if n == 3 and nb == 2 and space.lines == ((0, 1, 2),):
-        return ALPHA_CODE
-    # the first path: individualize the first point of the target cell
-    # until the colouring is discrete
+def _first_path(space: LinearSpace, base: frozenset[int]) -> tuple[list, tuple[int, ...]]:
+    """The first path's (node, target cell) pairs and its leaf: individualize
+    the first point of the target cell until the colouring is discrete."""
     path: list[tuple[tuple[int, ...], list[int]]] = []
-    colors = tuple(0 if p in base else 1 for p in range(n))
+    colors = tuple(0 if p in base else 1 for p in range(space.n))
     while True:
         colors = _refine(space, colors)
         cell = _target_cell(colors)
         if not cell:
-            break
+            return path, colors
         path.append((colors, cell))
         colors = _individualize(colors, cell[0])
-    first_leaf = colors
-    first = _encode(space, nb, first_leaf)
-    if first in memo:
-        return memo[first]
-    best = first
-    orbits = list(range(n))
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _least_leaf(first: str) -> str:
+    """The code of every pair whose first leaf encodes as `first`: the
+    least leaf encoding, an isomorphism invariant, found by the pruned
+    search on the pair that `first` decodes to."""
+    space, base = decode_code(first)
+    nb = len(base)
+    path, first_leaf = _first_path(space, base)
+    best = own = _encode(space, nb, first_leaf)
+    orbits = list(range(space.n))
     # first-path nodes, deepest first: every automorphism found so far
     # came from a leaf below the current node, so it fixes the node's
     # prefix and permutes the node's children
@@ -316,8 +341,7 @@ def _canonical_code(space: LinearSpace, base: frozenset[int], memo: dict[str, st
             if any(_find(orbits, s) == root for s in searched):
                 continue
             searched.append(q)
-            best = _subtree_min(space, nb, _individualize(node, q), first_leaf, first, orbits, best)
-    memo[first] = best
+            best = _subtree_min(space, nb, _individualize(node, q), first_leaf, own, orbits, best)
     return best
 
 
@@ -346,18 +370,19 @@ def canonical_code(space: LinearSpace, base: Iterable[int], *, limit: int = DEFA
     skips the rest of that subtree, and at a first-path node every child
     in the orbit of a searched child under the automorphisms found so
     far: each skipped subtree is an automorphic image of a searched one,
-    with the same leaf encodings.  See _subtree_min and _canonical_code.
-    enumerate_good_pairs codes each labelled shape once per process: its
-    shape cache keeps the codes of the SHAPE_CACHE_SIZE shapes used last.
-    A shape not in it is coded with a memo kept per enumerate_good_pairs
-    call and keyed on first-leaf encodings: equal first leaves mean
-    isomorphic inputs, hence equal codes, so a shape isomorphic to one
-    coded earlier in the call costs one root-to-leaf path.
+    with the same leaf encodings.  See _subtree_min and _least_leaf.
+
+    Every code is computed here: the call walks the first path, and
+    _least_leaf, an lru_cache, searches the decoded first-leaf encoding.
+    Equal first leaves mean isomorphic inputs, so a pair isomorphic to
+    one coded recently costs one root-to-leaf path.
     """
-    n = space.n
+    n, base = space.n, frozenset(base)
     if n > limit:
         raise SizeLimit(f"{n} points exceeds code limit {limit}")
-    return _canonical_code(space, frozenset(base), {})
+    if n == 3 and len(base) == 2 and space.lines == ((0, 1, 2),):
+        return ALPHA_CODE
+    return _least_leaf(_encode(space, len(base), _first_path(space, base)[1]))
 
 
 class GoodPair:
@@ -402,12 +427,13 @@ class GoodPair:
         return f"GoodPair(|B|={len(self.base)}, |C|={len(self.ext)}, code={self.code[:24]!r})"
 
 
-def _coded_pair(space: LinearSpace, base: Iterable[int], code: str) -> GoodPair:
-    """GoodPair(space, base, check=False) with its code already known."""
+def _coded_pair(shape: Shape, code: str) -> GoodPair:
+    """The unchecked GoodPair of a labelled shape, with its code known."""
+    n, lines, b_mask = shape
     gp = GoodPair.__new__(GoodPair)
-    gp.space = space
-    gp.base = frozenset(base)
-    gp.ext = frozenset(range(space.n)) - gp.base
+    gp.space = LinearSpace(n, lines)
+    gp.base = frozenset(points_of(b_mask))
+    gp.ext = frozenset(range(n)) - gp.base
     gp.code = code
     return gp
 
@@ -657,9 +683,6 @@ def _line_test(M: LinearSpace, bc_mask: int, c_pts: Iterable[int]) -> bool:
 
 Shape = tuple[int, tuple[tuple[int, ...], ...], int]
 
-# labelled shape -> its code, or None when it is not a good pair
-_shape_codes: OrderedDict[Shape, Optional[str]] = OrderedDict()
-
 
 def _shape(M: LinearSpace, bc_mask: int, b_pts: Iterable[int]) -> tuple[tuple[int, ...], Shape]:
     """The points of B u C, ascending, and the labelled shape of (B, C):
@@ -677,24 +700,14 @@ def _shape(M: LinearSpace, bc_mask: int, b_pts: Iterable[int]) -> tuple[tuple[in
     return pts, (len(pts), tuple(lines), mask_of(relabel[p] for p in b_pts))
 
 
-def _shape_pair(shape: Shape, codes: dict[str, str]) -> Optional[GoodPair]:
-    """The GoodPair of a labelled shape, or None when the shape is not a
-    good pair.  The verdict and the code come from _shape_codes; a shape
-    not in it is verified and coded, with `codes` as the first-leaf memo
-    (see _canonical_code), and added."""
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_code(shape: Shape) -> Optional[str]:
+    """The code of a labelled shape, or None when it is not a good pair."""
     n, lines, b_mask = shape
-    base = points_of(b_mask)
-    if shape in _shape_codes:
-        _shape_codes.move_to_end(shape)
-        code = _shape_codes[shape]
-        return None if code is None else _coded_pair(LinearSpace(n, lines), base, code)
     space = LinearSpace(n, lines)
+    base = points_of(b_mask)
     ext = points_of(space.full_mask() & ~b_mask)
-    code = _canonical_code(space, frozenset(base), codes) if is_good_pair(space, base, ext) else None
-    _shape_codes[shape] = code
-    if len(_shape_codes) > SHAPE_CACHE_SIZE:
-        _shape_codes.popitem(last=False)
-    return None if code is None else _coded_pair(space, base, code)
+    return canonical_code(space, base) if is_good_pair(space, base, ext) else None
 
 
 def enumerate_good_pairs(
@@ -729,13 +742,10 @@ def enumerate_good_pairs(
     Verification is keyed on the labelled shape (n, lines, base mask) of
     the order-preserving relabelling of B u C (_shape).  That key is the
     labelled structure together with B, and C is the rest of it, so the
-    verdict and the canonical code are functions of the key.  Both are
-    kept in the shape cache, which outlives the call and holds the
-    SHAPE_CACHE_SIZE shapes used last: a shape seen before, in this call
-    or an earlier one, is neither verified nor coded again.  Within a
-    call, copies of one shape share one GoodPair.  The first-leaf code
-    memo `codes` (see canonical_code) dies with the call: shapes
-    isomorphic as pairs share one code search.
+    verdict and the canonical code are functions of the key.  _shape_code
+    keeps both for the SHAPE_CACHE_SIZE shapes used last, across calls,
+    and canonical_code's own cache serves a new shape isomorphic to one
+    coded recently.  Within a call, copies of one shape share a GoodPair.
     """
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
@@ -751,7 +761,6 @@ def enumerate_good_pairs(
                     out.append((alpha, {0: a, 1: b, 2: c}))
 
     pairs: dict[Shape, Optional[GoodPair]] = {}
-    codes: dict[str, str] = {}
     for c_mask, dc, pop_lines in iter_candidate_sets(M, max_size):
         meets = c_mask & touch
         if not meets and not any(M.line_masks[li] & touch for li in pop_lines):
@@ -786,7 +795,8 @@ def enumerate_good_pairs(
                 continue
             pts, shape = _shape(M, bc_mask, b_pts)
             if shape not in pairs:
-                pairs[shape] = _shape_pair(shape, codes)
+                code = _shape_code(shape)
+                pairs[shape] = None if code is None else _coded_pair(shape, code)
             gp = pairs[shape]
             if gp is not None:
                 out.append((gp, dict(enumerate(pts))))
@@ -833,8 +843,6 @@ def to_gp_v1(space: LinearSpace, base: Iterable[int]) -> str:
 
 
 def parse_gp_v1(text: str) -> tuple[LinearSpace, frozenset[int]]:
-    from .errors import FormatError
-
     ls_part = []
     base_line = None
     base_lineno = 0

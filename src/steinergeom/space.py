@@ -156,9 +156,6 @@ class LinearSpace:
         for ln in self.lines:
             yield from combinations(ln, 3)
 
-    def points(self) -> range:
-        return range(self.n)
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 

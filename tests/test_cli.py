@@ -86,7 +86,6 @@ def test_amalgamate(tmp_path, mu1_file, capsys):
 @pytest.mark.parametrize("cmd", ["amalgamate", "build", "stats"])
 def test_invalid_mu_exits_1(tmp_path, capsys, cmd):
     mu = tmp_path / "bad.mu"
-    mu.write_text(to_mu_v1(MuFunction(-5)))
     # a structure without lines passes the bounded check under any mu, so
     # only the mu validation can reject this run
     F = tmp_path / "F.ls"
@@ -97,8 +96,15 @@ def test_invalid_mu_exits_1(tmp_path, capsys, cmd):
         argv = ["stats", str(F), "--mu", str(mu)]
     else:
         argv = ["build", "--mu", str(mu), "--steps", "5", "--seed", "1", "--out", str(tmp_path / "t")]
-    assert main(argv) == 1
-    assert "error: invalid mu: alpha value -5 < 1" in capsys.readouterr().err
+    # below the lower bound, validate_mu rejects a mu; a negative value
+    # is rejected on its row by the parser
+    for alpha, message in (
+        (0, "error: invalid mu: alpha value 0 < 1"),
+        (-5, "error: line 1: alpha value '-5' is not an integer >= 0"),
+    ):
+        mu.write_text(to_mu_v1(MuFunction(alpha)))
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_build_and_stats(tmp_path, mu1_file, capsys):

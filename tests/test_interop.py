@@ -161,20 +161,31 @@ def test_inc_v1_roundtrip():
     assert parse_inc_v1(to_inc_v1(to_two_sorted(fano()))) == to_two_sorted(fano())
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "points x\n",
-        "points 3\nline 0: 0 1 q\n",
-        "points 3\nwhat\n",
-        "points 3\nline 0: 0 1\nline 1: 0 1 2\n",
-        "points -5\n",
-    ],
-)
+# each text and the line its error is reported on
+INC_V1_ERRORS = {
+    "": 0,
+    "points x\n": 1,
+    "points 3\nline 0: 0 1 q\n": 2,
+    "points 3\nwhat\n": 2,
+    "points -5\n": 1,
+    # a pair on two lines: the later of their rows, whichever sorts first
+    "points 3\nline 0: 0 1\nline 1: 0 1 2\n": 3,
+    "points 3\nline 0: 0 1 2\nline 1: 0 1\n": 3,
+    "points 4\nline 0: 0 1\nline 1: 0 2 3\nline 2: 0 1\nline 3: 1 2\n": 4,
+    # a bad line: its own row
+    "points 4\nline 0: 1 2 3\nline 1: 0\n": 3,
+    "points 3\nline 0: 0 2 1\nline 1: 0 1\n": 2,
+    "points 3\nline 1: 0 1 2\nline 0: 0 1 5\n": 3,
+    # a pair on no line: no row holds it
+    "points 4\nline 0: 0 1 2\n": 0,
+}
+
+
+@pytest.mark.parametrize("text", list(INC_V1_ERRORS))
 def test_inc_v1_errors(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         parse_inc_v1(text)
+    assert exc.value.lineno == INC_V1_ERRORS[text]
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from steinergeom import (
 )
 from steinergeom.errors import SizeLimit, TooManyPoints
 from steinergeom.mu import _copy_groups_full, _copy_groups_touching
+from steinergeom.primitives import DEFAULT_CODE_LIMIT
 from steinergeom.space import MAX_POINTS
 from test_amalgam import grow_k0
 
@@ -89,6 +90,11 @@ def test_mu_v1_roundtrip():
         # two lines of the code share the pair (0, 2)
         "alpha 1\npair gp2.4|0,2,3|0,2,5|1,2,4|1,3,5 3\n",
         "alpha 1\npair gp-2.4| 3\n",
+        # negative values
+        "alpha -3\n",
+        "alpha 1\npair gp2.2|0,1,3 -1\n",
+        # a shape whose canonical code is gp2.2|0,1,3
+        "alpha 1\npair gp2.2|0,1,2 5\n",
     ],
 )
 def test_mu_v1_errors(text):
@@ -96,6 +102,16 @@ def test_mu_v1_errors(text):
         parse_mu_v1(text)
     # the faulty row is each input's last; a missing alpha row is line 0
     assert exc.value.lineno == text.count("\n")
+
+
+def test_mu_v1_codes_are_canonical_up_to_the_code_limit():
+    assert canonical_code(*decode_code("gp2.2|0,1,2")) == "gp2.2|0,1,3"
+    assert parse_mu_v1("alpha 1\npair gp2.2|0,1,3 5\n").overrides == {"gp2.2|0,1,3": 5}
+    # a code past the limit is never enumerated and is kept as written
+    mu = mu_X([4])
+    (code,) = mu.overrides
+    assert decode_code(code)[0].n > DEFAULT_CODE_LIMIT
+    assert parse_mu_v1(to_mu_v1(mu)) == mu
 
 
 def test_mu_v1_code_over_the_point_cap_is_a_size_limit():

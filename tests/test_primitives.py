@@ -1,6 +1,7 @@
 import gc
 import hashlib
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from random import Random
 
@@ -295,8 +296,8 @@ def _pinned_corpus_codes():
 
 
 # sha256 of repr(_pinned_corpus_codes()), recorded with the search that
-# visited every leaf of the refinement tree: pruning and the per-call
-# code memo must leave every code as it was
+# visited every leaf of the refinement tree: pruning and the code caches
+# must leave every code as it was
 PINNED_CORPUS_CODES = "e640a1fefd1bc2524c3a79af30822c091b2291b01e588e7477344e07f9763fd8"
 
 
@@ -305,11 +306,31 @@ def test_corpus_codes_are_pinned():
     assert hashlib.sha256(repr(codes).encode()).hexdigest() == PINNED_CORPUS_CODES
 
 
-def test_enumeration_codes_relabelled_copies_through_its_memo(monkeypatch):
+def test_code_search_reaches_past_the_first_leaf():
+    # on every pair of the pinned corpus the first leaf is already the
+    # least, so the digest cannot see the search.  Here refinement cannot
+    # split the points: the Pasch configuration (the dual of K_4) beside
+    # the dual of K_{3,3} has every point on two 3-point lines, but no
+    # automorphism swaps the parts.  So the first leaf depends on the
+    # labelling, and only the search makes the code invariant.
+    def dual(edges, shift):
+        return [[shift + i for i, e in enumerate(edges) if v in e] for v in sorted(set().union(*edges))]
+
+    k4 = list(combinations(range(4), 2))
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    space = LinearSpace(15, dual(k4, 0) + dual(k33, 6))
+    rng = Random(49)
+    firsts, codes = set(), set()
+    for _ in range(12):
+        relabelled, _ = _relabelled(rng, space, [])
+        firsts.add(primitives._encode(relabelled, 0, primitives._first_path(relabelled, frozenset())[1]))
+        codes.add(canonical_code(relabelled, []))
+    assert len(codes) == 1 and len(firsts) > 1
+
+
+def test_enumeration_codes_relabelled_copies_through_the_first_leaf_cache(monkeypatch, cold_code_caches):
     # relabelled copies of two shapes side by side: most copies are new
-    # labelled shapes, so their codes come from the enumeration's memo;
-    # a shape cache warmed by earlier tests would serve them instead
-    primitives._shape_codes.clear()
+    # labelled shapes, so their codes come from the first-leaf cache
     rng = Random(45)
     parts = [cycle_Ck(1)] * 4 + [chain_link_pair()] * 3
     M = LinearSpace(0, [])
@@ -318,20 +339,21 @@ def test_enumeration_codes_relabelled_copies_through_its_memo(monkeypatch):
         M = LinearSpace(M.n + space.n, list(M.lines) + [[p + M.n for p in ln] for ln in space.lines])
     M, _ = _relabelled(rng, M, [])
     served = []
-    search = primitives._canonical_code
+    code_of = primitives.canonical_code
 
-    def recording(space, base, memo):
-        before = len(memo)
-        code = search(space, base, memo)
-        if len(memo) == before:
+    def recording(space, base, **kwargs):
+        hits = primitives._least_leaf.cache_info().hits
+        code = code_of(space, base, **kwargs)
+        if primitives._least_leaf.cache_info().hits > hits:
             served.append((space, base, code))
         return code
 
-    monkeypatch.setattr(primitives, "_canonical_code", recording)
+    monkeypatch.setattr(primitives, "canonical_code", recording)
     out = enumerate_good_pairs(M, 6)
     monkeypatch.undo()
     assert len(served) >= 5
     for space, base, code in served:
+        primitives._least_leaf.cache_clear()
         assert canonical_code(space, base) == code
     for gp, _ in out:
         assert gp.code == canonical_code(gp.space, gp.base)
@@ -719,7 +741,7 @@ def _pair_rows(out):
     return [(gp.code, gp.space, gp.base, emb) for gp, emb in out]
 
 
-def test_shape_cache_is_sound_and_bounded(monkeypatch):
+def test_shape_cache_is_sound_and_bounded(monkeypatch, cold_code_caches):
     verified = Counter()
     check = primitives.is_good_pair
 
@@ -732,7 +754,7 @@ def test_shape_cache_is_sound_and_bounded(monkeypatch):
     monkeypatch.setattr(primitives, "is_good_pair", counting)
     cold = []
     for M, bound in corpus:
-        primitives._shape_codes.clear()
+        primitives._shape_code.cache_clear()
         out = enumerate_good_pairs(M, bound)
         pairs = [
             (frozenset(emb[b] for b in gp.base), frozenset(emb[c] for c in gp.ext))
@@ -751,14 +773,35 @@ def test_shape_cache_is_sound_and_bounded(monkeypatch):
     # calls and keeps only its size
     full = primitives.SHAPE_CACHE_SIZE
     for size in (full, 16):
-        monkeypatch.setattr(primitives, "SHAPE_CACHE_SIZE", size)
-        primitives._shape_codes.clear()
+        if size != full:
+            monkeypatch.setattr(primitives, "_shape_code", lru_cache(size)(primitives._shape_code.__wrapped__))
+        primitives._shape_code.cache_clear()
         for i in reversed(range(len(corpus))):
             M, bound = corpus[i]
             assert _pair_rows(enumerate_good_pairs(M, bound)) == cold[i]
-            assert len(primitives._shape_codes) <= size
-    assert len(primitives._shape_codes) == 16
+            assert primitives._shape_code.cache_info().currsize <= size
+    assert primitives._shape_code.cache_info().currsize == 16
     assert verified[full] < verified[16] <= verified["cold"]
+
+
+def test_code_caches_serve_a_relabelled_hub_stack(cold_code_caches):
+    # three relabelled copies of C_1 over one hub pair: the first
+    # enumeration codes one copy and serves the others from the first-leaf
+    # cache; a second one at a smaller bound finds every shape in the
+    # shape cache and runs no code search
+    M = LinearSpace(2, [])
+    for _ in range(3):
+        M = free_amalgam(M, cycle_Ck(1).space, [0, 1])
+    M, _ = _relabelled(Random(84), LinearSpace(M.n + 2, M.lines), [])
+    rows = _pair_rows(enumerate_good_pairs(M, 10))
+    first_leaf = primitives._least_leaf.cache_info()
+    shapes = primitives._shape_code.cache_info()
+    assert first_leaf.hits > 0 and shapes.hits == 0
+    small = _pair_rows(enumerate_good_pairs(M, 8))
+    assert small == [row for row in rows if row[1].n <= 8]
+    assert primitives._least_leaf.cache_info() == first_leaf
+    assert primitives._shape_code.cache_info().misses == shapes.misses
+    assert primitives._shape_code.cache_info().hits > 0
 
 
 def test_line_test_rejects_no_good_pair():
