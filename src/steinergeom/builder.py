@@ -33,7 +33,7 @@ from .amalgam import _glue
 from .errors import FormatError
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
-from .primitives import ALPHA_CODE, GoodPair, _max_disjoint, alpha_pair, copies_over_base
+from .primitives import ALPHA_CODE, GoodPair, _group_chi, _max_disjoint, alpha_pair, copies_over_base
 from .space import LinearSpace, induced, pair_coverage, parse_ls_v1, preserves_lines, to_ls_v1
 
 DEFAULT_TEMPLATE_MAX = 10
@@ -105,7 +105,6 @@ def build(
     complete_q: deque[tuple[int, int]] = deque()
     queued_pairs: set[tuple[int, int]] = set()
     big_templates = [gp for gp in default_templates(template_max) if gp.code != ALPHA_CODE]
-    caps = {gp.code: mu.value(gp.code) for gp in big_templates}
     template_cursor = 0
     realize_count = 0
 
@@ -200,11 +199,9 @@ def build(
         # must still fit (line lengths stay legal by construction, and the
         # global bounded check runs on snapshots, not per step)
         copies = copies_over_base(cur, gp.space, gp.base, base_map)
-        if _max_disjoint(copies) + 1 > caps[gp.code]:
-            least = min(copies, key=sorted)
-            trace.steps.append(
-                BuildStep(i, "identify", (gp.code, base_img, tuple(sorted(least))))
-            )
+        if _max_disjoint(copies) + 1 > mu.value(gp.code):
+            # copies_over_base lists them sorted, least first
+            trace.steps.append(BuildStep(i, "identify", (gp.code, base_img, tuple(sorted(copies[0])))))
             return
         candidate, cmap = _glue(cur, gp.space, base_map)
         new_pts = sorted(set(cmap.values()) - set(base_map.values()))
@@ -237,33 +234,29 @@ def stats(M: LinearSpace, mu: MuFunction, *, bound: int = 6) -> dict:
     pairs of size <= bound, taken in the order in which
     enumerate_good_pairs lists each group's first pair.  The groups come
     from the grouping in_K_mu_bounded has just made, and the alpha groups
-    are the point pairs of each line.  chi is searched over the first
-    pair's own base map: a group keyed on the base image as a set also
-    holds copies glued over it in the other orientation.  Alpha needs no
-    search: the copies over a pair of a line are the line's other
-    points, one point each, so chi is len(line) - 2.
+    are the point pairs of each line.  A group's chi is the bounded
+    check's: primitives._group_chi, the largest over the maps of the
+    code's base onto the image.  Alpha needs no search: the copies over a
+    pair of a line are the line's other points, one point each, so chi is
+    len(line) - 2.
     """
     hist: dict[int, int] = {}
     for ln in M.lines:
         hist[len(ln)] = hist.get(len(ln), 0) + 1
     _, violations = in_K_mu_bounded(M, mu, bound)
-    # (points of the group's first pair, base image, code)
-    groups: list[tuple[list[int], list[int], str]] = []
+    # (points of the group's first pair, base image, code, chi)
+    groups: list[tuple[list[int], list[int], str, int]] = []
     for ln in M.lines:
         for a, b in combinations(ln, 2):
-            groups.append((sorted((a, b, min(set(ln) - {a, b}))), [a, b], ALPHA_CODE))
+            groups.append((sorted((a, b, min(set(ln) - {a, b}))), [a, b], ALPHA_CODE, len(ln) - 2))
     for (code, img), copies in _copy_groups_full(M, bound).items():
-        groups.append((min(sorted(img | c) for c in copies), sorted(img), code))
+        chi_val = _group_chi(M, code, img, _max_disjoint(copies))[0]
+        groups.append((min(sorted(img | c) for c in copies), sorted(img), code, chi_val))
     groups.sort()
 
     saturation: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for pts, img, code in groups:
-        if code == ALPHA_CODE:
-            chi_val = len(M.line_through(*img)) - 2
-        else:
-            base = [pts.index(p) for p in img]
-            chi_val = _max_disjoint(copies_over_base(M, induced(M, pts), base, {i: pts[i] for i in base}))
+    for _pts, _img, code, chi_val in groups:
         saturation[code] = saturation.get(code, 0.0) + chi_val / max(mu.value(code), 1)
         counts[code] = counts.get(code, 0) + 1
     for code in saturation:

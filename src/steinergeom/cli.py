@@ -58,7 +58,7 @@ def _point_list(text: str) -> list[int]:
         raise FormatError(0, f"expected comma-separated point ids, got {text!r}") from None
 
 
-def _emit(args, human: str, payload: dict) -> None:
+def _emit(args, human: str, payload: dict | list) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -113,19 +113,13 @@ def cmd_d(args) -> int:
 
 def cmd_goodpairs(args) -> int:
     space = parse_ls_v1(_read(args.file))
-    rows = []
+    rows, human = [], []
     for gp, emb in enumerate_good_pairs(space, args.max_size):
-        base_img = sorted(emb[b] for b in gp.base)
-        ext_img = sorted(emb[c] for c in gp.ext)
-        rows.append({"code": gp.code, "base": base_img, "ext": ext_img})
-    if args.json:
-        print(json.dumps(rows, sort_keys=True))
-    else:
-        for r in rows:
-            b = ",".join(map(str, r["base"])) or "-"
-            e = ",".join(map(str, r["ext"]))
-            print(f"{r['code']} base {b} ext {e}")
-        print(f"{len(rows)} good pairs")
+        base, ext = sorted(emb[b] for b in gp.base), sorted(emb[c] for c in gp.ext)
+        rows.append({"code": gp.code, "base": base, "ext": ext})
+        human.append(f"{gp.code} base {','.join(map(str, base)) or '-'} ext {','.join(map(str, ext))}")
+    human.append(f"{len(rows)} good pairs")
+    _emit(args, "\n".join(human), rows)
     return 0
 
 
@@ -163,11 +157,7 @@ def cmd_amalgamate(args) -> int:
         "embedding": {str(k): v for k, v in sorted(res.e_embedding.items())},
         "violations": [list(v) for v in res.violations],
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"outcome {res.outcome}")
-        sys.stdout.write(to_ls_v1(res.structure))
+    _emit(args, f"outcome {res.outcome}\n" + to_ls_v1(res.structure).rstrip("\n"), payload)
     return 0
 
 
@@ -193,16 +183,11 @@ def cmd_stats(args) -> int:
         "chi_saturation": st["chi_saturation"],
         "violations": [list(map(str, v[:2])) + list(v[2:]) for v in st["violations"]],
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for k, v in sorted(st["line_length_histogram"].items()):
-            print(f"lines of length {k}: {v}")
-        print(f"pair coverage: {st['pair_coverage']:.4f}")
-        for code, sat in sorted(st["chi_saturation"].items()):
-            print(f"chi/mu saturation {code}: {sat:.2f}")
-        for v in st["violations"]:
-            print(f"violation: {v}")
+    human = [f"lines of length {k}: {v}" for k, v in sorted(st["line_length_histogram"].items())]
+    human.append(f"pair coverage: {st['pair_coverage']:.4f}")
+    human += [f"chi/mu saturation {code}: {sat:.2f}" for code, sat in sorted(st["chi_saturation"].items())]
+    human += [f"violation: {v}" for v in st["violations"]]
+    _emit(args, "\n".join(human), payload)
     return 1 if st["violations"] else 0
 
 

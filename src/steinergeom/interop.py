@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import FormatError, SizeLimit, TooManyPoints
-from .space import MAX_POINTS, LinearSpace
+from .space import LinearSpace, _content_lines, _point_count
 
 MATROID_CHECK_LIMIT = 12
 
@@ -204,27 +204,19 @@ def to_inc_v1(B: IncidenceStructure) -> str:
 def parse_inc_v1(text: str) -> IncidenceStructure:
     n = None
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        row = raw.split("#", 1)[0].strip()
-        if not row:
-            continue
+    for lineno, row in _content_lines(text):
         parts = row.split()
-        if parts[0] == "points" and len(parts) == 2:
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise FormatError(lineno, f"bad point count {parts[1]!r}") from None
-            if n < 0:
-                raise FormatError(lineno, f"negative point count {n}")
-            if n > MAX_POINTS:
-                raise TooManyPoints(lineno, f"{n} points exceeds the cap of {MAX_POINTS}")
-        elif parts[0] == "line" and len(parts) >= 2 and parts[1].endswith(":"):
-            try:
+        try:
+            if parts[0] == "points" and len(parts) == 2:
+                n = _point_count(parts[1])
+            elif parts[0] == "line" and len(parts) >= 2 and parts[1].endswith(":"):
                 lines.append((tuple(int(x) for x in parts[2:]), lineno))
-            except ValueError:
-                raise FormatError(lineno, f"non-integer point id in {row!r}") from None
-        else:
-            raise FormatError(lineno, f"unrecognized row {row!r}")
+            else:
+                raise FormatError(lineno, f"unrecognized row {row!r}")
+        except ValueError as exc:
+            raise FormatError(lineno, f"{exc} in {row!r}") from None
+        except SizeLimit as exc:
+            raise TooManyPoints(lineno, str(exc)) from None
     if n is None:
         raise FormatError(0, "missing 'points N' row")
     lines.sort()

@@ -14,9 +14,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import FormatError, SizeLimit, TooManyPoints
-from .primitives import ALPHA_CODE, DEFAULT_CODE_LIMIT, _max_disjoint, canonical_code, decode_code
-from .primitives import enumerate_good_pairs
-from .space import LinearSpace, delta_mask, induced, mask_of
+from .primitives import ALPHA_CODE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
+from .primitives import canonical_code, decode_code, enumerate_good_pairs
+from .space import LinearSpace, _content_lines, delta_mask, induced, mask_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
 
@@ -39,8 +39,7 @@ class MuFunction:
             return self.alpha_value
         if code in self.overrides:
             return self.overrides[code]
-        space, base = decode_code(code)
-        return max(delta_mask(space, mask_of(base)), 1)
+        return _default_cap(code)
 
     def __eq__(self, other) -> bool:
         return (
@@ -51,6 +50,13 @@ class MuFunction:
 
     def __repr__(self) -> str:
         return f"MuFunction(alpha={self.alpha_value}, overrides={len(self.overrides)})"
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _default_cap(code: str) -> int:
+    """DEFAULT_POLICY's cap for a code, decoded once per process."""
+    space, base = decode_code(code)
+    return max(delta_mask(space, mask_of(base)), 1)
 
 
 def validate_mu(mu: MuFunction) -> tuple[bool, list[str]]:
@@ -79,11 +85,12 @@ def in_K_mu_bounded(
 ) -> tuple[bool, list[tuple[str, tuple[int, ...], int, int]]]:
     """Whether no good pair of size <= bound exceeds its mu cap.
 
-    Violations are (code, base image, chi, mu value).  Alpha is read off
-    line lengths; larger pairs are enumerated, grouped by (code, base
-    image), and chi is the exact maximum disjoint-copy packing over that
-    base.  The grouping is independent of mu and cached, so checking one
-    structure under several mu functions enumerates it once.
+    Violations are (code, base tuple, chi, mu value).  Alpha is read off
+    line lengths; larger pairs are enumerated and grouped by code and base
+    image as a set, a grouping independent of mu and cached, so checking
+    one structure under several mu functions enumerates it once.  chi
+    fixes the base pointwise: primitives._group_chi searches only a group
+    whose packing exceeds its cap, and the base tuple names the map.
 
     With `touching`, only the violations whose group meets those points
     are returned: the line for alpha, else the base image or one of the
@@ -103,15 +110,12 @@ def in_K_mu_bounded(
             violations.append((ALPHA_CODE, (ln[0], ln[1]), len(ln) - 2, mu.alpha_value))
 
     groups = _copy_groups_touching(M, bound, want) if want else _copy_groups_full(M, bound)
-    # many groups share a code, and mu.value decodes the code each time
-    caps: dict[str, int] = {}
     for (code, base_img), copies in sorted(groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
-        cap = caps.get(code)
-        if cap is None:
-            cap = caps[code] = mu.value(code)
-        chi_val = _max_disjoint(sorted(copies, key=sorted))
-        if chi_val > cap:
-            violations.append((code, tuple(sorted(base_img)), chi_val, cap))
+        cap, most = mu.value(code), _max_disjoint(copies)
+        if most > cap:
+            chi_val, base = _group_chi(M, code, base_img, most)
+            if chi_val > cap:
+                violations.append((code, base, chi_val, cap))
     return not violations, violations
 
 
@@ -199,10 +203,7 @@ def _value(what: str, text: str) -> int:
 def parse_mu_v1(text: str) -> MuFunction:
     alpha: Optional[int] = None
     overrides: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        row = raw.split("#", 1)[0].strip()
-        if not row:
-            continue
+    for lineno, row in _content_lines(text):
         parts = row.split()
         try:
             if parts[0] == "alpha" and len(parts) == 2:

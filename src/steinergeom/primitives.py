@@ -31,7 +31,7 @@ its verdict and code.  Both keep strings only, never a space.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -41,6 +41,8 @@ from .errors import AxiomViolation, FormatError, NotStrong, NotZeroPrimitive, Si
 from .space import (
     MAX_POINTS,
     LinearSpace,
+    _content_lines,
+    _point_count,
     delta_mask,
     mask_of,
     parse_ls_v1,
@@ -246,12 +248,10 @@ def decode_code(code: str) -> tuple[LinearSpace, frozenset[int]]:
     head, _, body = code.partition("|")
     nb_s, _, nc_s = head[2:].partition(".")
     try:
-        nb, nc = int(nb_s), int(nc_s)
+        nb, nc = _point_count(nb_s), _point_count(nc_s)
         lines = [tuple(int(x) for x in part.split(",")) for part in body.split("|")] if body else []
     except ValueError:
         raise ValueError(f"malformed canonical code: {code!r}") from None
-    if nb < 0 or nc < 0:
-        raise ValueError(f"malformed canonical code: {code!r}")
     if nb + nc > MAX_POINTS:
         raise SizeLimit(f"code of {nb + nc} points exceeds the cap of {MAX_POINTS}")
     try:
@@ -610,7 +610,7 @@ def copies_over_base(
     return sorted(images, key=sorted)
 
 
-def _max_disjoint(sets: list[frozenset[int]]) -> int:
+def _max_disjoint(sets: Iterable[frozenset[int]]) -> int:
     """Largest number of pairwise disjoint sets among `sets`."""
     return _pack(sorted(sets, key=lambda s: (len(s), sorted(s))), 0, frozenset(), 0, 0)
 
@@ -628,10 +628,31 @@ def _pack(sets: list[frozenset[int]], i: int, taken: frozenset[int], count: int,
 
 
 def chi(M: LinearSpace, gp: GoodPair, b_embed: dict[int, int]) -> int:
-    """Maximum number of copies of gp.ext over the embedded base that are
-    pairwise disjoint outside it."""
-    copies = copies_over_base(M, gp.space, gp.base, b_embed)
-    return _max_disjoint(copies)
+    """Maximum number of copies of gp.ext over the embedded base, which
+    they fix pointwise, that are pairwise disjoint outside it.
+    _group_chi reads it for a (code, base image) group."""
+    return _max_disjoint(copies_over_base(M, gp.space, gp.base, b_embed))
+
+
+def _group_chi(M: LinearSpace, code: str, base_img: Iterable[int], most: int) -> tuple[int, tuple[int, ...]]:
+    """The largest chi of the code's pair over the maps of its base
+    0..nb-1 onto base_img, and the values of the first map, in
+    lexicographic order, that reaches it: chi(M, GoodPair(*decode_code(
+    code)), dict(enumerate(values))) gives the count.  `most`, the
+    packing of the group's copies, bounds every map's count, so the search
+    stops at a map that reaches it; a map that preserves_lines refuses
+    carries no copy."""
+    space, base = decode_code(code)
+    best, best_img = 0, tuple(sorted(base_img))
+    for img in permutations(best_img):
+        b_embed = dict(enumerate(img))
+        if preserves_lines(space, M, b_embed):
+            val = _max_disjoint(copies_over_base(M, space, base, b_embed))
+            if val > best:
+                best, best_img = val, img
+                if best == most:
+                    break
+    return best, best_img
 
 
 # -- enumeration -------------------------------------------------------
@@ -843,22 +864,16 @@ def to_gp_v1(space: LinearSpace, base: Iterable[int]) -> str:
 
 
 def parse_gp_v1(text: str) -> tuple[LinearSpace, frozenset[int]]:
-    ls_part = []
-    base_line = None
-    base_lineno = 0
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("base"):
-            if base_line is not None:
-                raise FormatError(i, f"second 'base' row; the first is on line {base_lineno}")
-            base_line, base_lineno = stripped, i
-            # a blank in its place keeps the ls-v1 line numbers
-            ls_part.append("")
-        else:
-            ls_part.append(raw)
-    if base_line is None:
+    base_rows = [row for row in _content_lines(text) if row[1].startswith("base")]
+    if not base_rows:
         raise FormatError(0, "missing 'base ...' line")
-    space = parse_ls_v1("\n".join(ls_part))
+    (base_lineno, base_line), *more = base_rows
+    if more:
+        raise FormatError(more[0][0], f"second 'base' row; the first is on line {base_lineno}")
+    # a blank in its place keeps the ls-v1 line numbers
+    lines = text.splitlines()
+    lines[base_lineno - 1] = ""
+    space = parse_ls_v1("\n".join(lines))
     try:
         base = frozenset(int(x) for x in base_line.split()[1:])
     except ValueError:

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AxiomViolation, FormatError, TooManyPoints
+from .errors import AxiomViolation, FormatError, SizeLimit, TooManyPoints
 
 # the largest `points N` a text format accepts; the parsers check it
 # before they allocate anything for the points
@@ -295,10 +295,25 @@ def to_ls_v1(space: LinearSpace) -> str:
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, row) of each row left once comments are cut."""
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield i, stripped
+
+
+def _point_count(digits: str) -> int:
+    """The count a string of decimal digits names, else a ValueError; past
+    MAX_POINTS a SizeLimit, found by length first, as int() refuses more
+    than 4,300 digits."""
+    if not digits.isdecimal():
+        raise ValueError(f"bad point count {digits!r}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_POINTS)):
+        raise SizeLimit(f"a {len(digits)}-digit point count exceeds the cap of {MAX_POINTS}")
+    if int(digits) > MAX_POINTS:
+        raise SizeLimit(f"{digits} points exceeds the cap of {MAX_POINTS}")
+    return int(digits)
 
 
 def parse_ls_v1(text: str) -> LinearSpace:
@@ -314,16 +329,14 @@ def parse_ls_v1(text: str) -> LinearSpace:
     except StopIteration:
         raise FormatError(lineno, "missing 'points N' line") from None
     parts = pts.split()
-    if len(parts) != 2 or parts[0] != "points" or not parts[1].isdecimal():
-        raise FormatError(lineno, f"expected 'points N', got '{pts}'")
-    # int() refuses more than 4,300 digits, and a count with more digits
-    # than the cap, leading zeros aside, is over it
-    digits = parts[1].lstrip("0") or "0"
-    if len(digits) > len(str(MAX_POINTS)):
-        raise TooManyPoints(lineno, f"a {len(digits)}-digit point count exceeds the cap of {MAX_POINTS}")
-    n = int(digits)
-    if n > MAX_POINTS:
-        raise TooManyPoints(lineno, f"{n} points exceeds the cap of {MAX_POINTS}")
+    try:
+        if len(parts) != 2 or parts[0] != "points":
+            raise ValueError("expected 'points N'")
+        n = _point_count(parts[1])
+    except ValueError as exc:
+        raise FormatError(lineno, f"{exc}, got '{pts}'") from None
+    except SizeLimit as exc:
+        raise TooManyPoints(lineno, str(exc)) from None
     lines = []
     seen: dict[tuple[int, ...], int] = {}
     for lineno, row in it:

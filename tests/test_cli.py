@@ -184,7 +184,11 @@ def test_point_cap_exit_code(tmp_path, capsys):
     ls.write_text(f"linear-space v1\npoints {MAX_POINTS + 1}\n")
     inc = tmp_path / "over.inc"
     inc.write_text(f"# one more than the cap\npoints {MAX_POINTS + 1}\n")
+    # a count with more digits than int() reads
+    long_inc = tmp_path / "long.inc"
+    long_inc.write_text("# far over the cap\npoints " + "1" * 5001 + "\n")
     for argv in (["validate", str(ls)], ["d", str(ls), "--set", "0"],
-                 ["convert", "--to", "one-sorted", str(inc)]):
+                 ["convert", "--to", "one-sorted", str(inc)],
+                 ["convert", "--to", "one-sorted", str(long_inc)]):
         assert main(argv) == 3
         assert "line 2:" in capsys.readouterr().err

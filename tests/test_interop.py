@@ -168,6 +168,7 @@ INC_V1_ERRORS = {
     "points 3\nline 0: 0 1 q\n": 2,
     "points 3\nwhat\n": 2,
     "points -5\n": 1,
+    "points +3\nline 0: 0 1 2\n": 1,
     # a pair on two lines: the later of their rows, whichever sorts first
     "points 3\nline 0: 0 1\nline 1: 0 1 2\n": 3,
     "points 3\nline 0: 0 1 2\nline 1: 0 1\n": 3,
@@ -193,6 +194,8 @@ def test_inc_v1_errors(text):
     [
         ("# a count below zero\npoints -5\n", FormatError),
         (f"\npoints {MAX_POINTS + 1}\nline 0: 0 1\n", TooManyPoints),
+        ("\npoints +3\nline 0: 0 1 2\n", FormatError),
+        pytest.param("\npoints " + "1" * 5001 + "\n", TooManyPoints, id="5001-digit count"),
     ],
 )
 def test_inc_v1_point_count_is_checked_on_its_row(text, error):

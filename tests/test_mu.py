@@ -1,4 +1,5 @@
 import hashlib
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from steinergeom import (
     ALPHA_CODE,
     FormatError,
+    GoodPair,
     LinearSpace,
     MuFunction,
     alpha_pair,
@@ -31,6 +33,7 @@ from steinergeom.errors import SizeLimit, TooManyPoints
 from steinergeom.mu import _copy_groups_full, _copy_groups_touching
 from steinergeom.primitives import DEFAULT_CODE_LIMIT
 from steinergeom.space import MAX_POINTS
+from oracle import embeddings_oracle, max_disjoint_oracle
 from test_amalgam import grow_k0
 
 
@@ -95,6 +98,7 @@ def test_mu_v1_roundtrip():
         "alpha 1\npair gp2.2|0,1,3 -1\n",
         # a shape whose canonical code is gp2.2|0,1,3
         "alpha 1\npair gp2.2|0,1,2 5\n",
+        pytest.param("alpha 1\npair gp1" + "0" * 4999 + ".1| 3\n", id="5000-digit base size"),
     ],
 )
 def test_mu_v1_errors(text):
@@ -115,9 +119,11 @@ def test_mu_v1_codes_are_canonical_up_to_the_code_limit():
 
 
 def test_mu_v1_code_over_the_point_cap_is_a_size_limit():
-    with pytest.raises(TooManyPoints) as exc:
-        parse_mu_v1(f"alpha 1\npair gp2.{MAX_POINTS - 1}| 3\n")
-    assert exc.value.lineno == 2 and isinstance(exc.value, SizeLimit)
+    # the second size has more digits than int() reads
+    for code in (f"gp2.{MAX_POINTS - 1}|", "gp1" + "0" * 4999 + ".1|"):
+        with pytest.raises(TooManyPoints) as exc:
+            parse_mu_v1(f"alpha 1\npair {code} 3\n")
+        assert exc.value.lineno == 2 and isinstance(exc.value, SizeLimit)
 
 
 def test_bounded_check_alpha_violation():
@@ -255,6 +261,8 @@ def _recheck_chains(rng):
             nxt = grow_k0(rng, M, rng.randrange(1, 3))
             yield M, nxt, 7
             M = nxt
+    # a copy glued over the hub pair in the other orientation
+    yield _mixed_tower((0, 1, 0)), _mixed_tower((0, 1, 0, 1)), 7
 
 
 def test_touching_recheck_equals_the_filtered_full_check():
@@ -281,6 +289,78 @@ def test_touching_recheck_equals_the_filtered_full_check():
             assert part == [v for v in all_viols if _violation_points(M, bound, v) & T]
             assert ok == (not part)
     assert met_old_ext
+
+
+# a pair whose two base points play different roles
+MIXED_CODE = "gp2.5|0,2,4|0,3,5|1,2,3,6|4,5,6"
+
+
+def _mixed_tower(orientations):
+    """MIXED_CODE's pair glued over {0, 1} once per entry: as written for
+    0, with the base roles swapped for 1."""
+    space, _ = decode_code(MIXED_CODE)
+    swapped = LinearSpace(space.n, [[{0: 1, 1: 0}.get(p, p) for p in ln] for ln in space.lines])
+    M = LinearSpace(2, [])
+    for o in orientations:
+        M = free_amalgam(M, (space, swapped)[o], [0, 1])
+    return M
+
+
+def _oracle_copies(M, code, copies, img):
+    """The copies among `copies` that lie over the base map i -> img[i]
+    of the code's pair, by brute force on the structure induced on the
+    base image and the copy."""
+    space, base = decode_code(code)
+    out = []
+    for copy in copies:
+        pts = sorted(set(img) | copy)
+        if embeddings_oracle(induced(M, pts), space, base, {i: pts.index(p) for i, p in enumerate(img)}):
+            out.append(copy)
+    return out
+
+
+def test_violations_count_copies_over_the_base_pointwise():
+    # three copies in one orientation, one in the other: 3 over one map
+    # and 1 over the other, not 4 over the set {0, 1}
+    _, violations = in_K_mu_bounded(_mixed_tower((0, 1, 1, 1)), MuFunction(1), 7)
+    assert (MIXED_CODE, (1, 0), 3, 2) in violations
+    rng = Random(54)
+    cases = [
+        (_mixed_tower((0, 1, 1, 1)), 7, MuFunction(1)),
+        # 2 and 1 over the two maps: under the cap 2, over the cap 1
+        (_mixed_tower((0, 1, 0)), 7, MuFunction(1)),
+        (_mixed_tower((0, 1, 0)), 7, MuFunction(1, {MIXED_CODE: 1})),
+        (_hub_stack(rng, (1, 1, 1)), 10, mu_X([])),
+        (_hub_stack(rng, (1, 2)), 10, MuFunction(1, {cycle_Ck(1).code: 0})),
+    ]
+    met, under = 0, 0
+    for M, bound, mu in cases:
+        _, violations = in_K_mu_bounded(M, mu, bound)
+        found = {(code, frozenset(base)): (base, val) for code, base, val, _cap in violations if code != ALPHA_CODE}
+        for (code, img), copies in _copy_groups_full(M, bound).items():
+            cap = mu.value(code)
+            # every copy over a base map is in the group, so the group's
+            # packing bounds the packing over each map
+            if max_disjoint_oracle(copies) <= cap:
+                assert (code, img) not in found
+                continue
+            per_map = {
+                vals: max_disjoint_oracle(_oracle_copies(M, code, copies, vals))
+                for vals in permutations(sorted(img))
+            }
+            best = max(per_map.values())
+            if best <= cap:
+                assert (code, img) not in found
+                under += 1
+                continue
+            assert (code, img) in found, f"chi {best} over a base map exceeds the cap {cap}"
+            base, val = found.pop((code, img))
+            assert val == best == per_map[base]
+            assert base == min(vals for vals, count in per_map.items() if count == best)
+            assert chi(M, GoodPair(*decode_code(code)), dict(enumerate(base))) == val
+            met += 1
+        assert not found
+    assert met >= 4 and under >= 1
 
 
 def test_copy_groups_cache_is_read_only():
