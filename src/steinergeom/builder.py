@@ -34,7 +34,7 @@ from .errors import FormatError
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
 from .primitives import ALPHA_CODE, GoodPair, _group_chi, _max_disjoint, alpha_pair, copies_over_base
-from .space import LinearSpace, induced, pair_coverage, parse_ls_v1, preserves_lines, to_ls_v1
+from .space import LinearSpace, _content_lines, _ls_v1_rows, induced, pair_coverage, preserves_lines, to_ls_v1
 
 DEFAULT_TEMPLATE_MAX = 10
 ADD_POINT_EVERY = 25
@@ -315,18 +315,14 @@ def _parse_payload(kind: str, toks: list[str]) -> tuple:
 
 
 def parse_trace_v1(text: str) -> BuildTrace:
-    lines = text.splitlines()
-    if not lines:
+    rows = _content_lines(text)
+    lineno, header = next(rows, (0, None))
+    if header is None:
         raise FormatError(0, "empty input")
-    if lines[0].strip() != "trace v1":
-        raise FormatError(1, "expected 'trace v1' header")
+    if header != "trace v1":
+        raise FormatError(lineno, "expected 'trace v1' header")
     trace = BuildTrace(seed=0, template_max=0, mu_hash="")
-    i = 1
-    while i < len(lines):
-        row = lines[i].strip()
-        i += 1
-        if not row:
-            continue
+    for lineno, row in rows:
         parts = row.split()
         try:
             if parts[0] in ("seed", "mu", "template-max") and len(parts) != 2:
@@ -342,20 +338,16 @@ def parse_trace_v1(text: str) -> BuildTrace:
                 trace.steps.append(BuildStep(int(parts[1]), parts[2], payload))
             elif parts[0] == "snapshot" and parts[-1] == "begin":
                 idx = int(parts[1])
-                start = i
-                while i < len(lines) and lines[i].strip() != "snapshot end":
-                    i += 1
-                if i == len(lines):
-                    raise FormatError(start, "snapshot block has no 'snapshot end'")
-                try:
-                    snap = parse_ls_v1("\n".join(lines[start:i]))
-                except FormatError as exc:
-                    # same class, so an over-cap snapshot stays a SizeLimit
-                    raise type(exc)(start + exc.lineno, f"in snapshot {idx}: {exc}") from None
-                trace.snapshots.append((idx, snap))
-                i += 1
+                block = []
+                for block_row in rows:
+                    if block_row[1] == "snapshot end":
+                        break
+                    block.append(block_row)
+                else:
+                    raise FormatError(lineno, "snapshot block has no 'snapshot end'")
+                trace.snapshots.append((idx, _ls_v1_rows(block, lineno)))
             else:
-                raise FormatError(i, f"unrecognized row {row!r}")
+                raise FormatError(lineno, f"unrecognized row {row!r}")
         except (IndexError, ValueError) as exc:
-            raise FormatError(i, f"malformed row {row!r}: {exc}") from None
+            raise FormatError(lineno, f"malformed row {row!r}: {exc}") from None
     return trace

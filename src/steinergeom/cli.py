@@ -59,9 +59,11 @@ def _point_list(text: str) -> list[int]:
 
 
 def _emit(args, human: str, payload: dict | list) -> None:
+    """The payload as JSON under --json, else the human text, which
+    prints nothing when empty."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
-    else:
+    elif human:
         print(human)
 
 
@@ -215,13 +217,9 @@ def cmd_gallery(args) -> int:
             "a_edges": sorted(sorted(e) for e in g.a_edges),
             "b_edges": sorted(sorted(e) for e in g.b_edges),
         }
-        if args.json:
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            for u, v in payload["a_edges"]:
-                print(f"a {u} {v}")
-            for u, v in payload["b_edges"]:
-                print(f"b {u} {v}")
+        human = [f"a {u} {v}" for u, v in payload["a_edges"]]
+        human += [f"b {u} {v}" for u, v in payload["b_edges"]]
+        _emit(args, "\n".join(human), payload)
     return 0
 
 

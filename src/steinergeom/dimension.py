@@ -2,12 +2,12 @@
 the dimension function derived from the predimension.
 
 The searches here are exact, and one rule decides how each is answered.
-A single interval minimum (in_K0, is_strong, icl, d, d_closure) goes
-through the branch-and-bound search of min_delta_interval, with
-_smallest_below for the (size, lex)-least witness; both take at most
-SEARCH_LIMIT free points.  Dense numpy tables over all subsets
-(delta_table, d_table) are used only where every subset's value is
-needed, as in check_exchange.
+A single interval minimum (is_strong, icl, d, d_closure) goes through
+the branch-and-bound search of min_delta_interval, with _smallest_below
+for the (size, lex)-least witness; both take at most SEARCH_LIMIT free
+points.  in_K0 is is_strong(∅, M) and reads its answer.  Dense numpy
+tables over all subsets (delta_table, d_table) are used only where
+every subset's value is needed, as in check_exchange.
 """
 
 from __future__ import annotations
@@ -160,13 +160,11 @@ def in_K0(space: LinearSpace):
     """Whether every subset has nonnegative delta.
 
     Returns (True, None) or (False, minimal violating subset), minimal
-    by size then lexicographically.
+    by size then lexicographically: K_0 membership is is_strong(∅, M),
+    since delta(∅) = 0.
     """
-    m = min_delta_interval(space, 0, space.full_mask(), stop_below=0)
-    if m >= 0:
-        return True, None
-    bad = _smallest_below(space, 0, space.full_mask(), 0)
-    return False, frozenset(points_of(bad))
+    w = is_strong(space, (), range(space.n))
+    return w.ok, w.violating
 
 
 def is_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> StrongExtensionWitness:

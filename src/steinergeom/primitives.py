@@ -42,10 +42,10 @@ from .space import (
     MAX_POINTS,
     LinearSpace,
     _content_lines,
+    _ls_v1_rows,
     _point_count,
     delta_mask,
     mask_of,
-    parse_ls_v1,
     points_of,
     preserves_lines,
     to_ls_v1,
@@ -864,16 +864,14 @@ def to_gp_v1(space: LinearSpace, base: Iterable[int]) -> str:
 
 
 def parse_gp_v1(text: str) -> tuple[LinearSpace, frozenset[int]]:
-    base_rows = [row for row in _content_lines(text) if row[1].startswith("base")]
+    rows = list(_content_lines(text))
+    base_rows = [row for row in rows if row[1].startswith("base")]
     if not base_rows:
         raise FormatError(0, "missing 'base ...' line")
     (base_lineno, base_line), *more = base_rows
     if more:
         raise FormatError(more[0][0], f"second 'base' row; the first is on line {base_lineno}")
-    # a blank in its place keeps the ls-v1 line numbers
-    lines = text.splitlines()
-    lines[base_lineno - 1] = ""
-    space = parse_ls_v1("\n".join(lines))
+    space = _ls_v1_rows(row for row in rows if row[0] != base_lineno)
     try:
         base = frozenset(int(x) for x in base_line.split()[1:])
     except ValueError:

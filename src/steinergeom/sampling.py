@@ -3,8 +3,10 @@
 Structures are grown by rejection: random triples (and occasional line
 extensions) are kept only when the linear-space axiom survives, and the
 K_0 samplers additionally re-check hereditary nonnegativity after every
-accepted change.  Everything is driven by a caller-supplied Random, so
-runs replay from their seed.
+accepted change.  Every change commits through LinearSpace.with_lines,
+which equals rebuilding the space from the edited line list and raises
+the same exceptions.  Everything is driven by a caller-supplied Random,
+so runs replay from their seed.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ def random_space(rng: Random, n: int, *, tries: int | None = None) -> LinearSpac
             p = rng.randrange(n)
             if p in ln:
                 continue
-            cand_lines = [row if row != ln else tuple(sorted(row + (p,))) for row in cur.lines]
+            add, drop = [ln + (p,)], [ln]
         elif n >= 3:
-            t = rng.sample(range(n), 3)
-            cand_lines = list(cur.lines) + [tuple(sorted(t))]
+            add, drop = [rng.sample(range(n), 3)], []
         else:
             break
         try:
-            cur = LinearSpace(n, cand_lines)
+            cur = cur.with_lines(n, add=add, drop=drop)
         except (AxiomViolation, ValueError):
             continue
     return cur
@@ -49,9 +50,8 @@ def random_k0(rng: Random, n: int, *, tries: int | None = None) -> LinearSpace:
     for _ in range(tries):
         if n < 3:
             break
-        t = rng.sample(range(n), 3)
         try:
-            cand = LinearSpace(n, list(cur.lines) + [tuple(sorted(t))])
+            cand = cur.with_lines(n, add=[rng.sample(range(n), 3)])
         except (AxiomViolation, ValueError):
             continue
         ok, _ = in_K0(cand)

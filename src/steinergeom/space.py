@@ -295,7 +295,8 @@ def to_ls_v1(space: LinearSpace) -> str:
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, row) of each row left once comments are cut."""
+    """(line number, row) of each row left once comments are cut; the
+    row reader of all five text parsers."""
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
@@ -317,11 +318,19 @@ def _point_count(digits: str) -> int:
 
 
 def parse_ls_v1(text: str) -> LinearSpace:
-    it = _content_lines(text)
+    return _ls_v1_rows(_content_lines(text))
+
+
+def _ls_v1_rows(rows: Iterable[tuple[int, str]], lineno: int = 0) -> LinearSpace:
+    """The ls-v1 structure on (line number, row) pairs as _content_lines
+    yields them; no rows at all is an error on line `lineno`.  gp-v1
+    passes its rows without the base row, and trace-v1 each snapshot
+    block."""
+    it = iter(rows)
     try:
         lineno, header = next(it)
     except StopIteration:
-        raise FormatError(0, "empty input") from None
+        raise FormatError(lineno, "empty input") from None
     if header != LS_V1_HEADER:
         raise FormatError(lineno, f"expected '{LS_V1_HEADER}', got '{header}'")
     try:

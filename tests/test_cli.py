@@ -143,6 +143,21 @@ def test_gallery_cyclegraph(fano_file, capsys):
     assert payload["a_edges"] == [[3, 4], [5, 6]]
 
 
+def test_gallery_cyclegraph_text(fano_file, capsys):
+    assert main(["gallery", "cyclegraph", fano_file, "--pair", "0,1"]) == 0
+    assert capsys.readouterr().out == "a 3 4\na 5 6\nb 3 5\nb 4 6\n"
+
+
+def test_gallery_cyclegraph_without_edges(tmp_path, capsys):
+    # points 3 and 4 lie on no line: the graph has vertices and no edges
+    p = tmp_path / "line.ls"
+    p.write_text("linear-space v1\npoints 5\nline 0 1 2\n")
+    assert main(["gallery", "cyclegraph", str(p), "--pair", "0,1"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["gallery", "cyclegraph", str(p), "--pair", "0,1", "--json"]) == 0
+    assert capsys.readouterr().out == '{"a_edges": [], "b_edges": [], "vertices": [3, 4]}\n'
+
+
 @pytest.mark.parametrize("pair", [[], ["--pair", "0"], ["--pair", "0,1,2"]])
 def test_gallery_cyclegraph_needs_a_pair(fano_file, capsys, pair):
     assert main(["gallery", "cyclegraph", fano_file, *pair]) == 2

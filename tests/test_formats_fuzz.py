@@ -5,7 +5,8 @@ Every writer's output parses back to the object written.  Every text,
 whether built from the formats' own words or edited from a valid
 serialization, parses to an object or raises FormatError with a line
 number of the text (0 when no single row is at fault); no other
-exception escapes a parser.
+exception escapes a parser.  Comment and blank rows, anywhere, and
+comments at the end of rows leave every parse as it is.
 
 Examples are derandomized and few, so the suite stays fast and every run
 checks the same inputs.
@@ -167,6 +168,24 @@ def test_inc_v1_round_trips(seed):
 def test_trace_v1_round_trips(seed):
     trace = _trace(seed)
     assert parse_trace_v1(to_trace_v1(trace)) == trace
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+def test_comments_and_blank_rows_leave_the_parse_as_it_is(fmt):
+    write, parse = WRITERS[fmt]
+    for seed in range(4):
+        text = write(seed)
+        # a comment row before the header and after every row, trace
+        # snapshot blocks included, each followed by a blank row
+        commented = ["# before the header"]
+        for i, row in enumerate(text.splitlines()):
+            commented += [f"{row}  # row {i}", f"# after row {i}", ""]
+        assert parse("\n".join(commented)) == parse(text)
+
+
+def test_trace_v1_comment_on_a_row_and_before_the_header():
+    assert parse_trace_v1("trace v1\nseed 3 # the seed\n").seed == 3
+    assert parse_trace_v1("# note\ntrace v1\nseed 3\n").seed == 3
 
 
 @FUZZ
