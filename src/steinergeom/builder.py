@@ -34,7 +34,8 @@ from .errors import FormatError
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
 from .primitives import ALPHA_CODE, GoodPair, _group_chi, _max_disjoint, alpha_pair, copies_over_base
-from .space import LinearSpace, _content_lines, _ls_v1_rows, induced, pair_coverage, preserves_lines, to_ls_v1
+from .space import LinearSpace, _content_lines, _ls_v1_rows, _row
+from .space import induced, pair_coverage, preserves_lines, to_ls_v1
 
 DEFAULT_TEMPLATE_MAX = 10
 ADD_POINT_EVERY = 25
@@ -297,57 +298,54 @@ def _payload_str(payload: tuple) -> str:
     return " ".join(parts)
 
 
-_PAYLOAD_TOKENS = {"add-point": 1, "complete-line": 3, "realize": 3, "identify": 3}
-
-
-def _parse_payload(kind: str, toks: list[str]) -> tuple:
-    if len(toks) != _PAYLOAD_TOKENS.get(kind):
-        raise ValueError(f"bad payload for step kind {kind!r}")
-    if kind in ("realize", "identify"):
-        # code, base image, extension image; the images are tuples even
-        # when they hold a single point
-        code = toks[0]
-        imgs = tuple(
-            () if t == "-" else tuple(int(x) for x in t.split(",")) for t in toks[1:]
-        )
-        return (code, *imgs)
-    return tuple(int(t) for t in toks)
-
-
 def parse_trace_v1(text: str) -> BuildTrace:
+    """The header, at most one `seed`, `mu` and `template-max` row each,
+    the step rows and the snapshot blocks.  Step indices never fall, nor
+    do snapshot indices: build gives each completion drained after its
+    loop the index `steps`, and repeats the last snapshot's index when
+    snapshot_every divides `steps`."""
     rows = _content_lines(text)
     lineno, header = next(rows, (0, None))
-    if header is None:
-        raise FormatError(0, "empty input")
     if header != "trace v1":
-        raise FormatError(lineno, "expected 'trace v1' header")
+        raise FormatError(lineno, "empty input" if header is None else "expected 'trace v1' header")
     trace = BuildTrace(seed=0, template_max=0, mu_hash="")
+    seen: set[str] = set()
+    last = {"step": 0, "snapshot": 0}
+
+    def index(kind: str, token: str) -> int:
+        if int(token) < last[kind]:
+            raise ValueError(f"{kind} index {token} falls below {last[kind]}")
+        last[kind] = int(token)
+        return last[kind]
+
     for lineno, row in rows:
-        parts = row.split()
-        try:
-            if parts[0] in ("seed", "mu", "template-max") and len(parts) != 2:
-                raise ValueError("expected one value")
-            if parts[0] == "seed":
-                trace.seed = int(parts[1])
-            elif parts[0] == "mu":
-                trace.mu_hash = parts[1]
-            elif parts[0] == "template-max":
-                trace.template_max = int(parts[1])
-            elif parts[0] == "step":
-                payload = _parse_payload(parts[2], parts[3:])
-                trace.steps.append(BuildStep(int(parts[1]), parts[2], payload))
-            elif parts[0] == "snapshot" and parts[-1] == "begin":
-                idx = int(parts[1])
-                block = []
-                for block_row in rows:
-                    if block_row[1] == "snapshot end":
-                        break
-                    block.append(block_row)
-                else:
-                    raise FormatError(lineno, "snapshot block has no 'snapshot end'")
-                trace.snapshots.append((idx, _ls_v1_rows(block, lineno)))
-            else:
-                raise FormatError(lineno, f"unrecognized row {row!r}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(lineno, f"malformed row {row!r}: {exc}") from None
+        with _row(lineno):
+            match fields := row.split():
+                case ["seed", value] if "seed" not in seen:
+                    trace.seed = int(value)
+                case ["mu", value] if "mu" not in seen:
+                    trace.mu_hash = value
+                case ["template-max", value] if "template-max" not in seen:
+                    trace.template_max = int(value)
+                case ["step", i, "add-point" as kind, pid]:
+                    trace.steps.append(BuildStep(index("step", i), kind, (int(pid),)))
+                case ["step", i, "complete-line" as kind, a, b, pid]:
+                    trace.steps.append(BuildStep(index("step", i), kind, (int(a), int(b), int(pid))))
+                case ["step", i, "realize" | "identify" as kind, code, base, ext]:
+                    # base and extension images are tuples even of one point; "-" is none
+                    images = (() if t == "-" else tuple(int(x) for x in t.split(",")) for t in (base, ext))
+                    trace.steps.append(BuildStep(index("step", i), kind, (code, *images)))
+                case ["snapshot", i, "begin"]:
+                    i = index("snapshot", i)
+                    block = []
+                    for block_row in rows:
+                        if block_row[1] == "snapshot end":
+                            break
+                        block.append(block_row)
+                    else:
+                        raise ValueError("snapshot block has no 'snapshot end'")
+                    trace.snapshots.append((i, _ls_v1_rows(block, lineno)))
+                case _:
+                    raise ValueError(f"unexpected row {row!r}")
+            seen.add(fields[0])
     return trace

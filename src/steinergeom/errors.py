@@ -28,12 +28,13 @@ class FormatError(SteinerGeomError):
 
 
 class SizeLimit(SteinerGeomError):
-    """A search exceeded its configured exhaustive-search bound."""
+    """A search or a structure exceeded its configured size bound."""
 
 
 class TooManyPoints(FormatError, SizeLimit):
-    """A text input declares more points than space.MAX_POINTS; raised
-    on its `points` row before anything is allocated."""
+    """A text input names more points than space.MAX_POINTS, or lines on
+    more point pairs than space.MAX_PAIRS; raised on a row of the text
+    before either is allocated."""
 
 
 class NotStrong(SteinerGeomError):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import FormatError, SizeLimit, TooManyPoints
-from .space import LinearSpace, _content_lines, _point_count
+from .errors import FormatError, SizeLimit
+from .space import LinearSpace, _content_lines, _point_count, _row
 
 MATROID_CHECK_LIMIT = 12
 
@@ -202,30 +202,27 @@ def to_inc_v1(B: IncidenceStructure) -> str:
 
 
 def parse_inc_v1(text: str) -> IncidenceStructure:
+    """One `points` row and the `line j:` rows, sorted; j is not read."""
     n = None
     lines = []
     for lineno, row in _content_lines(text):
-        parts = row.split()
-        try:
-            if parts[0] == "points" and len(parts) == 2:
-                n = _point_count(parts[1])
-            elif parts[0] == "line" and len(parts) >= 2 and parts[1].endswith(":"):
-                lines.append((tuple(int(x) for x in parts[2:]), lineno))
-            else:
-                raise FormatError(lineno, f"unrecognized row {row!r}")
-        except ValueError as exc:
-            raise FormatError(lineno, f"{exc} in {row!r}") from None
-        except SizeLimit as exc:
-            raise TooManyPoints(lineno, str(exc)) from None
+        with _row(lineno):
+            match row.split():
+                case ["points", count] if n is None:
+                    n = _point_count(count)
+                case ["line", label, *ids] if label.endswith(":"):
+                    lines.append((tuple(int(x) for x in ids), lineno))
+                case _:
+                    raise ValueError(f"unexpected row {row!r}")
     if n is None:
         raise FormatError(0, "missing 'points N' row")
     lines.sort()
-    try:
-        return IncidenceStructure(n, tuple(ln for ln, _ in lines))
-    except ValueError as exc:
-        # a bad line on its row, a shared pair on the later row, else line 0
-        at = max((lines[i][1] for i in getattr(exc, "lines", ())), default=0)
-        raise FormatError(at, str(exc)) from exc
+    # a bad line on its row, a shared pair on the later row, else line 0
+    with _row(0):
+        try:
+            return IncidenceStructure(n, tuple(ln for ln, _ in lines))
+        except _LineError as exc:
+            raise FormatError(max(lines[i][1] for i in exc.lines), str(exc)) from exc
 
 
 def to_pbd_text(r: PBDRecord) -> str:

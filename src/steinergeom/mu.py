@@ -13,10 +13,10 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .errors import FormatError, SizeLimit, TooManyPoints
+from .errors import FormatError
 from .primitives import ALPHA_CODE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
 from .primitives import canonical_code, decode_code, enumerate_good_pairs
-from .space import LinearSpace, _content_lines, delta_mask, induced, mask_of
+from .space import LinearSpace, _content_lines, _row, delta_mask, induced, mask_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
 
@@ -201,29 +201,27 @@ def _value(what: str, text: str) -> int:
 
 
 def parse_mu_v1(text: str) -> MuFunction:
+    """One `alpha` row, one `pair` row per code and at most one `default` row."""
     alpha: Optional[int] = None
     overrides: dict[str, int] = {}
+    default = None
     for lineno, row in _content_lines(text):
-        parts = row.split()
-        try:
-            if parts[0] == "alpha" and len(parts) == 2:
-                alpha = _value("alpha", parts[1])
-            elif parts[0] == "pair" and len(parts) == 3:
-                code, value = parts[1], _value("pair", parts[2])
-                space, base = decode_code(code)
-                # enumerations give canonical codes of at most DEFAULT_CODE_LIMIT points
-                if space.n <= DEFAULT_CODE_LIMIT and (canon := canonical_code(space, base)) != code:
-                    raise ValueError(f"code {code!r} is not canonical; its shape's code is {canon!r}")
-                overrides[code] = value
-            elif parts[0] == "default" and len(parts) == 2:
-                if parts[1] != DEFAULT_POLICY:
-                    raise ValueError(f"unknown default policy {parts[1]!r}")
-            else:
-                raise ValueError(f"unrecognized row {row!r}")
-        except ValueError as exc:
-            raise FormatError(lineno, str(exc)) from None
-        except SizeLimit as exc:
-            raise TooManyPoints(lineno, str(exc)) from None
+        with _row(lineno):
+            match row.split():
+                case ["alpha", value] if alpha is None:
+                    alpha = _value("alpha", value)
+                case ["pair", code, value] if code not in overrides:
+                    space, base = decode_code(code)
+                    # enumerations give canonical codes of at most DEFAULT_CODE_LIMIT points
+                    if space.n <= DEFAULT_CODE_LIMIT and (canon := canonical_code(space, base)) != code:
+                        raise ValueError(f"code {code!r} is not canonical; its shape's code is {canon!r}")
+                    overrides[code] = _value("pair", value)
+                case ["default", policy] if default is None:
+                    if policy != DEFAULT_POLICY:
+                        raise ValueError(f"unknown default policy {policy!r}")
+                    default = policy
+                case _:
+                    raise ValueError(f"unexpected row {row!r}")
     if alpha is None:
         raise FormatError(0, "missing 'alpha N' row")
     return MuFunction(alpha, overrides)

@@ -44,6 +44,7 @@ from .space import (
     _content_lines,
     _ls_v1_rows,
     _point_count,
+    _row,
     delta_mask,
     mask_of,
     points_of,
@@ -864,18 +865,15 @@ def to_gp_v1(space: LinearSpace, base: Iterable[int]) -> str:
 
 
 def parse_gp_v1(text: str) -> tuple[LinearSpace, frozenset[int]]:
+    """The ls-v1 rows and a `base` row, which may stand anywhere; a second
+    `base` row is read as an ls-v1 row, and refused there."""
     rows = list(_content_lines(text))
-    base_rows = [row for row in rows if row[1].startswith("base")]
-    if not base_rows:
+    lineno, base = next(((i, row) for i, row in rows if row.split()[0] == "base"), (0, None))
+    space = _ls_v1_rows(row for row in rows if row[0] != lineno)
+    if base is None:
         raise FormatError(0, "missing 'base ...' line")
-    (base_lineno, base_line), *more = base_rows
-    if more:
-        raise FormatError(more[0][0], f"second 'base' row; the first is on line {base_lineno}")
-    space = _ls_v1_rows(row for row in rows if row[0] != base_lineno)
-    try:
-        base = frozenset(int(x) for x in base_line.split()[1:])
-    except ValueError:
-        raise FormatError(base_lineno, f"non-integer base point in '{base_line}'") from None
-    if any(p < 0 or p >= space.n for p in base):
-        raise FormatError(base_lineno, "base point out of range")
-    return space, base
+    with _row(lineno):
+        points = [int(x) for x in base.split()[1:]]
+        if points != sorted(set(points)) or points and (points[0] < 0 or points[-1] >= space.n):
+            raise ValueError(f"base points must be strictly increasing in 0..{space.n - 1}")
+    return space, frozenset(points)

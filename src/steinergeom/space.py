@@ -9,6 +9,7 @@ modules use.
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -17,6 +18,8 @@ from .errors import AxiomViolation, FormatError, SizeLimit, TooManyPoints
 # the largest `points N` a text format accepts; the parsers check it
 # before they allocate anything for the points
 MAX_POINTS = 1 << 16
+# the most point pairs the lines of one LinearSpace hold, ~100 MiB of index
+MAX_PAIRS = 1 << 20
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -50,8 +53,13 @@ def _normalized(n: int, lines: Iterable[Sequence[int]]) -> list[tuple[int, ...]]
 
 
 def _cover(pair_line: dict[tuple[int, int], tuple[int, ...]], lines: list[tuple[int, ...]]) -> None:
-    """Enter every pair of the lines into pair_line; a pair already
-    there is an AxiomViolation."""
+    """Enter every pair of the lines into pair_line: an AxiomViolation on a
+    pair already there, and first a SizeLimit past MAX_PAIRS pairs in all."""
+    pairs = len(pair_line)
+    for ln in lines:
+        pairs += len(ln) * (len(ln) - 1) // 2
+    if pairs > MAX_PAIRS:
+        raise SizeLimit(f"lines on {pairs} point pairs exceed the cap of {MAX_PAIRS}")
     for ln in lines:
         for pair in combinations(ln, 2):
             if pair in pair_line:
@@ -63,8 +71,9 @@ class LinearSpace:
     """Immutable finite linear space on points 0..n-1.
 
     Invariants: every stored line has >= 3 strictly increasing in-range
-    points, and two stored lines share at most one point.  `degrees[p]`
-    is the number of stored lines through p.
+    points, two stored lines share at most one point, and the lines hold
+    at most MAX_PAIRS point pairs.  `degrees[p]` is the number of stored
+    lines through p.
     """
 
     __slots__ = ("n", "lines", "line_masks", "degrees", "_lines_by_point", "_pair_line")
@@ -303,6 +312,22 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield i, stripped
 
 
+@contextmanager
+def _row(lineno: int) -> Iterator[None]:
+    """The one error path of the five text parsers, around the reading of
+    one row: a FormatError passes unchanged, a SizeLimit becomes
+    TooManyPoints and a ValueError a FormatError, both on this row.
+    TooManyPoints is a SizeLimit too, so FormatError goes first."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except SizeLimit as exc:
+        raise TooManyPoints(lineno, str(exc)) from None
+    except ValueError as exc:
+        raise FormatError(lineno, str(exc)) from None
+
+
 def _point_count(digits: str) -> int:
     """The count a string of decimal digits names, else a ValueError; past
     MAX_POINTS a SizeLimit, found by length first, as int() refuses more
@@ -327,48 +352,36 @@ def _ls_v1_rows(rows: Iterable[tuple[int, str]], lineno: int = 0) -> LinearSpace
     passes its rows without the base row, and trace-v1 each snapshot
     block."""
     it = iter(rows)
-    try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise FormatError(lineno, "empty input") from None
+    lineno, header = next(it, (lineno, None))
     if header != LS_V1_HEADER:
-        raise FormatError(lineno, f"expected '{LS_V1_HEADER}', got '{header}'")
-    try:
-        lineno, pts = next(it)
-    except StopIteration:
-        raise FormatError(lineno, "missing 'points N' line") from None
-    parts = pts.split()
-    try:
-        if len(parts) != 2 or parts[0] != "points":
-            raise ValueError("expected 'points N'")
-        n = _point_count(parts[1])
-    except ValueError as exc:
-        raise FormatError(lineno, f"{exc}, got '{pts}'") from None
-    except SizeLimit as exc:
-        raise TooManyPoints(lineno, str(exc)) from None
-    lines = []
-    seen: dict[tuple[int, ...], int] = {}
+        raise FormatError(lineno, f"expected '{LS_V1_HEADER}', got '{header or ''}'")
+    lineno, row = next(it, (lineno, ""))
+    with _row(lineno):
+        match row.split():
+            case ["points", count]:
+                n = _point_count(count)
+            case _:
+                raise ValueError(f"expected 'points N', got '{row}'")
+    lines: dict[tuple[int, ...], int] = {}
     for lineno, row in it:
-        parts = row.split()
-        if parts[0] != "line":
-            raise FormatError(lineno, f"expected 'line ...', got '{row}'")
+        with _row(lineno):
+            match row.split():
+                case ["line", *ids]:
+                    ln = tuple(int(x) for x in ids)
+                    if len(ln) < 3:
+                        raise ValueError("a line needs at least 3 points")
+                    if any(a >= b for a, b in zip(ln, ln[1:])):
+                        raise ValueError("point ids must be strictly increasing")
+                    if ln[0] < 0 or ln[-1] >= n:
+                        raise ValueError(f"point id out of range 0..{n - 1}")
+                    if ln in lines:
+                        raise ValueError(f"duplicate line {ln}")
+                    lines[ln] = lineno
+                case _:
+                    raise ValueError(f"expected 'line ...', got '{row}'")
+    with _row(lineno):
         try:
-            ids = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise FormatError(lineno, f"non-integer point id in '{row}'") from None
-        if len(ids) < 3:
-            raise FormatError(lineno, "a line needs at least 3 points")
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise FormatError(lineno, "point ids must be strictly increasing")
-        if ids[0] < 0 or ids[-1] >= n:
-            raise FormatError(lineno, f"point id out of range 0..{n - 1}")
-        key = tuple(ids)
-        if key in seen:
-            raise FormatError(lineno, f"duplicate line {key}")
-        seen[key] = lineno
-        lines.append(key)
-    try:
-        return LinearSpace(n, lines)
-    except AxiomViolation as exc:
-        # the witnesses are the two conflicting rows; report the later one
-        raise FormatError(max(seen[w] for w in exc.witnesses), str(exc)) from exc
+            return LinearSpace(n, lines)
+        except AxiomViolation as exc:
+            # the witnesses are the two conflicting rows; report the later one
+            raise FormatError(max(lines[w] for w in exc.witnesses), str(exc)) from exc

@@ -20,10 +20,9 @@ structure and bound.
 
 Growth is pruned with bounds over the points outside the current set S,
 read off the degree order (see _growable): delta can fall by at most
-deg(q) - 1 for each point q still added, a base point's attach weight is
-at most its degree and at most |C| // 2, and an added point q populates
-at most deg(q) lines through points of S.  Once the hubs of a stack lie
-in S, their degrees no longer count.  Emitted sets are not tested for a
+deg(q) - 1 for each point q still added, and a base point's attach
+weight is at most its degree and at most |C| // 2.  Once the hubs of a
+stack lie in S, their degrees no longer count.  Emitted sets are not tested for a
 base; enumerate_good_pairs does that exactly, with the sets' actual
 weights, when it chooses bases.
 """
@@ -116,10 +115,6 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
                 if len(top) == room:
                     break
         if not _growable(len(pts), delta, max_size, top):
-            return
-        # each added point q populates at most deg(q) lines through
-        # points already in the set
-        if sum(2 - deg[p] for p in deficient) > sum(top):
             return
         succ = set()
         if deficient:
