@@ -34,7 +34,7 @@ from .errors import FormatError
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
 from .primitives import ALPHA_CODE, GoodPair, _group_chi, _max_disjoint, alpha_pair, copies_over_base
-from .space import LinearSpace, _content_lines, _ls_v1_rows, _row
+from .space import LinearSpace, _content_lines, _int, _ls_v1_rows, _row
 from .space import induced, pair_coverage, preserves_lines, to_ls_v1
 
 DEFAULT_TEMPLATE_MAX = 10
@@ -313,27 +313,31 @@ def parse_trace_v1(text: str) -> BuildTrace:
     last = {"step": 0, "snapshot": 0}
 
     def index(kind: str, token: str) -> int:
-        if int(token) < last[kind]:
+        i = _int(token, f"{kind} index")
+        if i < last[kind]:
             raise ValueError(f"{kind} index {token} falls below {last[kind]}")
-        last[kind] = int(token)
-        return last[kind]
+        last[kind] = i
+        return i
+
+    def ids(tokens: list[str]) -> tuple[int, ...]:
+        return tuple(_int(x, "point id") for x in tokens)
 
     for lineno, row in rows:
         with _row(lineno):
             match fields := row.split():
                 case ["seed", value] if "seed" not in seen:
-                    trace.seed = int(value)
+                    trace.seed = _int(value, "seed", signed=True)
                 case ["mu", value] if "mu" not in seen:
                     trace.mu_hash = value
                 case ["template-max", value] if "template-max" not in seen:
-                    trace.template_max = int(value)
+                    trace.template_max = _int(value, "template-max")
                 case ["step", i, "add-point" as kind, pid]:
-                    trace.steps.append(BuildStep(index("step", i), kind, (int(pid),)))
+                    trace.steps.append(BuildStep(index("step", i), kind, ids([pid])))
                 case ["step", i, "complete-line" as kind, a, b, pid]:
-                    trace.steps.append(BuildStep(index("step", i), kind, (int(a), int(b), int(pid))))
+                    trace.steps.append(BuildStep(index("step", i), kind, ids([a, b, pid])))
                 case ["step", i, "realize" | "identify" as kind, code, base, ext]:
                     # base and extension images are tuples even of one point; "-" is none
-                    images = (() if t == "-" else tuple(int(x) for x in t.split(",")) for t in (base, ext))
+                    images = (() if t == "-" else ids(t.split(",")) for t in (base, ext))
                     trace.steps.append(BuildStep(index("step", i), kind, (code, *images)))
                 case ["snapshot", i, "begin"]:
                     i = index("snapshot", i)

@@ -78,17 +78,12 @@ def fano_chain(n: int) -> list[LinearSpace]:
     so that delta(A_{i+1}/A_i) = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    lines = list(FANO_LINES)
     out = [fano()]
     a, b, c = _TRIANGLE
-    pts = 7
     for _ in range(n):
-        a2, b2, c2 = pts, pts + 1, pts + 2
-        lines.append(tuple(sorted((a, a2, c2))))
-        lines.append(tuple(sorted((b, b2, c2))))
-        lines.append(tuple(sorted((a2, b2, c))))
-        pts += 3
-        out.append(LinearSpace(pts, lines))
+        A = out[-1]
+        a2, b2, c2 = A.n, A.n + 1, A.n + 2
+        out.append(A.with_lines(A.n + 3, add=[(a, a2, c2), (b, b2, c2), (a2, b2, c)]))
         a, b, c = a2, b2, c2
     return out
 

@@ -8,20 +8,14 @@ again.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import FormatError, SizeLimit
-from .space import LinearSpace, _content_lines, _point_count, _row
+from .errors import AxiomViolation, FormatError, SizeLimit
+from .space import MAX_POINTS, LinearSpace, _cap_pairs, _content_lines, _cover, _int, _row
 
 MATROID_CHECK_LIMIT = 12
-
-
-# the pairs of a line of at most this many points are stored one by one;
-# a longer line is kept as its points, so checking it costs its length
-SHORT_LINE = 16
 
 
 class _LineError(ValueError):
@@ -35,7 +29,7 @@ class _LineError(ValueError):
 @dataclass(frozen=True)
 class IncidenceStructure:
     """Points 0..n-1 and lines of >= 2 points; every pair on exactly one
-    line."""
+    line, and at most MAX_PAIRS pairs in all."""
 
     n: int
     lines: tuple[tuple[int, ...], ...]
@@ -43,15 +37,15 @@ class IncidenceStructure:
     def __post_init__(self):
         """Raise ValueError on the first bad line, on the first pair of a
         line that an earlier line holds, in combinations order, or else on
-        the first pair of combinations(range(n), 2) that no line holds.
+        the first pair of combinations(range(n), 2) that no line holds; a
+        SizeLimit on the first line that takes the pairs past MAX_PAIRS.
 
-        No pair of a long line is stored.  Once no two lines share a pair,
-        the lines cover sum C(|line|, 2) distinct pairs, so every pair is
-        covered exactly when that sum is C(n, 2).
+        The pairs are entered through the index LinearSpace keeps.  Once
+        no two lines share a pair, every pair is covered exactly when the
+        index holds C(n, 2) pairs, and otherwise the scan for the first
+        pair missing probes at most one pair more than the index holds.
         """
-        partners: defaultdict[int, set[int]] = defaultdict(set)
-        long_through: defaultdict[int, list[int]] = defaultdict(list)
-        pairs = 0
+        pair_line: dict[tuple[int, int], tuple[int, ...]] = {}
         for j, ln in enumerate(self.lines):
             if len(ln) < 2:
                 raise _LineError(f"line {ln} has fewer than 2 points", (j,))
@@ -59,72 +53,17 @@ class IncidenceStructure:
                 raise _LineError(f"line {ln} is not strictly increasing", (j,))
             if ln[0] < 0 or ln[-1] >= self.n:
                 raise _LineError(f"line {ln} out of range", (j,))
-            # the first pair of ln, in combinations order, that an earlier
-            # line holds; a short line's own pairs are distinct, so they
-            # are entered as they are checked
-            shared = None
-            if len(ln) > SHORT_LINE:
-                shared = _first_short_partner(ln, partners)
-            else:
-                for a, b in combinations(ln, 2):
-                    if b in partners[a]:
-                        shared = (a, b)
-                        break
-                    partners[a].add(b)
-                    partners[b].add(a)
-            if long_through:
-                shared = min(filter(None, (shared, _first_long_pair(ln, long_through))), default=None)
-            if shared is not None:
-                i = next(i for i, other in enumerate(self.lines) if set(shared) <= set(other))
-                raise _LineError(f"pair {shared} lies on two lines", (i, j))
-            if len(ln) > SHORT_LINE:
-                for p in ln:
-                    long_through[p].append(j)
-            pairs += len(ln) * (len(ln) - 1) // 2
-        if self.n > 1 and pairs < self.n * (self.n - 1) // 2:
-            raise ValueError(f"pair {_first_uncovered_pair(self.n, self.lines)} lies on no line")
+            try:
+                _cover(pair_line, [ln])
+            except AxiomViolation as exc:
+                i = self.lines.index(exc.witnesses[0])
+                raise _LineError(f"pair {exc.pair} lies on two lines", (i, j)) from None
+        if len(pair_line) < self.n * (self.n - 1) // 2:
+            pair = next(p for p in combinations(range(self.n), 2) if p not in pair_line)
+            raise ValueError(f"pair {pair} lies on no line")
 
     def incidences(self) -> int:
         return sum(len(ln) for ln in self.lines)
-
-
-def _first_uncovered_pair(n: int, lines: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """The first pair of combinations(range(n), 2) on no line, for lines
-    that share no pair and leave one uncovered.
-
-    A point a lies on a covered pair with sum (|line| - 1) points over
-    the lines through it.  Take the least a short of n - 1: a partner
-    b < a it misses would make b an earlier such point, so the least
-    missed partner is above a."""
-    near = Counter()
-    for ln in lines:
-        for p in ln:
-            near[p] += len(ln) - 1
-    a = next(p for p in range(n) if near[p] < n - 1)
-    covered = {q for ln in lines if a in ln for q in ln}
-    return a, next(b for b in range(a + 1, n) if b not in covered)
-
-
-def _first_short_partner(ln: tuple[int, ...], partners: dict[int, set[int]]) -> tuple[int, int] | None:
-    """The first pair of ln that an earlier short line holds; `partners`
-    maps a point to the points it shares a short line with."""
-    on = set(ln)
-    for a in ln:
-        hit = [b for b in partners.get(a, ()) if b > a and b in on]
-        if hit:
-            return a, min(hit)
-    return None
-
-
-def _first_long_pair(ln: tuple[int, ...], long_through: dict[int, list[int]]) -> tuple[int, int] | None:
-    """The first pair of ln that an earlier long line holds.  Earlier
-    lines share no pair, so each meets ln in a set whose two least points
-    are the first pair it shares with ln."""
-    met: defaultdict[int, list[int]] = defaultdict(list)
-    for p in ln:
-        for i in long_through.get(p, ()):
-            met[i].append(p)
-    return min(((pts[0], pts[1]) for pts in met.values() if len(pts) >= 2), default=None)
 
 
 @dataclass(frozen=True)
@@ -139,7 +78,10 @@ class PBDRecord:
 
 
 def to_two_sorted(A: LinearSpace) -> IncidenceStructure:
-    """Points/lines/incidence view; uncovered pairs become 2-lines."""
+    """Points/lines/incidence view; uncovered pairs become 2-lines, so
+    the view holds all C(n, 2) pairs, and past MAX_PAIRS a SizeLimit comes
+    before any line is made."""
+    _cap_pairs(A.n * (A.n - 1) // 2)
     lines = list(A.lines)
     for a, b in combinations(range(A.n), 2):
         if A.line_through(a, b) is None:
@@ -209,9 +151,9 @@ def parse_inc_v1(text: str) -> IncidenceStructure:
         with _row(lineno):
             match row.split():
                 case ["points", count] if n is None:
-                    n = _point_count(count)
+                    n = _int(count, "point count", cap=MAX_POINTS)
                 case ["line", label, *ids] if label.endswith(":"):
-                    lines.append((tuple(int(x) for x in ids), lineno))
+                    lines.append((tuple(_int(x, "point id") for x in ids), lineno))
                 case _:
                     raise ValueError(f"unexpected row {row!r}")
     if n is None:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 from .errors import FormatError
 from .primitives import ALPHA_CODE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
 from .primitives import canonical_code, decode_code, enumerate_good_pairs
-from .space import LinearSpace, _content_lines, _row, delta_mask, induced, mask_of
+from .space import LinearSpace, _content_lines, _int, _row, delta_mask, induced, mask_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
 
@@ -194,12 +194,6 @@ def to_mu_v1(mu: MuFunction) -> str:
     return "\n".join(out) + "\n"
 
 
-def _value(what: str, text: str) -> int:
-    if not text.isdecimal():
-        raise ValueError(f"{what} value {text!r} is not an integer >= 0")
-    return int(text)
-
-
 def parse_mu_v1(text: str) -> MuFunction:
     """One `alpha` row, one `pair` row per code and at most one `default` row."""
     alpha: Optional[int] = None
@@ -209,13 +203,13 @@ def parse_mu_v1(text: str) -> MuFunction:
         with _row(lineno):
             match row.split():
                 case ["alpha", value] if alpha is None:
-                    alpha = _value("alpha", value)
+                    alpha = _int(value, "alpha value")
                 case ["pair", code, value] if code not in overrides:
                     space, base = decode_code(code)
                     # enumerations give canonical codes of at most DEFAULT_CODE_LIMIT points
                     if space.n <= DEFAULT_CODE_LIMIT and (canon := canonical_code(space, base)) != code:
                         raise ValueError(f"code {code!r} is not canonical; its shape's code is {canon!r}")
-                    overrides[code] = _value("pair", value)
+                    overrides[code] = _int(value, "pair value")
                 case ["default", policy] if default is None:
                     if policy != DEFAULT_POLICY:
                         raise ValueError(f"unknown default policy {policy!r}")

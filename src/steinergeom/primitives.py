@@ -42,8 +42,8 @@ from .space import (
     MAX_POINTS,
     LinearSpace,
     _content_lines,
+    _int,
     _ls_v1_rows,
-    _point_count,
     _row,
     delta_mask,
     mask_of,
@@ -249,8 +249,9 @@ def decode_code(code: str) -> tuple[LinearSpace, frozenset[int]]:
     head, _, body = code.partition("|")
     nb_s, _, nc_s = head[2:].partition(".")
     try:
-        nb, nc = _point_count(nb_s), _point_count(nc_s)
-        lines = [tuple(int(x) for x in part.split(",")) for part in body.split("|")] if body else []
+        nb, nc = (_int(t, "point count", cap=MAX_POINTS) for t in (nb_s, nc_s))
+        parts = body.split("|") if body else []
+        lines = [tuple(_int(x, "point id") for x in part.split(",")) for part in parts]
     except ValueError:
         raise ValueError(f"malformed canonical code: {code!r}") from None
     if nb + nc > MAX_POINTS:
@@ -873,7 +874,7 @@ def parse_gp_v1(text: str) -> tuple[LinearSpace, frozenset[int]]:
     if base is None:
         raise FormatError(0, "missing 'base ...' line")
     with _row(lineno):
-        points = [int(x) for x in base.split()[1:]]
+        points = [_int(x, "point id") for x in base.split()[1:]]
         if points != sorted(set(points)) or points and (points[0] < 0 or points[-1] >= space.n):
             raise ValueError(f"base points must be strictly increasing in 0..{space.n - 1}")
     return space, frozenset(points)

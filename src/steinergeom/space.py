@@ -52,14 +52,20 @@ def _normalized(n: int, lines: Iterable[Sequence[int]]) -> list[tuple[int, ...]]
     return norm
 
 
+def _cap_pairs(pairs: int) -> None:
+    """A SizeLimit when lines on `pairs` point pairs pass MAX_PAIRS; the
+    one test of the pair cap, for both the one- and the two-sorted view."""
+    if pairs > MAX_PAIRS:
+        raise SizeLimit(f"lines on {pairs} point pairs exceed the cap of {MAX_PAIRS}")
+
+
 def _cover(pair_line: dict[tuple[int, int], tuple[int, ...]], lines: list[tuple[int, ...]]) -> None:
     """Enter every pair of the lines into pair_line: an AxiomViolation on a
     pair already there, and first a SizeLimit past MAX_PAIRS pairs in all."""
     pairs = len(pair_line)
     for ln in lines:
         pairs += len(ln) * (len(ln) - 1) // 2
-    if pairs > MAX_PAIRS:
-        raise SizeLimit(f"lines on {pairs} point pairs exceed the cap of {MAX_PAIRS}")
+    _cap_pairs(pairs)
     for ln in lines:
         for pair in combinations(ln, 2):
             if pair in pair_line:
@@ -328,17 +334,22 @@ def _row(lineno: int) -> Iterator[None]:
         raise FormatError(lineno, str(exc)) from None
 
 
-def _point_count(digits: str) -> int:
-    """The count a string of decimal digits names, else a ValueError; past
-    MAX_POINTS a SizeLimit, found by length first, as int() refuses more
-    than 4,300 digits."""
-    if not digits.isdecimal():
-        raise ValueError(f"bad point count {digits!r}")
+def _int(token: str, what: str, signed: bool = False, cap: int | None = None) -> int:
+    """The integer a token of ASCII digits names, after one '-' when
+    `signed`; any other token is a ValueError, even one int() reads, such
+    as '+1', '1_0' or '٢', since no writer writes it.  Past `cap` a
+    SizeLimit, found by length first, as int() refuses more than 4,300
+    digits.  The integer reader of all five text parsers."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} {token!r} is not an integer" + ("" if signed else " >= 0"))
+    if cap is None:
+        return int(token)
     digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_POINTS)):
-        raise SizeLimit(f"a {len(digits)}-digit point count exceeds the cap of {MAX_POINTS}")
-    if int(digits) > MAX_POINTS:
-        raise SizeLimit(f"{digits} points exceeds the cap of {MAX_POINTS}")
+    if len(digits) > len(str(cap)):
+        raise SizeLimit(f"a {len(digits)}-digit {what} exceeds the cap of {cap}")
+    if int(digits) > cap:
+        raise SizeLimit(f"{what} {digits} exceeds the cap of {cap}")
     return int(digits)
 
 
@@ -359,7 +370,7 @@ def _ls_v1_rows(rows: Iterable[tuple[int, str]], lineno: int = 0) -> LinearSpace
     with _row(lineno):
         match row.split():
             case ["points", count]:
-                n = _point_count(count)
+                n = _int(count, "point count", cap=MAX_POINTS)
             case _:
                 raise ValueError(f"expected 'points N', got '{row}'")
     lines: dict[tuple[int, ...], int] = {}
@@ -367,7 +378,7 @@ def _ls_v1_rows(rows: Iterable[tuple[int, str]], lineno: int = 0) -> LinearSpace
         with _row(lineno):
             match row.split():
                 case ["line", *ids]:
-                    ln = tuple(int(x) for x in ids)
+                    ln = tuple(_int(x, "point id") for x in ids)
                     if len(ln) < 3:
                         raise ValueError("a line needs at least 3 points")
                     if any(a >= b for a, b in zip(ln, ln[1:])):

@@ -36,6 +36,17 @@ REFUSED = [
     ("mu-v1", f"alpha 1\ndefault {DEFAULT_POLICY}\ndefault {DEFAULT_POLICY}\n", 3),
     ("mu-v1", "alpha 1\npair gp2.2|0,1,3 3\npair gp2.2|0,1,3 4\n", 3),
     ("inc-v1", "points 2\npoints 3\nline 0: 0 1\n", 2),
+    # integers: ASCII digits only, as the writers write them
+    ("ls-v1", "linear-space v1\npoints 11\nline 0 +1 1_0\n", 3),
+    ("ls-v1", "linear-space v1\npoints 3\nline 0 1 \u0662\n", 3),
+    ("ls-v1", "linear-space v1\npoints \u0663\n", 2),
+    ("mu-v1", "alpha \u0662\n", 1),
+    # a code past DEFAULT_CODE_LIMIT points is kept as written
+    ("mu-v1", "alpha 1\npair gp2.15|0,1,+2 3\n", 2),
+    ("gp-v1", "linear-space v1\npoints 3\nline 0 1 2\nbase +0 1\n", 4),
+    ("trace-v1", "trace v1\nseed 1_000\n", 2),
+    ("trace-v1", "trace v1\nstep +3 add-point 0\n", 2),
+    ("inc-v1", "points 3\nline 0: 0 1 +2\n", 2),
 ]
 PARSERS = {
     "ls-v1": parse_ls_v1,
@@ -68,6 +79,12 @@ def test_trace_v1_round_trips_with_repeated_indices():
                 repeated_steps += steps != sorted(set(steps))
                 repeated_snapshots += snaps != sorted(set(snaps))
     assert repeated_steps and repeated_snapshots
+
+
+def test_trace_v1_round_trips_a_negative_seed():
+    trace = build(MuFunction(1), 20, seed=-3)[1]
+    assert "\nseed -3\n" in to_trace_v1(trace)
+    assert parse_trace_v1(to_trace_v1(trace)) == trace
 
 
 @pytest.mark.parametrize("X", [[], [1], [1, 2], [2, 3]])

@@ -21,8 +21,9 @@ from steinergeom import (
     to_pbd_text,
     to_two_sorted,
 )
+from steinergeom import space as space_module
+from steinergeom.cli import main
 from steinergeom.errors import TooManyPoints
-from steinergeom.interop import SHORT_LINE
 from steinergeom.space import MAX_POINTS
 
 
@@ -77,14 +78,14 @@ def _first_fault_by_pairs(n, lines):
 
 
 def test_incidence_structure_reports_the_first_fault_of_the_pair_scan():
-    # two-sorted views of random spaces with long lines (more points than
-    # SHORT_LINE) and short ones, then lines dropped, merged or added
+    # two-sorted views of random spaces with long lines (more than 16
+    # points) and short ones, then lines dropped, merged or added
     rng = Random(73)
     faults = Counter()
     for _ in range(300):
         n = rng.randrange(2, 48)
         pts = rng.sample(range(n), rng.randrange(2, n + 1))
-        base = [tuple(sorted(pts[:SHORT_LINE + 4]))] if len(pts) > 2 else []
+        base = [tuple(sorted(pts[:16 + 4]))] if len(pts) > 2 else []
         M = LinearSpace(n, [ln for ln in base if len(ln) >= 3])
         lines = list(to_two_sorted(M).lines)
         for _ in range(rng.randrange(3)):
@@ -109,17 +110,39 @@ def test_incidence_structure_reports_the_first_fault_of_the_pair_scan():
 
 
 def test_incidence_structure_checks_one_long_line_without_its_pairs():
-    # 5,000 points on one line are 12.5 million pairs; the check reads
-    # each point a few times
+    # 5,000 points on one line are 12.5 million pairs, past MAX_PAIRS:
+    # the line is refused before any of its pairs is entered
     n = 5000
+    line = "line 0: " + " ".join(map(str, range(n))) + "\n"
     start = time.perf_counter()
-    inc = parse_inc_v1(f"points {n}\nline 0: " + " ".join(map(str, range(n))) + "\n")
-    assert inc.incidences() == n
-    with pytest.raises(FormatError, match=r"pair \(0, 5000\) lies on no line"):
-        parse_inc_v1(f"points {n + 1}\nline 0: " + " ".join(map(str, range(n))) + "\n")
-    with pytest.raises(FormatError, match=r"pair \(1, 2\) lies on two lines"):
-        parse_inc_v1(f"points {n}\nline 0: " + " ".join(map(str, range(n))) + "\nline 1: 1 2\n")
+    for text in (f"points {n}\n{line}", f"points {n + 1}\n{line}", f"points {n}\n{line}line 1: 1 2\n"):
+        with pytest.raises(TooManyPoints):
+            parse_inc_v1(text)
     assert time.perf_counter() - start < 2.0
+
+
+def test_two_sorted_view_past_the_pair_cap_is_refused_before_its_lines(tmp_path, capsys):
+    # 2,000 points are 1,999,000 pairs, each a line of the view
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit):
+        to_two_sorted(LinearSpace(2000, []))
+    assert time.perf_counter() - start < 0.1
+    ls = tmp_path / "points.ls"
+    ls.write_text("linear-space v1\npoints 2000\n")
+    assert main(["convert", str(ls), "--to", "two-sorted"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_the_two_sorted_view_holds_at_most_max_pairs_pairs(monkeypatch):
+    monkeypatch.setattr(space_module, "MAX_PAIRS", 10)
+    inc = to_two_sorted(LinearSpace(5, [(0, 1, 2)]))
+    assert parse_inc_v1(to_inc_v1(inc)) == inc
+    assert to_one_sorted(inc) == LinearSpace(5, [(0, 1, 2)])
+    with pytest.raises(SizeLimit):
+        to_two_sorted(LinearSpace(6, []))
+    six = "points 6\n" + "".join(f"line {j}: {a} {b}\n" for j, (a, b) in enumerate(combinations(range(6), 2)))
+    with pytest.raises(TooManyPoints):
+        parse_inc_v1(six)
 
 
 def test_pbd_fano():
