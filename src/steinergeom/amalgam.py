@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import BaseMismatch, BoundTooSmall
-from .space import LinearSpace, induced, mask_of, preserves_lines
+from .space import LinearSpace, _mask, induced, points_of, preserves_lines
 from .primitives import _require_strong, decompose, embeddings_over_base
 
 
@@ -67,10 +67,7 @@ def free_amalgam(F: LinearSpace, E: LinearSpace, D: Iterable[int]) -> LinearSpac
     D must be strong in E; the shared induced structures must agree.
     delta is additive: delta(G) = delta(F) + delta(E) - delta(D).
     """
-    d = sorted(set(D))
-    dm = mask_of(d)
-    if dm >> min(F.n, E.n):
-        raise ValueError("shared point out of range")
+    d = points_of(_mask(min(F.n, E.n), D))
     _require_strong(E, d, range(E.n))
     return _glue(F, E, {p: p for p in d})[0]
 
@@ -117,7 +114,7 @@ def amalgamate_or_identify(
     """
     from .mu import in_K_mu_bounded
 
-    d = sorted(set(D))
+    d = points_of(_mask(min(F.n, E.n), D))
     ok, viols = in_K_mu_bounded(E, mu, bound)
     if not ok:
         raise ValueError(f"E fails the bounded mu check: {viols}")

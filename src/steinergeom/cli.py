@@ -30,7 +30,7 @@ from .interop import (
 from .mu import MuFunction, parse_mu_v1, validate_mu
 from .primitives import GoodPair, chi, enumerate_good_pairs, parse_gp_v1
 from .sampling import random_k0, random_space
-from .space import LinearSpace, delta, parse_ls_v1, to_ls_v1
+from .space import LinearSpace, _int, delta, parse_ls_v1, to_ls_v1
 
 
 def _read(path: str) -> str:
@@ -49,13 +49,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _point_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise FormatError(0, f"expected comma-separated point ids, got {text!r}") from None
+    """Comma-separated point ids, each read as the text formats read one."""
+    return [_int(x.strip(), "point id") for x in text.split(",")] if text.strip() else []
 
 
 def _emit(args, human: str, payload: dict | list) -> None:

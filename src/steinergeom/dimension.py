@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import SizeLimit
-from .space import LinearSpace, delta_mask, mask_of, points_of
+from .space import LinearSpace, _mask, delta_mask, mask_of, points_of
 
 SEARCH_LIMIT = 24
 TABLE_LIMIT = 24
@@ -61,6 +61,8 @@ def min_delta_interval(
     admissible per-point gain bound cannot reach the incumbent.  If
     `stop_below` is given, returns early with the first value < it.
     """
+    if hi_mask < 0 or hi_mask >> space.n:
+        raise ValueError(f"hi_mask {hi_mask:#x} has a bit outside the points 0..{space.n - 1}")
     if lo_mask & ~hi_mask:
         raise ValueError("lo not contained in hi")
     free = list(points_of(hi_mask & ~lo_mask))
@@ -169,9 +171,7 @@ def in_K0(space: LinearSpace):
 
 def is_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> StrongExtensionWitness:
     """Test lo <= hi: no X between them drops delta below delta(lo)."""
-    lo_mask, hi_mask = mask_of(lo), mask_of(hi)
-    if lo_mask & ~hi_mask:
-        raise ValueError("lo not contained in hi")
+    lo_mask, hi_mask = _mask(space.n, lo), _mask(space.n, hi)
     target = delta_mask(space, lo_mask)
     m = min_delta_interval(space, lo_mask, hi_mask, stop_below=target)
     lo_f, hi_f = frozenset(points_of(lo_mask)), frozenset(points_of(hi_mask))
@@ -202,12 +202,12 @@ def icl_mask(space: LinearSpace, x_mask: int) -> int:
 
 
 def icl(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
-    return frozenset(points_of(icl_mask(space, mask_of(X))))
+    return frozenset(points_of(icl_mask(space, _mask(space.n, X))))
 
 
 def d(space: LinearSpace, X: Iterable[int]) -> int:
     """Dimension: minimum delta over supersets of X."""
-    return min_delta_interval(space, mask_of(X), space.full_mask())
+    return min_delta_interval(space, _mask(space.n, X), space.full_mask())
 
 
 def d_closure(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
@@ -217,7 +217,7 @@ def d_closure(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
     belongs exactly when the interval search over [X + p, M] finds a
     value below d(X) + 1, and it stops there.
     """
-    xm, full = mask_of(X), space.full_mask()
+    xm, full = _mask(space.n, X), space.full_mask()
     dx = min_delta_interval(space, xm, full)
     return frozenset(
         p
@@ -270,7 +270,7 @@ def check_flatness(space: LinearSpace, family, mode: str = "delta"):
     """
     from itertools import combinations
 
-    sets = [frozenset(F) for F in family]
+    sets = [frozenset(points_of(_mask(space.n, F))) for F in family]
     if len(sets) < 2:
         raise ValueError("need at least 2 sets")
     if mode == "delta":

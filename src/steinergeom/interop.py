@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import AxiomViolation, FormatError, SizeLimit
-from .space import MAX_POINTS, LinearSpace, _cap_pairs, _content_lines, _cover, _int, _row
+from .space import MAX_POINTS, LinearSpace, _cap_pairs, _content_lines, _cover, _int, _mask, _row, points_of
 
 MATROID_CHECK_LIMIT = 12
 
@@ -102,9 +102,7 @@ def to_pbd(A: LinearSpace) -> PBDRecord:
 
 def matroid_dependent(A: LinearSpace, S: Iterable[int]) -> bool:
     """Rank-3 dependence: any 4 points, or 3 collinear points."""
-    pts = sorted(set(S))
-    if any(p < 0 or p >= A.n for p in pts):
-        raise ValueError("point out of range")
+    pts = points_of(_mask(A.n, S))
     if len(pts) >= 4:
         return True
     if len(pts) == 3:
@@ -144,8 +142,9 @@ def to_inc_v1(B: IncidenceStructure) -> str:
 
 
 def parse_inc_v1(text: str) -> IncidenceStructure:
-    """One `points` row and the `line j:` rows, sorted; j is not read."""
-    n = None
+    """One `points` row and the `line j:` rows, sorted; j is not read.
+    The row whose line takes the pairs past MAX_PAIRS is TooManyPoints."""
+    n, pairs = None, 0
     lines = []
     for lineno, row in _content_lines(text):
         with _row(lineno):
@@ -153,6 +152,8 @@ def parse_inc_v1(text: str) -> IncidenceStructure:
                 case ["points", count] if n is None:
                     n = _int(count, "point count", cap=MAX_POINTS)
                 case ["line", label, *ids] if label.endswith(":"):
+                    pairs += len(ids) * (len(ids) - 1) // 2
+                    _cap_pairs(pairs)
                     lines.append((tuple(_int(x, "point id") for x in ids), lineno))
                 case _:
                     raise ValueError(f"unexpected row {row!r}")

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 from .errors import FormatError
 from .primitives import ALPHA_CODE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
 from .primitives import canonical_code, decode_code, enumerate_good_pairs
-from .space import LinearSpace, _content_lines, _int, _row, delta_mask, induced, mask_of
+from .space import LinearSpace, _content_lines, _int, _mask, _row, delta_mask, induced, mask_of, points_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
 
@@ -100,7 +100,7 @@ def in_K_mu_bounded(
     the structure induced on the other points and from the good pairs
     whose B u C meets the touched points.
     """
-    want = frozenset(touching)
+    want = frozenset(points_of(_mask(M.n, touching)))
     violations: list[tuple[str, tuple[int, ...], int, int]] = []
     max_len = mu.line_length()
     for ln in M.lines:

@@ -43,6 +43,7 @@ from .space import (
     LinearSpace,
     _content_lines,
     _int,
+    _mask,
     _ls_v1_rows,
     _row,
     delta_mask,
@@ -83,7 +84,7 @@ def _from_base_table(space: LinearSpace, b_mask: int) -> np.ndarray:
 
 def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
     """No proper intermediate strong set between B and the whole space."""
-    b_mask = mask_of(B)
+    b_mask = _mask(space.n, B)
     full = space.full_mask()
     _require_strong(space, points_of(b_mask), range(space.n))
     dt, smin = _tables(space)
@@ -160,7 +161,7 @@ def is_good_pair(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> bool
     B + c would be an intermediate strong set; so dropping any point of
     B0 raises delta(C/B0) above 0, and B is minimal exactly when B = B0.
     """
-    b_mask, c_mask = mask_of(B), mask_of(C)
+    b_mask, c_mask = _mask(space.n, B), _mask(space.n, C)
     if b_mask & c_mask:
         raise ValueError("B and C overlap")
     if not c_mask:
@@ -179,7 +180,7 @@ def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[fro
     Larger extensions: the unique base, the B-points on the nontrivial
     lines of B u C that meet C.
     """
-    b_mask, c_mask = mask_of(B), mask_of(C)
+    b_mask, c_mask = _mask(space.n, B), _mask(space.n, C)
     if b_mask & c_mask:
         raise ValueError("B and C overlap")
     if not _zero_primitive(delta_table(space), b_mask, c_mask):
@@ -379,7 +380,7 @@ def canonical_code(space: LinearSpace, base: Iterable[int], *, limit: int = DEFA
     Equal first leaves mean isomorphic inputs, so a pair isomorphic to
     one coded recently costs one root-to-leaf path.
     """
-    n, base = space.n, frozenset(base)
+    n, base = space.n, frozenset(points_of(_mask(space.n, base)))
     if n > limit:
         raise SizeLimit(f"{n} points exceeds code limit {limit}")
     if n == 3 and len(base) == 2 and space.lines == ((0, 1, 2),):
@@ -453,7 +454,8 @@ def embeddings_over_base(
     base: Iterable[int],
     b_embed: dict[int, int],
 ) -> Iterator[dict[int, int]]:
-    """Induced embeddings of the pair into M extending b_embed.
+    """Induced embeddings of the pair into M extending b_embed, whose keys
+    must be the base and whose values points of M.
 
     Each is an injection phi of the pair's points into M that fixes the
     base embedding and matches collinearity exactly in both directions on
@@ -466,7 +468,7 @@ def embeddings_over_base(
     non-collinear triple collinear; phi maps distinct lines through x to
     distinct lines through phi(x).
     """
-    return _search(M, pair_space, base, b_embed, ((),) * pair_space.n)
+    return _search(M, pair_space, base, b_embed, one_per_image=False)
 
 
 def _search(
@@ -474,19 +476,22 @@ def _search(
     pair_space: LinearSpace,
     base: Iterable[int],
     b_embed: dict[int, int],
-    above: tuple[tuple[int, ...], ...],
+    one_per_image: bool,
 ) -> Iterator[dict[int, int]]:
-    """embeddings_over_base, keeping only the embeddings with
-    phi(y) > phi(x) for every x in above[y]."""
-    base = frozenset(base)
-    ext = sorted(set(range(pair_space.n)) - base)
-    phi = dict(b_embed)
+    """embeddings_over_base; with one_per_image, only those with
+    phi(y) > phi(x) for every x in _orbit_floors(...)[y]."""
+    b_mask = _mask(pair_space.n, base)
+    if _mask(pair_space.n, b_embed) != b_mask:
+        raise ValueError(f"base embedding maps {sorted(b_embed)}, not the base {list(points_of(b_mask))}")
+    _mask(M.n, b_embed.values())
     used = set(b_embed.values())
     if len(used) != len(b_embed):
         raise ValueError("base embedding is not injective")
     if not preserves_lines(pair_space, M, b_embed):
         raise ValueError("base embedding does not preserve collinearity")
-    return _extend(M, pair_space, ext, 0, phi, used, above)
+    ext = list(points_of(pair_space.full_mask() & ~b_mask))
+    above = _orbit_floors(pair_space, frozenset(b_embed)) if one_per_image else ((),) * pair_space.n
+    return _extend(M, pair_space, ext, 0, dict(b_embed), used, above)
 
 
 def _extend(
@@ -602,11 +607,9 @@ def copies_over_base(
     indexes the choices of g left at step i, and exactly one of them
     puts x_i at the least image, so each image is reached by one leaf.
     """
-    base = frozenset(base)
-    ext = sorted(set(range(pair_space.n)) - base)
     images: list[frozenset[int]] = []
-    for phi in _search(M, pair_space, base, b_embed, _orbit_floors(pair_space, base)):
-        images.append(frozenset(phi[x] for x in ext))
+    for phi in _search(M, pair_space, base, b_embed, one_per_image=True):
+        images.append(frozenset(phi[x] for x in phi if x not in b_embed))
         if len(images) > COPY_CAP:
             raise SizeLimit(f"more than {COPY_CAP} copies")
     return sorted(images, key=sorted)
@@ -844,7 +847,7 @@ def decompose(M: LinearSpace, D: Iterable[int]) -> list[tuple[frozenset[int], in
     icl(cur + p) for each p in X - cur, and icl(cur + p) is such a set
     itself, so the least X is the least of the closures icl(cur + p).
     """
-    cur = mask_of(D)
+    cur = _mask(M.n, D)
     _require_strong(M, points_of(cur), range(M.n))
     full = M.full_mask()
     steps: list[tuple[frozenset[int], int]] = []

@@ -29,6 +29,17 @@ def mask_of(points: Iterable[int]) -> int:
     return m
 
 
+def _mask(n: int, points: Iterable[int]) -> int:
+    """mask_of(points), first a ValueError naming the first id that is not
+    a point 0..n-1; the one check of the point ids a public call takes."""
+    m = 0
+    for p in points:
+        if not 0 <= p < n:
+            raise ValueError(f"point {p} out of range 0..{n - 1}")
+        m |= 1 << p
+    return m
+
+
 def points_of(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -224,9 +235,7 @@ def validate(n: int, triples: Iterable[Sequence[int]]) -> LinearSpace:
 
 def lines_based_in(space: LinearSpace, B: Iterable[int]) -> list[tuple[int, ...]]:
     """Stored lines meeting B in at least 2 points."""
-    bm = mask_of(B)
-    if bm >> space.n:
-        raise ValueError("point out of range")
+    bm = _mask(space.n, B)
     return [
         ln
         for ln, lm in zip(space.lines, space.line_masks)
@@ -246,29 +255,22 @@ def delta_mask(space: LinearSpace, mask: int) -> int:
 def delta(space: LinearSpace, S: Iterable[int]) -> int:
     """Predimension of the induced substructure on S: points minus total
     line nullity, where an induced line needs >= 3 points of S."""
-    m = mask_of(S)
-    if m >> space.n:
-        raise ValueError("point out of range")
-    return delta_mask(space, m)
+    return delta_mask(space, _mask(space.n, S))
 
 
 def delta_rel(space: LinearSpace, X: Iterable[int], B: Iterable[int]) -> int:
     """delta(X over B) = delta(X u B) - delta(B); X and B must be disjoint."""
-    xm, bm = mask_of(X), mask_of(B)
+    xm, bm = _mask(space.n, X), _mask(space.n, B)
     if xm & bm:
         raise ValueError(f"X and B overlap in {points_of(xm & bm)}")
-    if (xm | bm) >> space.n:
-        raise ValueError("point out of range")
     return delta_mask(space, xm | bm) - delta_mask(space, bm)
 
 
 def induced(space: LinearSpace, S: Iterable[int]) -> LinearSpace:
     """Substructure on S, points relabeled 0..|S|-1 order-preservingly."""
     pts = sorted(set(S))
-    if pts and (pts[0] < 0 or pts[-1] >= space.n):
-        raise ValueError("point out of range")
+    sm = _mask(space.n, pts)
     relabel = {p: i for i, p in enumerate(pts)}
-    sm = mask_of(pts)
     new_lines = []
     for ln, lm in zip(space.lines, space.line_masks):
         if (lm & sm).bit_count() >= 3:

@@ -207,3 +207,39 @@ def test_point_cap_exit_code(tmp_path, capsys):
                  ["convert", "--to", "one-sorted", str(long_inc)]):
         assert main(argv) == 3
         assert "line 2:" in capsys.readouterr().err
+
+
+def test_chi_refuses_an_image_outside_the_points(tmp_path, fano_file, capsys):
+    pair = tmp_path / "alpha.gp"
+    pair.write_text(to_gp_v1(LinearSpace(3, [(0, 1, 2)]), [0, 1]))
+    assert main(["chi", fano_file, "--pair", str(pair), "--embed", "0,100"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "point 100" in out.err
+
+
+@pytest.mark.parametrize(
+    "cmd, ids, named",
+    [("d", "+1,2", "'+1'"), ("icl", "1_0", "'1_0'"), ("d", "-1", "'-1'"), ("icl", "0,7", "point 7 ")],
+)
+def test_id_lists_read_ascii_digits_of_points_only(fano_file, capsys, cmd, ids, named):
+    assert main([cmd, fano_file, f"--set={ids}"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and named in out.err
+
+
+def test_amalgamate_refuses_a_shared_point_outside_F(tmp_path, capsys):
+    F = tmp_path / "F.ls"
+    F.write_text(to_ls_v1(LinearSpace(3, [(0, 1, 2)])))
+    E = tmp_path / "E.ls"
+    E.write_text(to_ls_v1(LinearSpace(6, [(0, 1, 2), (2, 3, 4)])))
+    mu = tmp_path / "mu2.txt"
+    mu.write_text(to_mu_v1(MuFunction(2)))
+    assert main(["amalgamate", str(F), str(E), "--shared", "0,1,5", "--mu", str(mu)]) == 1
+    assert "point 5 out of range 0..2" in capsys.readouterr().err
+
+
+def test_id_lists_may_space_their_commas(fano_file, capsys):
+    assert main(["delta", fano_file, "--subset", "0, 1, 2"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["delta", fano_file, "--subset", "0,1,2"]) == 0
+    assert capsys.readouterr().out == spaced == "2\n"

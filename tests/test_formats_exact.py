@@ -102,6 +102,7 @@ def test_lines_past_the_pair_cap_are_refused_before_their_pairs():
         (parse_ls_v1, f"linear-space v1\npoints {n}\nline {line}\n", 3),
         (parse_gp_v1, f"linear-space v1\npoints {n}\nline {line}\nbase\n", 3),
         (parse_mu_v1, f"alpha 1\npair gp0.{n}|{line.replace(' ', ',')} 3\n", 2),
+        (parse_inc_v1, f"points {n}\nline 0: {line}\n", 2),
     ]:
         with pytest.raises(TooManyPoints) as exc:
             parse(text)
