@@ -87,6 +87,10 @@ def build(
     *,
     snapshot_every: int = 100,
 ) -> tuple[LinearSpace, BuildTrace]:
+    # the trace format holds no negative step count or template bound
+    for name, value in (("steps", steps), ("template_max", template_max)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, not {value}")
     ok, reasons = validate_mu(mu)
     if not ok:
         raise ValueError("invalid mu: " + "; ".join(reasons))

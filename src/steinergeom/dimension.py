@@ -1,13 +1,24 @@
 """Hereditary nonnegativity, strong substructure, intrinsic closure, and
 the dimension function derived from the predimension.
 
-The searches here are exact, and one rule decides how each is answered.
-A single interval minimum (is_strong, icl, d, d_closure) goes through
-the branch-and-bound search of min_delta_interval, with _smallest_below
-for the (size, lex)-least witness; both take at most SEARCH_LIMIT free
-points.  in_K0 is is_strong(∅, M) and reads its answer.  Dense numpy
-tables over all subsets (delta_table, d_table) are used only where
-every subset's value is needed, as in check_exchange.
+The searches here are exact.  Each interval question is one call of the
+branch-and-bound _least_key, which finds the X in [lo, hi] of least key
+w*delta(X) + t*|X|: min_delta_interval and d take w = 1, t = 0, and icl
+and d_closure take w = n + 1 and t = +1, -1.  is_strong (so in_K0, which
+is is_strong(∅, M)) adds _smallest_below for the (size, lex)-least
+witness; both take at most SEARCH_LIMIT free points.  Dense numpy tables
+(delta_table, d_table) serve only where every subset's value is needed.
+
+delta is submodular and no set of [X, M] has delta below d(X), so the
+delta-minimizers of [X, M] are closed under union and intersection.
+Their least is icl(X): it is strong, and a strong Y >= X meets it in a
+minimizer.  Their greatest is d_closure(X): p lies in some minimizer iff
+d(X + p) = d(X).  As w > |X|, the key orders sets by delta, then by
+t*|X|, so t = +1 finds the least minimizer and t = -1 the greatest.
+The bound is admissible: adding p lowers delta by at most deg p - 1, so
+the key by at most w*(deg p - 1) - t, and a branch is cut when its key
+minus these drops (those above 0) over the free points left cannot beat
+the incumbent.
 """
 
 from __future__ import annotations
@@ -43,9 +54,8 @@ class StrongExtensionWitness:
         return self.violating is None
 
 
-def _point_gains(space: LinearSpace) -> list[int]:
-    # adding point p can lower delta by at most (#lines through p) - 1
-    return [max(0, k - 1) for k in space.degrees]
+def _point_gains(space: LinearSpace, w: int = 1, t: int = 0) -> list[int]:
+    return [max(0, w * (k - 1) - t) for k in space.degrees]
 
 
 def min_delta_interval(
@@ -55,12 +65,16 @@ def min_delta_interval(
     *,
     stop_below: Optional[int] = None,
 ) -> int:
-    """Minimum of delta(X) over lo <= X <= hi (as masks).
+    """Minimum of delta(X) over lo <= X <= hi (as masks).  If `stop_below`
+    is given, returns early with the first value < it."""
+    return _least_key(space, lo_mask, hi_mask, 1, 0, stop_below)[0]
 
-    Branch-and-bound over the free points; a branch is cut when the
-    admissible per-point gain bound cannot reach the incumbent.  If
-    `stop_below` is given, returns early with the first value < it.
-    """
+
+def _least_key(
+    space: LinearSpace, lo_mask: int, hi_mask: int, w: int, t: int, stop_below: Optional[int] = None
+) -> tuple[int, int]:
+    """(key, X) for the X in [lo, hi] of least key w*delta(X) + t*|X|, or
+    for the first X found with key below `stop_below`."""
     if hi_mask < 0 or hi_mask >> space.n:
         raise ValueError(f"hi_mask {hi_mask:#x} has a bit outside the points 0..{space.n - 1}")
     if lo_mask & ~hi_mask:
@@ -68,31 +82,35 @@ def min_delta_interval(
     free = list(points_of(hi_mask & ~lo_mask))
     if len(free) > SEARCH_LIMIT:
         raise SizeLimit(f"{len(free)} free points exceeds search limit {SEARCH_LIMIT}")
-    gains = _point_gains(space)
-    free.sort(key=lambda p: -gains[p])
+    bounds = _point_gains(space, w, t)
+    free.sort(key=lambda p: -bounds[p])
     suffix = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + gains[free[i]]
-    base_delta = delta_mask(space, lo_mask)
+        suffix[i] = suffix[i + 1] + bounds[free[i]]
+    base = w * delta_mask(space, lo_mask) + t * lo_mask.bit_count()
     if stop_below is None:
-        # no X in the interval has delta below base_delta - suffix[0]
-        stop_below = base_delta - suffix[0]
+        # no X in the interval has a key below base - suffix[0]
+        stop_below = base - suffix[0]
     counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
     lines = [space.lines_by_point[p] for p in free]
-    return _min_from(lines, counts, suffix, stop_below, 0, base_delta, base_delta)
+    bits = [1 << p for p in free]
+    best_mask = [lo_mask]
+    key = _min_from(lines, counts, suffix, bits, w + t, w, stop_below, best_mask, 0, base, lo_mask, base)
+    return key, best_mask[0]
 
 
 def _min_from(
-    lines: list, counts: list[int], suffix: list[int], stop_below: int, i: int, cur: int, best: int
+    lines: list, counts: list[int], suffix: list[int], bits: list[int], step: int, w: int,
+    stop_below: int, best_mask: list[int], i: int, cur: int, mask: int, best: int,
 ) -> int:
-    """min(best, least delta of the current set plus some of the free
-    points i, i + 1, ...), or the first value found below `stop_below`.
-    The current set has delta `cur` and `counts` points on each line;
-    lines[j] holds the lines through free point j, and suffix[i] bounds
-    the drop the free points from i on can give.  counts is restored
-    before returning."""
+    """min(best, least key of `mask` plus some of the free points i, i + 1,
+    ...), or the first key below `stop_below`; each new least key's set
+    goes to best_mask[0].  `mask` has key `cur` and counts[l] points on
+    line l, free point j has lines[j] and bit bits[j], and suffix[i] bounds
+    the drop the points from i on can give.  counts is restored."""
     if cur < best:
         best = cur
+        best_mask[0] = mask
         if best < stop_below:
             return best
     if i == len(lines) or cur - suffix[i] >= best:
@@ -100,21 +118,22 @@ def _min_from(
     gain = 0
     for li in lines[i]:
         if counts[li] >= 2:
-            gain += 1
+            gain += w
         counts[li] += 1
-    best = _min_from(lines, counts, suffix, stop_below, i + 1, cur + 1 - gain, best)
+    best = _min_from(
+        lines, counts, suffix, bits, step, w, stop_below, best_mask, i + 1, cur + step - gain, mask | bits[i], best
+    )
     for li in lines[i]:
         counts[li] -= 1
     if best < stop_below:
         return best
-    return _min_from(lines, counts, suffix, stop_below, i + 1, cur, best)
+    return _min_from(lines, counts, suffix, bits, step, w, stop_below, best_mask, i + 1, cur, mask, best)
 
 
 def _smallest_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: int) -> Optional[int]:
-    """The (size, lex)-least X with lo <= X <= hi and delta(X) < threshold."""
+    """The (size, lex)-least X with lo <= X <= hi and delta(X) < threshold;
+    is_strong calls it after min_delta_interval has checked SEARCH_LIMIT."""
     free = sorted(points_of(hi_mask & ~lo_mask))
-    if len(free) > SEARCH_LIMIT:
-        raise SizeLimit(f"{len(free)} free points exceeds search limit {SEARCH_LIMIT}")
     gains = _point_gains(space)
     base = delta_mask(space, lo_mask)
     counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
@@ -182,26 +201,13 @@ def is_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> Stron
 
 
 def icl_mask(space: LinearSpace, x_mask: int) -> int:
-    """Least strong superset of X, as a mask.
-
-    Submodularity makes the delta-minimizing supersets of X closed under
-    intersection; the least minimizer is their intersection, recovered
-    point by point: p belongs to it iff excluding p raises the minimum.
-    """
-    full = space.full_mask()
-    m = min_delta_interval(space, x_mask, full)
-    out = x_mask
-    for p in range(space.n):
-        bit = 1 << p
-        if bit & full & ~x_mask:
-            # the minimum over [X, M - p] is at least m, so the first
-            # value below m + 1 settles it
-            if min_delta_interval(space, x_mask, full & ~bit, stop_below=m + 1) > m:
-                out |= bit
-    return out
+    """Least strong superset of X, as a mask: the least delta-minimizer
+    over [X, M], which the search finds as the one of least size."""
+    return _least_key(space, x_mask, space.full_mask(), space.n + 1, 1)[1]
 
 
 def icl(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
+    """Intrinsic closure: the least strong superset of X."""
     return frozenset(points_of(icl_mask(space, _mask(space.n, X))))
 
 
@@ -211,19 +217,11 @@ def d(space: LinearSpace, X: Iterable[int]) -> int:
 
 
 def d_closure(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
-    """Points whose addition does not raise the dimension of X.
-
-    X lies in its closure.  For p outside X, d(X + p) >= d(X), so p
-    belongs exactly when the interval search over [X + p, M] finds a
-    value below d(X) + 1, and it stops there.
-    """
-    xm, full = _mask(space.n, X), space.full_mask()
-    dx = min_delta_interval(space, xm, full)
-    return frozenset(
-        p
-        for p in range(space.n)
-        if xm >> p & 1 or min_delta_interval(space, xm | (1 << p), full, stop_below=dx + 1) == dx
-    )
+    """Points whose addition does not raise the dimension of X: the
+    greatest delta-minimizer over [X, M], which the search finds as the
+    one of largest size."""
+    xm = _mask(space.n, X)
+    return frozenset(points_of(_least_key(space, xm, space.full_mask(), space.n + 1, -1)[1]))
 
 
 # -- dense table path --------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import PairNotOnTriple
 from .primitives import GoodPair
-from .space import LinearSpace
+from .space import LinearSpace, _mask
 
 FANO_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
@@ -100,6 +100,7 @@ class CycleGraph:
 
 def cycle_graph(M: LinearSpace, a: int, b: int) -> CycleGraph:
     """The diagnostic graph of a pair in a Steiner triple system."""
+    _mask(M.n, (a, b))
     for ln in M.lines:
         if len(ln) != 3:
             raise ValueError("cycle graph is defined for 3-point lines only")
@@ -108,13 +109,9 @@ def cycle_graph(M: LinearSpace, a: int, b: int) -> CycleGraph:
         raise PairNotOnTriple(f"pair ({a}, {b}) lies on no 3-point line")
     (c,) = [p for p in ab if p not in (a, b)]
     verts = tuple(p for p in range(M.n) if p not in (a, b, c))
-    a_edges = set()
-    b_edges = set()
-    for ln in M.lines:
-        if a in ln and ln != ab:
-            x, y = [p for p in ln if p != a]
-            a_edges.add(frozenset((x, y)))
-        if b in ln and ln != ab:
-            x, y = [p for p in ln if p != b]
-            b_edges.add(frozenset((x, y)))
-    return CycleGraph(verts, frozenset(a_edges), frozenset(b_edges))
+
+    # the edges of q: the other two points of each line through q but ab
+    def edges(q: int) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset(p for p in ln if p != q) for ln in M.lines if q in ln and ln != ab)
+
+    return CycleGraph(verts, edges(a), edges(b))

@@ -41,6 +41,13 @@ def test_build_rejects_invalid_mu():
         build(MuFunction(0), 10, 1)
 
 
+@pytest.mark.parametrize("steps, template_max, name", [(-5, 10, "steps"), (10, -1, "template_max")])
+def test_build_rejects_negative_arguments(steps, template_max, name):
+    # the trace of such a build once failed its own parser
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 0, not -"):
+        build(MuFunction(1), steps, 0, template_max)
+
+
 def test_line_lengths_hit_target():
     for alpha in (1, 2):
         M, _ = small_build(MuFunction(alpha), steps=150)

@@ -164,6 +164,19 @@ def test_gallery_cyclegraph_needs_a_pair(fano_file, capsys, pair):
     assert "needs --pair a,b" in capsys.readouterr().err
 
 
+def test_gallery_cyclegraph_names_an_id_outside_the_points(fano_file, capsys):
+    assert main(["gallery", "cyclegraph", fano_file, "--pair", "0,100"]) == 1
+    assert "point 100 out of range 0..6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--steps", "-2"], ["--steps", "10", "--template-max", "-1"]])
+def test_build_refuses_negative_arguments(mu1_file, capsys, flag):
+    assert main(["build", "--mu", mu1_file, "--seed", "0", "--out", "-", *flag]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "must be >= 0" in out.err
+
+
 def test_convert_roundtrip(tmp_path, fano_file, capsys):
     assert main(["convert", "--to", "two-sorted", fano_file]) == 0
     inc_text = capsys.readouterr().out

@@ -9,6 +9,7 @@ from steinergeom import (
     SizeLimit,
     check_exchange,
     check_flatness,
+    D_k,
     cycle_Ck,
     d,
     d_closure,
@@ -16,6 +17,7 @@ from steinergeom import (
     delta,
     delta_table,
     fano,
+    fano_chain,
     icl,
     in_K0,
     induced,
@@ -186,6 +188,45 @@ def test_d_closure_examples():
     assert d_closure(free, [0, 1]) == frozenset({0, 1})
     ck = cycle_Ck(1).space
     assert d_closure(ck, [0, 1]) == frozenset(range(6))
+
+
+def _closures_from_tables(space, dt, sup, X):
+    """(icl, d_closure) of X from the pure-python subset tables dt, sup:
+    the (size, lex)-least strong Y >= X, and the p with d(X + p) = d(X)."""
+    xm = sum(1 << p for p in X)
+    strong = [y for y in range(1 << space.n) if y & xm == xm and sup[y] == dt[y]]
+    least = min(strong, key=lambda y: (y.bit_count(), [p for p in range(space.n) if y >> p & 1]))
+    return (
+        frozenset(p for p in range(space.n) if least >> p & 1),
+        frozenset(p for p in range(space.n) if sup[xm | 1 << p] == sup[xm]),
+    )
+
+
+def test_closures_are_the_least_and_the_greatest_minimizer():
+    # icl(X) is the least and d_closure(X) the greatest delta-minimizer
+    # over [X, M]; the cases are chosen so that many X have several
+    # minimizers, and a closure that returns some other minimizer fails
+    rng = Random(29)
+    F = fano()
+    spaces = [LinearSpace(7 + k, F.lines) for k in (1, 2, 3)]
+    spaces += [cycle_Ck(k).space for k in (1, 2)] + [D_k(k).space for k in (1, 2)]
+    spaces += [fano_chain(k)[-1] for k in (1, 2)]
+    spaces += [random_space(rng, rng.randrange(6, 12), tries=20) for _ in range(12)]
+    spaces += [random_k0(rng, rng.randrange(6, 12)) for _ in range(12)]
+    ties = 0
+    for space in spaces:
+        n = space.n
+        dt, sup = subset_tables(space)
+        # parts of {0, 1}, the base {a, b} of C_k and D_k and two points
+        # of a Fano line, and the points added to the Fano plane
+        sets = [(), (0,), (1,), (0, 1), tuple(range(7, n))]
+        sets += [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(6)]
+        for X in sets:
+            want_icl, want_cl = _closures_from_tables(space, dt, sup, X)
+            assert icl(space, X) == want_icl, (space.lines, X)
+            assert d_closure(space, X) == want_cl, (space.lines, X)
+            ties += want_icl != want_cl
+    assert ties >= 100, ties
 
 
 def test_tables_vs_oracle():

@@ -20,6 +20,7 @@ from steinergeom import (
     chi,
     copies_over_base,
     cycle_Ck,
+    cycle_graph,
     d,
     d_closure,
     decompose,
@@ -77,6 +78,7 @@ ENTRY_POINTS = {
     "amalgamate_or_identify": (3, lambda p: amalgamate_or_identify(LINE, E, [0, 1, p], MuFunction(2), 7)),
     "in_K_mu_bounded touching": (7, lambda p: in_K_mu_bounded(F, MuFunction(1), 3, touching=[p])),
     "matroid_dependent": (7, lambda p: matroid_dependent(F, [0, p])),
+    "cycle_graph": (7, lambda p: cycle_graph(F, 0, p)),
 }
 
 

@@ -903,6 +903,9 @@ def test_decompose_steps_are_strong_chain():
         for nxt, inc in decompose(M, D):
             assert cur < nxt
             assert is_strong(M, cur, nxt).ok
+            # minimality makes the step primitive
+            order = sorted(nxt)
+            assert is_primitive(induced(M, nxt), [order.index(p) for p in cur])
             assert delta(M, nxt) - delta(M, cur) == inc
             assert inc in (0, 1) or len(nxt - cur) == 1
             cur = set(nxt)
