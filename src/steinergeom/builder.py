@@ -33,7 +33,8 @@ from .amalgam import _glue
 from .errors import FormatError
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
-from .primitives import ALPHA_CODE, GoodPair, _group_chi, _max_disjoint, alpha_pair, copies_over_base
+from .primitives import ALPHA_CODE, ALPHA_SIZE, GoodPair, _group_chi, _max_disjoint, alpha_pair
+from .primitives import copies_over_base
 from .space import LinearSpace, _content_lines, _int, _ls_v1_rows, _row
 from .space import induced, pair_coverage, preserves_lines, to_ls_v1
 
@@ -239,11 +240,11 @@ def stats(M: LinearSpace, mu: MuFunction, *, bound: int = 6) -> dict:
     pairs of size <= bound, taken in the order in which
     enumerate_good_pairs lists each group's first pair.  The groups come
     from the grouping in_K_mu_bounded has just made, and the alpha groups
-    are the point pairs of each line.  A group's chi is the bounded
-    check's: primitives._group_chi, the largest over the maps of the
-    code's base onto the image.  Alpha needs no search: the copies over a
-    pair of a line are the line's other points, one point each, so chi is
-    len(line) - 2.
+    are the point pairs of each line when bound >= ALPHA_SIZE.  A group's
+    chi is the bounded check's: primitives._group_chi, the largest over
+    the maps of the code's base onto the image.  Alpha needs no search:
+    the copies over a pair of a line are the line's other points, one
+    point each, so chi is len(line) - 2.
     """
     hist: dict[int, int] = {}
     for ln in M.lines:
@@ -251,7 +252,7 @@ def stats(M: LinearSpace, mu: MuFunction, *, bound: int = 6) -> dict:
     _, violations = in_K_mu_bounded(M, mu, bound)
     # (points of the group's first pair, base image, code, chi)
     groups: list[tuple[list[int], list[int], str, int]] = []
-    for ln in M.lines:
+    for ln in M.lines if bound >= ALPHA_SIZE else ():
         for a, b in combinations(ln, 2):
             groups.append((sorted((a, b, min(set(ln) - {a, b}))), [a, b], ALPHA_CODE, len(ln) - 2))
     for (code, img), copies in _copy_groups_full(M, bound).items():

@@ -17,7 +17,7 @@ from .amalgam import amalgamate_or_identify
 from .builder import build, stats, to_trace_v1
 from .dimension import check_exchange, check_flatness, d, icl, in_K0
 from .errors import FormatError, SizeLimit, SteinerGeomError
-from .gallery import D_k, cycle_Ck, cycle_graph, fano, fano_chain
+from .gallery import D_k, _chain_end, cycle_Ck, cycle_graph, fano
 from .interop import (
     check_matroid_exchange,
     parse_inc_v1,
@@ -30,7 +30,7 @@ from .interop import (
 from .mu import MuFunction, parse_mu_v1, validate_mu
 from .primitives import GoodPair, chi, enumerate_good_pairs, parse_gp_v1
 from .sampling import random_k0, random_space
-from .space import LinearSpace, _int, delta, parse_ls_v1, to_ls_v1
+from .space import MAX_POINTS, LinearSpace, _int, delta, parse_ls_v1, to_ls_v1
 
 
 def _read(path: str) -> str:
@@ -189,6 +189,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    n = {"ck": 4 * args.k + 2, "dk": 4 * args.k + 3, "chain": 7 + 3 * args.k}.get(args.kind, 0)
+    if n > MAX_POINTS:
+        raise SizeLimit(f"gallery {args.kind} --k {args.k} has {n} points, more than {MAX_POINTS}")
     if args.kind == "fano":
         sys.stdout.write(to_ls_v1(fano()))
     elif args.kind == "ck":
@@ -198,7 +201,7 @@ def cmd_gallery(args) -> int:
         gp = D_k(args.k)
         sys.stdout.write(to_ls_v1(gp.space))
     elif args.kind == "chain":
-        sys.stdout.write(to_ls_v1(fano_chain(args.k)[-1]))
+        sys.stdout.write(to_ls_v1(_chain_end(args.k)))
     elif args.kind == "cyclegraph":
         pair = _point_list(args.pair) if args.pair is not None else []
         if len(pair) != 2:

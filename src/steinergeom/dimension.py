@@ -1,13 +1,16 @@
 """Hereditary nonnegativity, strong substructure, intrinsic closure, and
 the dimension function derived from the predimension.
 
-The searches here are exact.  Each interval question is one call of the
-branch-and-bound _least_key, which finds the X in [lo, hi] of least key
-w*delta(X) + t*|X|: min_delta_interval and d take w = 1, t = 0, and icl
-and d_closure take w = n + 1 and t = +1, -1.  is_strong (so in_K0, which
-is is_strong(∅, M)) adds _smallest_below for the (size, lex)-least
-witness; both take at most SEARCH_LIMIT free points.  Dense numpy tables
-(delta_table, d_table) serve only where every subset's value is needed.
+The searches here are exact.  Each interval question is one call of one
+of two branch-and-bounds, which share their checks and set-up
+(_interval, at most SEARCH_LIMIT free points) and try the free points in
+falling order of their bound, each in before out.  _least_key finds the
+X in [lo, hi] of least key w*delta(X) + t*|X|: min_delta_interval and d
+take w = 1, t = 0, and icl and d_closure take w = n + 1 and t = +1, -1.
+_least_below finds the (size, lex)-least X in [lo, hi] with delta(X)
+below a threshold: is_strong(lo, hi) takes delta(lo), and in_K0 is
+is_strong(∅, M).  Dense numpy tables (delta_table, d_table) serve only
+where every subset's value is needed.
 
 delta is submodular and no set of [X, M] has delta below d(X), so the
 delta-minimizers of [X, M] are closed under union and intersection.
@@ -18,7 +21,18 @@ t*|X|, so t = +1 finds the least minimizer and t = -1 the greatest.
 The bound is admissible: adding p lowers delta by at most deg p - 1, so
 the key by at most w*(deg p - 1) - t, and a branch is cut when its key
 minus these drops (those above 0) over the free points left cannot beat
-the incumbent.
+the incumbent.  That is replaced only by a smaller key, so no early stop
+is needed: once it is base - suffix[0], the least key the bound allows,
+every node left is cut at once.
+
+_least_below replaces its incumbent by a smaller set below the
+threshold, or by one of the same size that holds the lowest point of
+their symmetric difference, so it ends with the (size, lex)-least one.
+A branch is cut when its set is below the threshold, since the sets
+above it are larger, or when its `room` = |incumbent| - |X - lo| largest
+drops left, suffix[i] - suffix[i + room], cannot bring delta below the
+threshold; with no room left that sum is 0.  Neither cut drops a set
+that could replace the incumbent.
 """
 
 from __future__ import annotations
@@ -41,8 +55,8 @@ EXCHANGE_LIMIT = 16
 class StrongExtensionWitness:
     """Certificate that lo is (not) strong in hi.
 
-    `violating` is a set X with lo <= X <= hi and delta(X) < delta(lo),
-    present exactly when the relation fails.
+    `violating` is the (size, lex)-least set X with lo <= X <= hi and
+    delta(X) < delta(lo), present exactly when the relation fails.
     """
 
     lo: frozenset[int]
@@ -54,27 +68,15 @@ class StrongExtensionWitness:
         return self.violating is None
 
 
-def _point_gains(space: LinearSpace, w: int = 1, t: int = 0) -> list[int]:
-    return [max(0, w * (k - 1) - t) for k in space.degrees]
+def min_delta_interval(space: LinearSpace, lo_mask: int, hi_mask: int) -> int:
+    """Minimum of delta(X) over lo <= X <= hi (as masks)."""
+    return _least_key(space, lo_mask, hi_mask, 1, 0)[0]
 
 
-def min_delta_interval(
-    space: LinearSpace,
-    lo_mask: int,
-    hi_mask: int,
-    *,
-    stop_below: Optional[int] = None,
-) -> int:
-    """Minimum of delta(X) over lo <= X <= hi (as masks).  If `stop_below`
-    is given, returns early with the first value < it."""
-    return _least_key(space, lo_mask, hi_mask, 1, 0, stop_below)[0]
-
-
-def _least_key(
-    space: LinearSpace, lo_mask: int, hi_mask: int, w: int, t: int, stop_below: Optional[int] = None
-) -> tuple[int, int]:
-    """(key, X) for the X in [lo, hi] of least key w*delta(X) + t*|X|, or
-    for the first X found with key below `stop_below`."""
+def _interval(space: LinearSpace, lo_mask: int, hi_mask: int, w: int, t: int):
+    """Check [lo, hi]; return lo's key and line counts, and the free points'
+    lines and bits in falling order of their bound max(0, w*(deg p - 1) - t)
+    with the suffix sums of those bounds, padded with zeros."""
     if hi_mask < 0 or hi_mask >> space.n:
         raise ValueError(f"hi_mask {hi_mask:#x} has a bit outside the points 0..{space.n - 1}")
     if lo_mask & ~hi_mask:
@@ -82,37 +84,36 @@ def _least_key(
     free = list(points_of(hi_mask & ~lo_mask))
     if len(free) > SEARCH_LIMIT:
         raise SizeLimit(f"{len(free)} free points exceeds search limit {SEARCH_LIMIT}")
-    bounds = _point_gains(space, w, t)
+    bounds = [max(0, w * (k - 1) - t) for k in space.degrees]
     free.sort(key=lambda p: -bounds[p])
-    suffix = [0] * (len(free) + 1)
+    suffix = [0] * (2 * len(free) + 2)
     for i in range(len(free) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + bounds[free[i]]
     base = w * delta_mask(space, lo_mask) + t * lo_mask.bit_count()
-    if stop_below is None:
-        # no X in the interval has a key below base - suffix[0]
-        stop_below = base - suffix[0]
     counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
-    lines = [space.lines_by_point[p] for p in free]
-    bits = [1 << p for p in free]
+    return base, counts, [space.lines_by_point[p] for p in free], [1 << p for p in free], suffix
+
+
+def _least_key(space: LinearSpace, lo_mask: int, hi_mask: int, w: int, t: int) -> tuple[int, int]:
+    """(key, X) for the X in [lo, hi] of least key w*delta(X) + t*|X|."""
+    base, counts, lines, bits, suffix = _interval(space, lo_mask, hi_mask, w, t)
     best_mask = [lo_mask]
-    key = _min_from(lines, counts, suffix, bits, w + t, w, stop_below, best_mask, 0, base, lo_mask, base)
+    key = _min_from(lines, counts, suffix, bits, w + t, w, best_mask, 0, base, lo_mask, base)
     return key, best_mask[0]
 
 
 def _min_from(
     lines: list, counts: list[int], suffix: list[int], bits: list[int], step: int, w: int,
-    stop_below: int, best_mask: list[int], i: int, cur: int, mask: int, best: int,
+    best_mask: list[int], i: int, cur: int, mask: int, best: int,
 ) -> int:
     """min(best, least key of `mask` plus some of the free points i, i + 1,
-    ...), or the first key below `stop_below`; each new least key's set
-    goes to best_mask[0].  `mask` has key `cur` and counts[l] points on
-    line l, free point j has lines[j] and bit bits[j], and suffix[i] bounds
-    the drop the points from i on can give.  counts is restored."""
+    ...); each new least key's set goes to best_mask[0].  `mask` has key
+    `cur` and counts[l] points on line l, free point j has lines[j] and bit
+    bits[j], and suffix[i] bounds the drop the points from i on can give.
+    counts is restored."""
     if cur < best:
         best = cur
         best_mask[0] = mask
-        if best < stop_below:
-            return best
     if i == len(lines) or cur - suffix[i] >= best:
         return best
     gain = 0
@@ -121,60 +122,46 @@ def _min_from(
             gain += w
         counts[li] += 1
     best = _min_from(
-        lines, counts, suffix, bits, step, w, stop_below, best_mask, i + 1, cur + step - gain, mask | bits[i], best
+        lines, counts, suffix, bits, step, w, best_mask, i + 1, cur + step - gain, mask | bits[i], best
     )
     for li in lines[i]:
         counts[li] -= 1
-    if best < stop_below:
-        return best
-    return _min_from(lines, counts, suffix, bits, step, w, stop_below, best_mask, i + 1, cur, mask, best)
+    return _min_from(lines, counts, suffix, bits, step, w, best_mask, i + 1, cur, mask, best)
 
 
-def _smallest_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: int) -> Optional[int]:
-    """The (size, lex)-least X with lo <= X <= hi and delta(X) < threshold;
-    is_strong calls it after min_delta_interval has checked SEARCH_LIMIT."""
-    free = sorted(points_of(hi_mask & ~lo_mask))
-    gains = _point_gains(space)
-    base = delta_mask(space, lo_mask)
-    counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
-    for size in range(1, len(free) + 1):
-        found = _first_below(space, free, gains, counts, threshold, 0, base, lo_mask, size)
-        if found is not None:
-            return found
-    return None
+def _least_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: int) -> Optional[int]:
+    """The (size, lex)-least X with lo <= X <= hi and delta(X) < threshold,
+    as a mask, or None."""
+    cur, counts, lines, bits, suffix = _interval(space, lo_mask, hi_mask, 1, 0)
+    best = [len(lines) + 1, None]
+    _below_from(lines, counts, suffix, bits, threshold, best, 0, cur, lo_mask, 0)
+    return best[1]
 
 
-def _first_below(
-    space: LinearSpace, free: list[int], gains: list[int], counts: list[int],
-    threshold: int, i: int, cur: int, mask: int, budget: int,
-) -> Optional[int]:
-    """The lex-least set with delta below `threshold` that adds at most
-    `budget` of free[i:] to `mask`, of delta `cur` and line counts
-    `counts`; None if there is none.  counts is restored before
-    returning."""
+def _below_from(
+    lines: list, counts: list[int], suffix: list[int], bits: list[int], threshold: int,
+    best: list, i: int, cur: int, mask: int, size: int,
+) -> None:
+    """Put into best = [size, mask] each set that is below `threshold`,
+    (size, lex)-less than it, and `mask` plus some of the free points i,
+    i + 1, ...; `mask` has delta `cur`, counts[l] points on line l and
+    `size` free points.  counts is restored."""
     if cur < threshold:
-        return mask
-    if budget == 0 or i == len(free):
-        return None
-    # even taking the `budget` best remaining gains cannot get below threshold
-    top = sorted((gains[p] for p in free[i:]), reverse=True)[:budget]
-    if cur - sum(top) >= threshold:
-        return None
-    for j in range(i, len(free)):
-        p = free[j]
-        gain = 0
-        for li in space.lines_by_point[p]:
-            if counts[li] >= 2:
-                gain += 1
-            counts[li] += 1
-        found = _first_below(
-            space, free, gains, counts, threshold, j + 1, cur + 1 - gain, mask | (1 << p), budget - 1
-        )
-        for li in space.lines_by_point[p]:
-            counts[li] -= 1
-        if found is not None:
-            return found
-    return None
+        if size < best[0] or (diff := mask ^ best[1]) & -diff & mask:
+            best[0], best[1] = size, mask
+        return
+    room = best[0] - size
+    if cur - suffix[i] + suffix[i + room] >= threshold:
+        return
+    gain = 0
+    for li in lines[i]:
+        if counts[li] >= 2:
+            gain += 1
+        counts[li] += 1
+    _below_from(lines, counts, suffix, bits, threshold, best, i + 1, cur + 1 - gain, mask | bits[i], size + 1)
+    for li in lines[i]:
+        counts[li] -= 1
+    _below_from(lines, counts, suffix, bits, threshold, best, i + 1, cur, mask, size)
 
 
 def in_K0(space: LinearSpace):
@@ -189,15 +176,12 @@ def in_K0(space: LinearSpace):
 
 
 def is_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> StrongExtensionWitness:
-    """Test lo <= hi: no X between them drops delta below delta(lo)."""
+    """Test lo <= hi: no X between them drops delta below delta(lo); the
+    witness holds the (size, lex)-least X that does."""
     lo_mask, hi_mask = _mask(space.n, lo), _mask(space.n, hi)
-    target = delta_mask(space, lo_mask)
-    m = min_delta_interval(space, lo_mask, hi_mask, stop_below=target)
+    bad = _least_below(space, lo_mask, hi_mask, delta_mask(space, lo_mask))
     lo_f, hi_f = frozenset(points_of(lo_mask)), frozenset(points_of(hi_mask))
-    if m >= target:
-        return StrongExtensionWitness(lo_f, hi_f)
-    bad = _smallest_below(space, lo_mask, hi_mask, target)
-    return StrongExtensionWitness(lo_f, hi_f, frozenset(points_of(bad)))
+    return StrongExtensionWitness(lo_f, hi_f, None if bad is None else frozenset(points_of(bad)))
 
 
 def icl_mask(space: LinearSpace, x_mask: int) -> int:

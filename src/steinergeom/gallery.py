@@ -72,20 +72,28 @@ def D_k(k: int) -> GoodPair:
 _TRIANGLE = (0, 1, 3)
 
 
-def fano_chain(n: int) -> list[LinearSpace]:
-    """Chain A_0 <= A_1 <= ... <= A_n: A_0 the Fano plane, each step
-    adding a_{i+1}, b_{i+1}, c_{i+1} collinear with the previous triangle
-    so that delta(A_{i+1}/A_i) = 0."""
+def _chain_steps(n: int) -> list[list[tuple[int, int, int]]]:
+    """The lines each step of the Fano chain adds: step i puts a_{i+1},
+    b_{i+1}, c_{i+1} = 7 + 3i, 8 + 3i, 9 + 3i collinear with the previous
+    triangle a_i, b_i, c_i, so that delta(A_{i+1}/A_i) = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    tri = [_TRIANGLE] + [(p, p + 1, p + 2) for p in range(7, 7 + 3 * n, 3)]
+    return [[(a, a2, c2), (b, b2, c2), (a2, b2, c)] for (a, b, c), (a2, b2, c2) in zip(tri, tri[1:])]
+
+
+def fano_chain(n: int) -> list[LinearSpace]:
+    """Chain A_0 <= A_1 <= ... <= A_n from the Fano plane, one step each."""
     out = [fano()]
-    a, b, c = _TRIANGLE
-    for _ in range(n):
-        A = out[-1]
-        a2, b2, c2 = A.n, A.n + 1, A.n + 2
-        out.append(A.with_lines(A.n + 3, add=[(a, a2, c2), (b, b2, c2), (a2, b2, c)]))
-        a, b, c = a2, b2, c2
+    for add in _chain_steps(n):
+        out.append(out[-1].with_lines(out[-1].n + 3, add=add))
     return out
+
+
+def _chain_end(n: int) -> LinearSpace:
+    """A_n alone, fano_chain(n)[-1], in one LinearSpace call: the chain
+    holds n + 1 structures, each with its own pair index."""
+    return LinearSpace(7 + 3 * n, [*FANO_LINES, *(ln for step in _chain_steps(n) for ln in step)])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import FormatError
-from .primitives import ALPHA_CODE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
+from .primitives import ALPHA_CODE, ALPHA_SIZE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
 from .primitives import canonical_code, decode_code, enumerate_good_pairs
 from .space import LinearSpace, _content_lines, _int, _mask, _row, delta_mask, induced, mask_of, points_of
 
@@ -86,11 +86,12 @@ def in_K_mu_bounded(
     """Whether no good pair of size <= bound exceeds its mu cap.
 
     Violations are (code, base tuple, chi, mu value).  Alpha is read off
-    line lengths; larger pairs are enumerated and grouped by code and base
-    image as a set, a grouping independent of mu and cached, so checking
-    one structure under several mu functions enumerates it once.  chi
-    fixes the base pointwise: primitives._group_chi searches only a group
-    whose packing exceeds its cap, and the base tuple names the map.
+    line lengths when bound >= ALPHA_SIZE; larger pairs are enumerated
+    and grouped by code and base image as a set, a grouping independent
+    of mu and cached, so checking one structure under several mu
+    functions enumerates it once.  chi fixes the base pointwise:
+    primitives._group_chi searches only a group whose packing exceeds its
+    cap, and the base tuple names the map.
 
     With `touching`, only the violations whose group meets those points
     are returned: the line for alpha, else the base image or one of the
@@ -103,7 +104,7 @@ def in_K_mu_bounded(
     want = frozenset(points_of(_mask(M.n, touching)))
     violations: list[tuple[str, tuple[int, ...], int, int]] = []
     max_len = mu.line_length()
-    for ln in M.lines:
+    for ln in M.lines if bound >= ALPHA_SIZE else ():
         if want and not want.intersection(ln):
             continue
         if len(ln) > max_len:

@@ -57,6 +57,8 @@ from .tight import iter_candidate_sets
 DEFAULT_CODE_LIMIT = 16
 COPY_CAP = 10000
 ALPHA_CODE = "alpha"
+# alpha's points: two on a line and the new third one
+ALPHA_SIZE = 3
 # entries of each code cache, _shape_code and _least_leaf
 SHAPE_CACHE_SIZE = 1024
 
@@ -778,7 +780,7 @@ def enumerate_good_pairs(
     touch = M.full_mask() if _touching is None else _touching
     out: list[tuple[GoodPair, dict[int, int]]] = []
     alpha = alpha_pair()
-    for ln, lm in zip(M.lines, M.line_masks):
+    for ln, lm in zip(M.lines, M.line_masks) if max_size >= ALPHA_SIZE else ():
         if not lm & touch:
             continue
         for c in ln:

@@ -198,6 +198,12 @@ def test_stats_keys():
     assert st["line_length_histogram"].get(3, 0) == len(M.lines)
 
 
+def test_stats_sees_no_alpha_group_below_its_size():
+    line5 = LinearSpace(5, [(0, 1, 2, 3, 4)])
+    assert stats(line5, MuFunction(1), bound=2)["chi_saturation"] == {}
+    assert stats(line5, MuFunction(1), bound=3)["chi_saturation"] == {ALPHA_CODE: 3.0}
+
+
 # sha256 of repr(stats(build(MuFunction(alpha), steps, seed)[0], ...)),
 # key order and float bits included
 PINNED_STATS = {

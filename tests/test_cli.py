@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from steinergeom import fano, to_gp_v1, to_ls_v1, to_mu_v1, LinearSpace, MuFunction
+from steinergeom import fano, fano_chain, to_gp_v1, to_ls_v1, to_mu_v1, LinearSpace, MuFunction
 from steinergeom.cli import main
 from steinergeom.space import MAX_POINTS
 
@@ -134,6 +134,26 @@ def test_gallery_outputs(capsys):
     assert "points 7" in capsys.readouterr().out
     assert main(["gallery", "chain", "--k", "2"]) == 0
     assert "points 13" in capsys.readouterr().out
+
+
+def test_gallery_chain_is_the_last_structure_of_the_chain(capsys):
+    for k in (0, 1, 5):
+        assert main(["gallery", "chain", "--k", str(k)]) == 0
+        assert capsys.readouterr().out == to_ls_v1(fano_chain(k)[-1])
+
+
+# one step past the cap: chain --k 21843 has 65536 points, ck and dk
+# --k 16383 have 65534 and 65535
+@pytest.mark.parametrize("kind, k", [("chain", 21844), ("ck", 16384), ("dk", 16384)])
+def test_gallery_over_the_point_cap_is_a_size_limit(capsys, kind, k):
+    assert main(["gallery", kind, "--k", str(k)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and f"more than {MAX_POINTS}" in out.err
+
+
+def test_goodpairs_lists_no_alpha_below_its_size(fano_file, capsys):
+    assert main(["goodpairs", fano_file, "--max-size", "2"]) == 0
+    assert capsys.readouterr().out == "0 good pairs\n"
 
 
 def test_gallery_cyclegraph(fano_file, capsys):

@@ -100,6 +100,27 @@ def test_witnesses_are_the_least_violating_sets():
     assert k0_bad >= 50 and strong_bad >= 50, (k0_bad, strong_bad)
 
 
+# sha256 over repr(in_K0(M)) and the sorted violating set of is_strong on
+# two random (lo, hi) for each of the 200 random_space outputs of 10-16
+# points drawn from Random(11): 62 are not in K_0 and 82 of the 400
+# intervals are not strong
+PINNED_WITNESSES = "adce07c0420f6bddd6c47dcf5745644676c2bec0183c6d034328334896c41cf4"
+
+
+def test_witnesses_on_larger_spaces_are_pinned():
+    rng = Random(11)
+    spaces = [random_space(rng, rng.randrange(10, 17), tries=40) for _ in range(200)]
+    h = hashlib.sha256()
+    for space in spaces:
+        h.update(repr(in_K0(space)).encode())
+        for _ in range(2):
+            hi = set(rng.sample(range(space.n), rng.randrange(1, space.n + 1)))
+            lo = set(rng.sample(sorted(hi), rng.randrange(len(hi) + 1)))
+            bad = is_strong(space, lo, hi).violating
+            h.update(repr(None if bad is None else sorted(bad)).encode())
+    assert h.hexdigest() == PINNED_WITNESSES
+
+
 def test_is_strong_examples():
     f = fano()
     w = is_strong(f, [0], range(7))

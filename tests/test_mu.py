@@ -134,6 +134,15 @@ def test_bounded_check_alpha_violation():
     assert in_K_mu_bounded(line4, MuFunction(2), 4)[0]
 
 
+def test_bounded_check_sees_no_alpha_below_its_size():
+    # alpha has three points: a bound below 3 admits none of its pairs
+    line5 = LinearSpace(5, [(0, 1, 2, 3, 4)])
+    for bound in (2, 1, 0, -1):
+        assert in_K_mu_bounded(line5, MuFunction(1), bound) == (True, [])
+        assert in_K_mu_bounded(line5, MuFunction(1), bound, touching=[0]) == (True, [])
+    assert in_K_mu_bounded(line5, MuFunction(1), 3) == (False, [(ALPHA_CODE, (0, 1), 3, 1)])
+
+
 def test_bounded_check_fano():
     # one copy of the Fano plane over the empty base is within the cap
     assert in_K_mu_bounded(fano(), MuFunction(1), 7)[0]

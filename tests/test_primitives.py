@@ -193,6 +193,12 @@ def test_alpha_code_fixed():
     assert canonical_code(LinearSpace(3, [(0, 1, 2)]), [0, 2]) == ALPHA_CODE
 
 
+def test_no_alpha_pair_below_its_size():
+    assert len(enumerate_good_pairs(fano(), 3)) == 21
+    for max_size in (2, 1, 0, -1):
+        assert enumerate_good_pairs(fano(), max_size) == []
+
+
 def test_codes_distinguish_cycles():
     codes = {cycle_Ck(k).code for k in range(1, 4)}
     assert len(codes) == 3
