@@ -17,7 +17,7 @@ from .amalgam import amalgamate_or_identify
 from .builder import build, stats, to_trace_v1
 from .dimension import check_exchange, check_flatness, d, icl, in_K0
 from .errors import FormatError, SizeLimit, SteinerGeomError
-from .gallery import D_k, _chain_end, cycle_Ck, cycle_graph, fano
+from .gallery import _chain_end, _cycle_lines, _dk_lines, cycle_graph, fano
 from .interop import (
     check_matroid_exchange,
     parse_inc_v1,
@@ -194,12 +194,9 @@ def cmd_gallery(args) -> int:
         raise SizeLimit(f"gallery {args.kind} --k {args.k} has {n} points, more than {MAX_POINTS}")
     if args.kind == "fano":
         sys.stdout.write(to_ls_v1(fano()))
-    elif args.kind == "ck":
-        gp = cycle_Ck(args.k)
-        sys.stdout.write(to_ls_v1(gp.space))
-    elif args.kind == "dk":
-        gp = D_k(args.k)
-        sys.stdout.write(to_ls_v1(gp.space))
+    elif args.kind in ("ck", "dk"):
+        lines = (_cycle_lines if args.kind == "ck" else _dk_lines)(args.k)
+        sys.stdout.write(to_ls_v1(LinearSpace(n, lines)))
     elif args.kind == "chain":
         sys.stdout.write(to_ls_v1(_chain_end(args.k)))
     elif args.kind == "cyclegraph":

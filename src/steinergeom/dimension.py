@@ -1,38 +1,41 @@
 """Hereditary nonnegativity, strong substructure, intrinsic closure, and
 the dimension function derived from the predimension.
 
-The searches here are exact.  Each interval question is one call of one
-of two branch-and-bounds, which share their checks and set-up
-(_interval, at most SEARCH_LIMIT free points) and try the free points in
-falling order of their bound, each in before out.  _least_key finds the
-X in [lo, hi] of least key w*delta(X) + t*|X|: min_delta_interval and d
-take w = 1, t = 0, and icl and d_closure take w = n + 1 and t = +1, -1.
-_least_below finds the (size, lex)-least X in [lo, hi] with delta(X)
-below a threshold: is_strong(lo, hi) takes delta(lo), and in_K0 is
-is_strong(∅, M).  Dense numpy tables (delta_table, d_table) serve only
-where every subset's value is needed.
+Every interval question is one maximum flow, _interval.  For lo <= X <=
+hi, a line l with k_l = |l & hi| >= 3 gives max(0, |l & X| - 2) = k_l -
+2 - min(k_l - 2, m_l), where the m_l points of l & hi out of X are free
+(in hi - lo).  So delta(X) = |lo| - sum(k_l - 2) + |X - lo| + sum
+min(k_l - 2, m_l), the last two terms being the cut that puts X's free
+points on the source side of the network s -> l (k_l - 2), l -> p (1)
+for each free p on l, p -> t (1), over the lines holding a free point:
+min delta = |lo| - sum(k_l - 2) + maxflow (Kolmogorov and Zabih, 2004).
+The flow runs in phases (Dinic): a breadth-first pass levels the lines
+from those with spare capacity, then an iterative depth-first pass with
+a current-arc pointer per line pushes a blocking flow along the levels.
+The minimum cuts' source sides are closed under union and intersection;
+the least holds the free points s reaches in the residual network, the
+greatest all but those that reach t (Picard and Queyranne, 1980).  So
+min_delta_interval and d read the minimum, and icl and d_closure the
+least and the greatest delta-minimizer of [X, M]: icl(X) is strong, as
+no set of [X, M] has delta below d(X), and p is in some minimizer iff
+d(X + p) = d(X).
 
-delta is submodular and no set of [X, M] has delta below d(X), so the
-delta-minimizers of [X, M] are closed under union and intersection.
-Their least is icl(X): it is strong, and a strong Y >= X meets it in a
-minimizer.  Their greatest is d_closure(X): p lies in some minimizer iff
-d(X + p) = d(X).  As w > |X|, the key orders sets by delta, then by
-t*|X|, so t = +1 finds the least minimizer and t = -1 the greatest.
-The bound is admissible: adding p lowers delta by at most deg p - 1, so
-the key by at most w*(deg p - 1) - t, and a branch is cut when its key
-minus these drops (those above 0) over the free points left cannot beat
-the incumbent.  That is replaced only by a smaller key, so no early stop
-is needed: once it is base - suffix[0], the least key the bound allows,
-every node left is cut at once.
-
-_least_below replaces its incumbent by a smaller set below the
-threshold, or by one of the same size that holds the lowest point of
-their symmetric difference, so it ends with the (size, lex)-least one.
-A branch is cut when its set is below the threshold, since the sets
-above it are larger, or when its `room` = |incumbent| - |X - lo| largest
-drops left, suffix[i] - suffix[i + room], cannot bring delta below the
-threshold; with no room left that sum is 0.  Neither cut drops a set
-that could replace the incumbent.
+is_strong(lo, hi) looks for the (size, lex)-least X in [lo, hi] with
+delta(X) < delta(lo); one exists iff the flow's minimum is below
+delta(lo).  For such an X and the least minimizer Y, submodularity and
+delta(X | Y) >= delta(Y) give delta(X & Y) <= delta(X), so the least X
+lies in Y.  _least_below searches [lo, Y] alone, at most SEARCH_LIMIT
+free points, by a binary branch-and-bound that tries them in falling
+order of deg p - 1, the most adding p lowers delta, each in before out.
+It replaces its incumbent by a smaller set below the threshold, or by
+one of the same size that holds the lowest point of their symmetric
+difference, so it ends with the (size, lex)-least one.  A branch is cut
+when its set is below the threshold, since the sets above it are larger,
+or when its `room` = |incumbent| - |X - lo| largest drops left,
+suffix[i] - suffix[i + room], cannot bring delta below the threshold;
+with no room left that sum is 0.  in_K0 is is_strong(∅, M).  Dense
+numpy tables (delta_table, d_table) serve only where every subset's
+value is needed.
 """
 
 from __future__ import annotations
@@ -70,71 +73,105 @@ class StrongExtensionWitness:
 
 def min_delta_interval(space: LinearSpace, lo_mask: int, hi_mask: int) -> int:
     """Minimum of delta(X) over lo <= X <= hi (as masks)."""
-    return _least_key(space, lo_mask, hi_mask, 1, 0)[0]
+    return _interval(space, lo_mask, hi_mask)[0]
 
 
-def _interval(space: LinearSpace, lo_mask: int, hi_mask: int, w: int, t: int):
-    """Check [lo, hi]; return lo's key and line counts, and the free points'
-    lines and bits in falling order of their bound max(0, w*(deg p - 1) - t)
-    with the suffix sums of those bounds, padded with zeros."""
+def _interval(space: LinearSpace, lo_mask: int, hi_mask: int) -> tuple[int, int, int]:
+    """(min delta, least minimizer, greatest minimizer) over [lo, hi], the
+    sets as masks, read off one maximum flow."""
     if hi_mask < 0 or hi_mask >> space.n:
         raise ValueError(f"hi_mask {hi_mask:#x} has a bit outside the points 0..{space.n - 1}")
     if lo_mask & ~hi_mask:
         raise ValueError("lo not contained in hi")
-    free = list(points_of(hi_mask & ~lo_mask))
-    if len(free) > SEARCH_LIMIT:
-        raise SizeLimit(f"{len(free)} free points exceeds search limit {SEARCH_LIMIT}")
-    bounds = [max(0, w * (k - 1) - t) for k in space.degrees]
-    free.sort(key=lambda p: -bounds[p])
-    suffix = [0] * (2 * len(free) + 2)
-    for i in range(len(free) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[free[i]]
-    base = w * delta_mask(space, lo_mask) + t * lo_mask.bit_count()
-    counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
-    return base, counts, [space.lines_by_point[p] for p in free], [1 << p for p in free], suffix
-
-
-def _least_key(space: LinearSpace, lo_mask: int, hi_mask: int, w: int, t: int) -> tuple[int, int]:
-    """(key, X) for the X in [lo, hi] of least key w*delta(X) + t*|X|."""
-    base, counts, lines, bits, suffix = _interval(space, lo_mask, hi_mask, w, t)
-    best_mask = [lo_mask]
-    key = _min_from(lines, counts, suffix, bits, w + t, w, best_mask, 0, base, lo_mask, base)
-    return key, best_mask[0]
-
-
-def _min_from(
-    lines: list, counts: list[int], suffix: list[int], bits: list[int], step: int, w: int,
-    best_mask: list[int], i: int, cur: int, mask: int, best: int,
-) -> int:
-    """min(best, least key of `mask` plus some of the free points i, i + 1,
-    ...); each new least key's set goes to best_mask[0].  `mask` has key
-    `cur` and counts[l] points on line l, free point j has lines[j] and bit
-    bits[j], and suffix[i] bounds the drop the points from i on can give.
-    counts is restored."""
-    if cur < best:
-        best = cur
-        best_mask[0] = mask
-    if i == len(lines) or cur - suffix[i] >= best:
-        return best
-    gain = 0
-    for li in lines[i]:
-        if counts[li] >= 2:
-            gain += w
-        counts[li] += 1
-    best = _min_from(
-        lines, counts, suffix, bits, step, w, best_mask, i + 1, cur + step - gain, mask | bits[i], best
-    )
-    for li in lines[i]:
-        counts[li] -= 1
-    return _min_from(lines, counts, suffix, bits, step, w, best_mask, i + 1, cur, mask, best)
+    free, low = hi_mask & ~lo_mask, lo_mask.bit_count()
+    caps, members, on = [], [], {}  # per network line: capacity, free points; per point: lines
+    for ln, lm in zip(space.lines, space.line_masks):
+        k = (lm & hi_mask).bit_count()
+        if k >= 3:
+            low -= k - 2
+            if f := lm & free:
+                members.append(ln if f == lm else [p for p in ln if f >> p & 1])
+                for p in members[-1]:
+                    on.setdefault(p, []).append(len(caps))
+                caps.append(k - 2)
+    owner, used = {}, [0] * len(caps)  # owner[p]: the line whose unit p passes to t
+    while True:
+        level = [0 if u < c else -1 for u, c in zip(used, caps)]
+        layer, depth = [i for i, lv in enumerate(level) if lv == 0], 0
+        while layer and all(p in owner for i in layer for p in members[i]):
+            nxt = []
+            for i in layer:
+                for j in (owner[p] for p in members[i]):
+                    if level[j] < 0:
+                        level[j] = depth + 1
+                        nxt.append(j)
+            layer, depth = nxt, depth + 1
+        if not layer:
+            break
+        ptr = [0] * len(caps)
+        for root in range(len(caps)):
+            while level[root] == 0 and used[root] < caps[root]:
+                path, via = [root], []  # path[k] feeds via[k], taking it from path[k + 1]
+                while path:
+                    i = path[-1]
+                    if ptr[i] == len(members[i]):
+                        level[i] = -1
+                        path.pop()
+                        del via[-1:]
+                        continue
+                    p = members[i][ptr[i]]
+                    ptr[i] += 1
+                    j = owner.get(p)
+                    if j is None or level[j] == level[i] + 1 <= depth:
+                        via.append(p)
+                        if j is None:
+                            owner.update(zip(via, path))
+                            used[root] += 1
+                            break
+                        path.append(j)
+    # s reaches the lines with spare capacity, from a line the points it
+    # does not feed, and from a point the line feeding it
+    stack = [i for i, c in enumerate(caps) if used[i] < c]
+    seen, source = set(stack), set()
+    while stack:
+        i = stack.pop()
+        for p in members[i]:
+            if owner[p] != i and p not in source:
+                source.add(p)
+                if owner[p] not in seen:
+                    seen.add(owner[p])
+                    stack.append(owner[p])
+    # t is reached from the points no line feeds, from a line through a
+    # point it does not feed, and from a point through the line feeding it
+    stack = [p for p in on if p not in owner]
+    seen, sink = set(), set(stack)
+    while stack:
+        p = stack.pop()
+        for i in on[p]:
+            if owner.get(p) != i and i not in seen:
+                seen.add(i)
+                new = [q for q in members[i] if owner.get(q) == i and q not in sink]
+                sink.update(new)
+                stack += new
+    greatest = lo_mask | mask_of(p for p in on if p not in sink)
+    return low + sum(used), lo_mask | mask_of(source), greatest
 
 
 def _least_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: int) -> Optional[int]:
     """The (size, lex)-least X with lo <= X <= hi and delta(X) < threshold,
-    as a mask, or None."""
-    cur, counts, lines, bits, suffix = _interval(space, lo_mask, hi_mask, 1, 0)
-    best = [len(lines) + 1, None]
-    _below_from(lines, counts, suffix, bits, threshold, best, 0, cur, lo_mask, 0)
+    as a mask, or None; at most SEARCH_LIMIT free points."""
+    free_mask = hi_mask & ~lo_mask
+    if free_mask.bit_count() > SEARCH_LIMIT:
+        raise SizeLimit(f"{free_mask.bit_count()} free points exceeds search limit {SEARCH_LIMIT}")
+    drop = {p: max(0, space.degrees[p] - 1) for p in points_of(free_mask)}
+    free = sorted(drop, key=lambda p: -drop[p])
+    suffix = [0] * (2 * len(free) + 2)
+    for i in range(len(free) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + drop[free[i]]
+    counts = [(lm & lo_mask).bit_count() for lm in space.line_masks]
+    lines, bits = [space.lines_by_point[p] for p in free], [1 << p for p in free]
+    best = [len(free) + 1, None]
+    _below_from(lines, counts, suffix, bits, threshold, best, 0, delta_mask(space, lo_mask), lo_mask, 0)
     return best[1]
 
 
@@ -177,17 +214,20 @@ def in_K0(space: LinearSpace):
 
 def is_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> StrongExtensionWitness:
     """Test lo <= hi: no X between them drops delta below delta(lo); the
-    witness holds the (size, lex)-least X that does."""
+    witness holds the (size, lex)-least X that does, which lies in the
+    least delta-minimizer of [lo, hi]."""
     lo_mask, hi_mask = _mask(space.n, lo), _mask(space.n, hi)
-    bad = _least_below(space, lo_mask, hi_mask, delta_mask(space, lo_mask))
+    low, least, _ = _interval(space, lo_mask, hi_mask)
+    base = delta_mask(space, lo_mask)
+    bad = _least_below(space, lo_mask, least, base) if low < base else None
     lo_f, hi_f = frozenset(points_of(lo_mask)), frozenset(points_of(hi_mask))
     return StrongExtensionWitness(lo_f, hi_f, None if bad is None else frozenset(points_of(bad)))
 
 
 def icl_mask(space: LinearSpace, x_mask: int) -> int:
     """Least strong superset of X, as a mask: the least delta-minimizer
-    over [X, M], which the search finds as the one of least size."""
-    return _least_key(space, x_mask, space.full_mask(), space.n + 1, 1)[1]
+    over [X, M]."""
+    return _interval(space, x_mask, space.full_mask())[1]
 
 
 def icl(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
@@ -202,10 +242,8 @@ def d(space: LinearSpace, X: Iterable[int]) -> int:
 
 def d_closure(space: LinearSpace, X: Iterable[int]) -> frozenset[int]:
     """Points whose addition does not raise the dimension of X: the
-    greatest delta-minimizer over [X, M], which the search finds as the
-    one of largest size."""
-    xm = _mask(space.n, X)
-    return frozenset(points_of(_least_key(space, xm, space.full_mask(), space.n + 1, -1)[1]))
+    greatest delta-minimizer over [X, M]."""
+    return frozenset(points_of(_interval(space, _mask(space.n, X), space.full_mask())[2]))
 
 
 # -- dense table path --------------------------------------------------

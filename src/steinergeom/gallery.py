@@ -27,45 +27,32 @@ def fano() -> LinearSpace:
 
 
 def _cycle_lines(k: int) -> list[tuple[int, int, int]]:
-    # a = 0, b = 1, c_i = i + 1 for i = 1..4k
-    def c(i: int) -> int:
-        return i + 1
-
-    lines = []
-    for n in range(2 * k):
-        lines.append((0, c(2 * n + 1), c(2 * n + 2)))
-    for n in range(1, 2 * k):
-        lines.append((1, c(2 * n), c(2 * n + 1)))
-    lines.append((1, c(1), c(4 * k)))
-    return lines
+    """The lines of C_k on a = 0, b = 1 and c_i = i + 1 for i = 1..4k:
+    a c_{2j+1} c_{2j+2}, b c_{2j} c_{2j+1} and b c_1 c_{4k}."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    lines = [(0, 2 * j + 2, 2 * j + 3) for j in range(2 * k)]
+    return lines + [(1, 2 * j + 1, 2 * j + 2) for j in range(1, 2 * k)] + [(1, 2, 4 * k + 1)]
 
 
 def cycle_Ck(k: int) -> GoodPair:
     """The (a,b)-cycle pair: base {a,b}, 4k extension points, 4k lines."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = 4 * k + 2
-    space = LinearSpace(n, _cycle_lines(k))
-    return GoodPair(space, (0, 1), check=n <= _CHECK_LIMIT, code_limit=n)
+    return GoodPair(LinearSpace(n, _cycle_lines(k)), (0, 1), check=n <= _CHECK_LIMIT, code_limit=n)
+
+
+def _dk_lines(k: int) -> list[tuple[int, int, int]]:
+    """The lines of D_k: C_k's, and the new point c = 4k + 2 on line ab
+    and on c_1 c_{2k+1} and c_{k+1} c_{3k+1}."""
+    c = 4 * k + 2
+    return _cycle_lines(k) + [(0, 1, c), (2, 2 * k + 2, c), (k + 2, 3 * k + 2, c)]
 
 
 def D_k(k: int) -> GoodPair:
     """The cycle C_k completed by a point c on line ab; good over the
     empty set, with delta 0 (4k+3 points and lines)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = 4 * k + 3
-    c_new = n - 1
-
-    def c(i: int) -> int:
-        return i + 1
-
-    lines = _cycle_lines(k)
-    lines.append((0, 1, c_new))
-    lines.append(tuple(sorted((c_new, c(1), c(2 * k + 1)))))
-    lines.append(tuple(sorted((c_new, c(k + 1), c(3 * k + 1)))))
-    space = LinearSpace(n, lines)
-    return GoodPair(space, (), check=n <= _CHECK_LIMIT, code_limit=n)
+    return GoodPair(LinearSpace(n, _dk_lines(k)), (), check=n <= _CHECK_LIMIT, code_limit=n)
 
 
 # triangle vertices of the standard Fano picture under FANO_LINES

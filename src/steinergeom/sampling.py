@@ -2,8 +2,8 @@
 
 Structures are grown by rejection: random triples (and occasional line
 extensions) are kept only when the linear-space axiom survives, and the
-K_0 samplers additionally re-check hereditary nonnegativity after every
-accepted change.  Every change commits through LinearSpace.with_lines,
+K_0 sampler keeps a new line only if the sets holding it stay at
+nonnegative delta.  Every change commits through LinearSpace.with_lines,
 which equals rebuilding the space from the edited line list and raises
 the same exceptions.  Everything is driven by a caller-supplied Random,
 so runs replay from their seed.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .dimension import in_K0, is_strong
+from .dimension import d, is_strong
 from .errors import AxiomViolation
 from .space import LinearSpace
 
@@ -43,19 +43,21 @@ def random_space(rng: Random, n: int, *, tries: int | None = None) -> LinearSpac
 
 
 def random_k0(rng: Random, n: int, *, tries: int | None = None) -> LinearSpace:
-    """A random member of K_0: every change is also gated on in_K0."""
+    """A random member of K_0.  A new line on three pairwise non-collinear
+    points lowers delta by 1 on exactly the sets that hold all three, so
+    it is kept iff their least delta, d(cur, new), is at least 1."""
     if tries is None:
         tries = 2 * n
     cur = LinearSpace(n, [])
     for _ in range(tries):
         if n < 3:
             break
+        new = rng.sample(range(n), 3)
         try:
-            cand = cur.with_lines(n, add=[rng.sample(range(n), 3)])
+            cand = cur.with_lines(n, add=[new])
         except (AxiomViolation, ValueError):
             continue
-        ok, _ = in_K0(cand)
-        if ok:
+        if d(cur, new) >= 1:
             cur = cand
     return cur
 

@@ -1,8 +1,12 @@
 import json
+import time
 
 import pytest
 
-from steinergeom import fano, fano_chain, to_gp_v1, to_ls_v1, to_mu_v1, LinearSpace, MuFunction
+from oracle import affine_plane_3
+from steinergeom import (
+    D_k, cycle_Ck, fano, fano_chain, to_gp_v1, to_ls_v1, to_mu_v1, LinearSpace, MuFunction,
+)
 from steinergeom.cli import main
 from steinergeom.space import MAX_POINTS
 
@@ -151,6 +155,22 @@ def test_gallery_over_the_point_cap_is_a_size_limit(capsys, kind, k):
     assert out.out == "" and f"more than {MAX_POINTS}" in out.err
 
 
+@pytest.mark.parametrize("kind, make", [("ck", cycle_Ck), ("dk", D_k)])
+def test_gallery_cycles_are_the_structures(capsys, kind, make):
+    for k in (1, 2, 5):
+        assert main(["gallery", kind, "--k", str(k)]) == 0
+        assert capsys.readouterr().out == to_ls_v1(make(k).space)
+
+
+@pytest.mark.parametrize("kind", ["ck", "dk"])
+def test_gallery_cycles_of_8000_points_finish(capsys, kind):
+    # the CLI prints the lines alone and computes no canonical code
+    start = time.perf_counter()
+    assert main(["gallery", kind, "--k", "2000"]) == 0
+    assert time.perf_counter() - start < 20
+    assert capsys.readouterr().out.startswith("linear-space v1\npoints 800")
+
+
 def test_goodpairs_lists_no_alpha_below_its_size(fano_file, capsys):
     assert main(["goodpairs", fano_file, "--max-size", "2"]) == 0
     assert capsys.readouterr().out == "0 good pairs\n"
@@ -222,9 +242,17 @@ def test_usage_errors(capsys):
 
 
 def test_size_limit_exit_code(tmp_path, capsys):
+    # d has no size limit; the witness search of validate keeps
+    # SEARCH_LIMIT, and three disjoint AG(2,3) have a 27-point least
+    # delta-minimizer for it to search
     p = tmp_path / "big.ls"
     p.write_text("linear-space v1\npoints 30\n")
-    assert main(["d", str(p), "--set", "0"]) == 3
+    assert main(["d", str(p), "--set", "0"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    ag = affine_plane_3().lines
+    p.write_text(to_ls_v1(LinearSpace(27, [tuple(9 * i + q for q in ln) for i in range(3) for ln in ag])))
+    assert main(["validate", str(p)]) == 3
+    assert "27 free points exceeds search limit 24" in capsys.readouterr().err
 
 
 def test_point_cap_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from random import Random
 
 from steinergeom import (
     LinearSpace,
-    SizeLimit,
     check_exchange,
     check_flatness,
     D_k,
@@ -19,6 +19,8 @@ from steinergeom import (
     fano,
     fano_chain,
     icl,
+    MuFunction,
+    build,
     in_K0,
     induced,
     is_strong,
@@ -27,6 +29,10 @@ from steinergeom import (
     random_space,
     to_ls_v1,
 )
+from steinergeom.cli import main
+from steinergeom.dimension import _interval
+from steinergeom.gallery import _chain_end
+from steinergeom.space import mask_of
 from oracle import (
     affine_plane_3,
     d_oracle,
@@ -156,9 +162,10 @@ def test_min_delta_interval_vs_oracle():
         assert min_delta_interval(space, lo_m, hi_m) == min_delta_oracle(space, lo, hi)
 
 
-def test_min_delta_interval_size_limit():
-    with pytest.raises(SizeLimit):
-        min_delta_interval(LinearSpace(30, []), 0, (1 << 30) - 1)
+def test_min_delta_interval_has_no_size_limit():
+    # 30 free points, more than SEARCH_LIMIT, which bounds only the
+    # witness search of is_strong
+    assert min_delta_interval(LinearSpace(30, []), 0, (1 << 30) - 1) == 0
 
 
 def test_icl_examples():
@@ -248,6 +255,93 @@ def test_closures_are_the_least_and_the_greatest_minimizer():
             assert d_closure(space, X) == want_cl, (space.lines, X)
             ties += want_icl != want_cl
     assert ties >= 100, ties
+
+
+# sha256 over the lines and the (min delta, least minimizer, greatest
+# minimizer) of three intervals of each of 24 spaces of 18-24 points from
+# Random(37), alternately random_space(tries=3n) and random_k0 outputs;
+# the first interval of each is [X, M] with |X| <= 3, and 43 of the 72
+# have more than one minimizer
+PINNED_INTERVALS = "6e0f1d41988f5852a468772fe2c8f29660f069abf9eac1e04c991e0244511ace"
+
+
+def test_interval_minima_on_larger_spaces_are_pinned():
+    rng = Random(37)
+    h = hashlib.sha256()
+    for i in range(24):
+        n = rng.randrange(18, 25)
+        space = random_k0(rng, n) if i % 2 else random_space(rng, n, tries=3 * n)
+        h.update(repr(space.lines).encode())
+        for j in range(3):
+            if j == 0:
+                lo, hi = rng.sample(range(n), rng.randrange(4)), range(n)
+            else:
+                hi = rng.sample(range(n), rng.randrange(n // 2, n + 1))
+                lo = rng.sample(sorted(hi), rng.randrange(len(hi) // 2))
+            h.update(repr(_interval(space, mask_of(lo), mask_of(hi))).encode())
+    assert h.hexdigest() == PINNED_INTERVALS
+
+
+@pytest.fixture(scope="module")
+def builds():
+    """Seed-7 builds of 2,000 steps for mu(alpha) = 1 and 2: 2,271 and
+    2,118 points."""
+    return {alpha: build(MuFunction(alpha), 2000, seed=7) for alpha in (1, 2)}
+
+
+def test_builds_are_strong_chains_in_k0(builds, tmp_path, capsys):
+    for alpha, (M, trace) in builds.items():
+        assert in_K0(M) == (True, None)
+        assert len(trace.snapshots) >= 10
+        for _, Mi in trace.snapshots:
+            assert induced(M, range(Mi.n)) == Mi
+            assert is_strong(M, range(Mi.n), range(M.n)).ok
+        path = tmp_path / f"build{alpha}.ls"
+        path.write_text(to_ls_v1(M))
+        assert main(["validate", str(path)]) == 0
+        assert "in K_0" in capsys.readouterr().out
+
+
+def test_in_k0_finds_an_affine_plane_beside_a_build(builds):
+    # the least delta-minimizer is the AG(2,3), so the witness search
+    # runs over its 9 points and not over the build's 2,271
+    M, _ = builds[1]
+    ag = [tuple(M.n + p for p in ln) for ln in affine_plane_3().lines]
+    assert in_K0(LinearSpace(M.n + 9, [*M.lines, *ag])) == (False, frozenset(range(M.n, M.n + 9)))
+
+
+def test_d_closure_laws_on_a_build(builds):
+    # check_exchange is exhaustive and stops at EXCHANGE_LIMIT points, so
+    # on a build the laws are sampled; X and b meet a random line, so
+    # that the closures grow
+    M, _ = builds[1]
+    rng = Random(43)
+    exchanges = 0
+    for _ in range(40):
+        ln = rng.choice(M.lines)
+        X = set(rng.sample(ln, rng.randrange(2))) | set(rng.sample(range(M.n), rng.randrange(3)))
+        cl = d_closure(M, X)
+        assert X <= cl and d_closure(M, cl) == cl and d(M, cl) == d(M, X)
+        b = rng.choice(ln)
+        clb = d_closure(M, X | {b})
+        assert cl <= clb
+        for a in clb - cl:
+            assert b in d_closure(M, X | {a}), (X, a, b)
+            exchanges += 1
+    assert exchanges >= 20, exchanges
+
+
+def test_flow_answers_on_the_largest_chain():
+    # A_21843 has 65,536 points, the point cap; relabelled at random, no
+    # line is a run of nearby ids.  Each call took about 2 s on a 2-core VM
+    S = _chain_end(21843)
+    perm = list(range(S.n))
+    Random(3).shuffle(perm)
+    R = LinearSpace(S.n, [[perm[p] for p in ln] for ln in S.lines])
+    for call, want in ((lambda: in_K0(R), (True, None)), (lambda: icl(R, perm[:2]), frozenset(perm[:7]))):
+        start = time.perf_counter()
+        assert call() == want
+        assert time.perf_counter() - start < 20
 
 
 def test_tables_vs_oracle():
