@@ -230,6 +230,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_check(args) -> int:
+    for flag, value, least in (("--trials", args.trials, 0), ("--max-points", args.max_points, 3)):
+        if value < least:
+            print(f"usage error: check needs {flag} >= {least}, not {value}", file=sys.stderr)
+            return 2
     rng = Random(args.seed)
     bad = 0
     for _ in range(args.trials):

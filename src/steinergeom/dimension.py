@@ -1,7 +1,7 @@
 """Hereditary nonnegativity, strong substructure, intrinsic closure, and
 the dimension function derived from the predimension.
 
-Every interval question is one maximum flow, _interval.  For lo <= X <=
+Every interval question is one maximum flow, _flow.  For lo <= X <=
 hi, a line l with k_l = |l & hi| >= 3 gives max(0, |l & X| - 2) = k_l -
 2 - min(k_l - 2, m_l), where the m_l points of l & hi out of X are free
 (in hi - lo).  So delta(X) = |lo| - sum(k_l - 2) + |X - lo| + sum
@@ -12,13 +12,22 @@ min delta = |lo| - sum(k_l - 2) + maxflow (Kolmogorov and Zabih, 2004).
 The flow runs in phases (Dinic): a breadth-first pass levels the lines
 from those with spare capacity, then an iterative depth-first pass with
 a current-arc pointer per line pushes a blocking flow along the levels.
-The minimum cuts' source sides are closed under union and intersection;
-the least holds the free points s reaches in the residual network, the
-greatest all but those that reach t (Picard and Queyranne, 1980).  So
-min_delta_interval and d read the minimum, and icl and d_closure the
+The minimum cuts' source sides are the node sets that hold s, not t,
+and every node a residual arc leaves them for (Picard and Queyranne,
+1980).  They are closed under union and intersection: the least holds
+the free points s reaches in the residual network, _reached, and the
+greatest all but those that reach t, _reaching.  So min_delta_interval
+and d read the minimum, and icl and d_closure (through _interval) the
 least and the greatest delta-minimizer of [X, M]: icl(X) is strong, as
 no set of [X, M] has delta below d(X), and p is in some minimizer iff
 d(X + p) = d(X).
+
+0-primitivity reads the residual network itself
+(primitives._zero_primitive).  C is 0-primitive over B when B and BC
+are the only minimizers of [B, BC].  When both minimize, every point of
+C is fed, s reaches none, and the residual arcs among points are p -> q
+for q on the line feeding p and fed by another line; only B and BC
+minimize exactly when the digraph of these arcs is strongly connected.
 
 is_strong(lo, hi) looks for the (size, lex)-least X in [lo, hi] with
 delta(X) < delta(lo); one exists iff the flow's minimum is below
@@ -34,8 +43,8 @@ when its set is below the threshold, since the sets above it are larger,
 or when its `room` = |incumbent| - |X - lo| largest drops left,
 suffix[i] - suffix[i + room], cannot bring delta below the threshold;
 with no room left that sum is 0.  in_K0 is is_strong(∅, M).  Dense
-numpy tables (delta_table, d_table) serve only where every subset's
-value is needed.
+numpy tables (delta_table, d_table) serve only is_primitive,
+check_exchange and the tests, where every subset's value is needed.
 """
 
 from __future__ import annotations
@@ -73,12 +82,23 @@ class StrongExtensionWitness:
 
 def min_delta_interval(space: LinearSpace, lo_mask: int, hi_mask: int) -> int:
     """Minimum of delta(X) over lo <= X <= hi (as masks)."""
-    return _interval(space, lo_mask, hi_mask)[0]
+    return _flow(space, lo_mask, hi_mask)[0]
 
 
 def _interval(space: LinearSpace, lo_mask: int, hi_mask: int) -> tuple[int, int, int]:
     """(min delta, least minimizer, greatest minimizer) over [lo, hi], the
     sets as masks, read off one maximum flow."""
+    low, members, on, owner, spare = _flow(space, lo_mask, hi_mask)
+    sink = _reaching(members, on, owner, [p for p in on if p not in owner])
+    greatest = lo_mask | mask_of(p for p in on if p not in sink)
+    return low, lo_mask | mask_of(_reached(members, owner, spare)), greatest
+
+
+def _flow(space: LinearSpace, lo_mask: int, hi_mask: int) -> tuple[int, list, dict, dict, list]:
+    """The maximum flow of [lo, hi]'s network and its residual network:
+    (min delta, the free points of each network line, the network lines
+    through each free point on one, the line feeding each fed point, the
+    lines with spare capacity)."""
     if hi_mask < 0 or hi_mask >> space.n:
         raise ValueError(f"hi_mask {hi_mask:#x} has a bit outside the points 0..{space.n - 1}")
     if lo_mask & ~hi_mask:
@@ -129,32 +149,39 @@ def _interval(space: LinearSpace, lo_mask: int, hi_mask: int) -> tuple[int, int,
                             used[root] += 1
                             break
                         path.append(j)
-    # s reaches the lines with spare capacity, from a line the points it
-    # does not feed, and from a point the line feeding it
-    stack = [i for i, c in enumerate(caps) if used[i] < c]
-    seen, source = set(stack), set()
+    spare = [i for i, c in enumerate(caps) if used[i] < c]
+    return low + sum(used), members, on, owner, spare
+
+
+def _reached(members: list, owner: dict, lines: list[int]) -> set[int]:
+    """The free points that residual arcs reach from `lines`: from a line
+    the points it does not feed, from a point the line feeding it."""
+    stack, seen, out = list(lines), set(lines), set()
     while stack:
         i = stack.pop()
         for p in members[i]:
-            if owner[p] != i and p not in source:
-                source.add(p)
+            if owner[p] != i and p not in out:
+                out.add(p)
                 if owner[p] not in seen:
                     seen.add(owner[p])
                     stack.append(owner[p])
-    # t is reached from the points no line feeds, from a line through a
-    # point it does not feed, and from a point through the line feeding it
-    stack = [p for p in on if p not in owner]
-    seen, sink = set(), set(stack)
+    return out
+
+
+def _reaching(members: list, on: dict, owner: dict, points: list[int]) -> set[int]:
+    """The free points with a residual path to `points`, these included:
+    a line through a point it does not feed reaches it, and a point
+    reaches the line feeding it."""
+    stack, seen, out = list(points), set(), set(points)
     while stack:
         p = stack.pop()
         for i in on[p]:
             if owner.get(p) != i and i not in seen:
                 seen.add(i)
-                new = [q for q in members[i] if owner.get(q) == i and q not in sink]
-                sink.update(new)
+                new = [q for q in members[i] if owner.get(q) == i and q not in out]
+                out.update(new)
                 stack += new
-    greatest = lo_mask | mask_of(p for p in on if p not in sink)
-    return low + sum(used), lo_mask | mask_of(source), greatest
+    return out
 
 
 def _least_below(space: LinearSpace, lo_mask: int, hi_mask: int, threshold: int) -> Optional[int]:

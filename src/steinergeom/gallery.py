@@ -16,11 +16,6 @@ from .space import LinearSpace, _mask
 
 FANO_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
-# largest size at which GoodPair construction re-verifies goodness;
-# beyond it the table-based checks would not fit, so we trust the formulas
-_CHECK_LIMIT = 22
-
-
 def fano() -> LinearSpace:
     """The 7-point projective plane."""
     return LinearSpace(7, FANO_LINES)
@@ -38,7 +33,7 @@ def _cycle_lines(k: int) -> list[tuple[int, int, int]]:
 def cycle_Ck(k: int) -> GoodPair:
     """The (a,b)-cycle pair: base {a,b}, 4k extension points, 4k lines."""
     n = 4 * k + 2
-    return GoodPair(LinearSpace(n, _cycle_lines(k)), (0, 1), check=n <= _CHECK_LIMIT, code_limit=n)
+    return GoodPair(LinearSpace(n, _cycle_lines(k)), (0, 1), code_limit=n)
 
 
 def _dk_lines(k: int) -> list[tuple[int, int, int]]:
@@ -52,7 +47,7 @@ def D_k(k: int) -> GoodPair:
     """The cycle C_k completed by a point c on line ab; good over the
     empty set, with delta 0 (4k+3 points and lines)."""
     n = 4 * k + 3
-    return GoodPair(LinearSpace(n, _dk_lines(k)), (), check=n <= _CHECK_LIMIT, code_limit=n)
+    return GoodPair(LinearSpace(n, _dk_lines(k)), (), code_limit=n)
 
 
 # triangle vertices of the standard Fano picture under FANO_LINES

@@ -16,10 +16,10 @@ One rule decides how a delta question is answered.  Strongness
 preconditions go through dimension.is_strong and carry its witness.
 Dense per-subset tables are used only where every subset's value is
 needed: is_primitive reads the superset minimum of every intermediate
-set.  0-primitivity compares delta values of the sets B u C', read off
-dimension.delta_table.  What the calculus fixes is not searched: the
-base of a good pair is _base_mask, and a primitive step of decompose
-is the least of the closures icl(X + p).
+set.  0-primitivity compares delta values of the sets B u C' on one
+maximum flow (_zero_primitive).  What the calculus fixes is not
+searched: the base of a good pair is _base_mask, and a primitive step
+of decompose is the least of the closures icl(X + p).
 
 canonical_code is the only path to a code, and decode_code reads one
 back.  Two lru_caches of SHAPE_CACHE_SIZE entries, read by cache_info(),
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .dimension import d_table, delta_table, icl_mask, is_strong
+from .dimension import _flow, _reached, _reaching, d_table, delta_table, icl_mask, is_strong
 from .errors import AxiomViolation, FormatError, NotStrong, NotZeroPrimitive, SizeLimit
 from .space import (
     MAX_POINTS,
@@ -110,32 +110,43 @@ def _require_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) ->
         raise NotStrong(w.lo, w.hi, w.violating)
 
 
-def _submasks(mask: int) -> np.ndarray:
-    """Every submask of `mask`, ascending: 0 first, `mask` last.  Each
-    point of `mask` doubles the list, and its copy with the point added
-    lies above every earlier entry."""
-    out = np.zeros(1, dtype=np.int64)
-    for p in points_of(mask):
-        out = np.concatenate((out, out | (1 << p)))
-    return out
-
-
-def _zero_primitive(dt: np.ndarray, b_mask: int, c_mask: int) -> bool:
-    """C is 0-primitive over B: delta(BC) = delta(B) < delta(BC') for
-    every nonempty proper subset C' of C, with dt = delta_table(space).
+def _zero_primitive(space: LinearSpace, b_mask: int, c_mask: int) -> bool:
+    """C, nonempty, is 0-primitive over B: delta(BC) = delta(B) <
+    delta(BC') for every nonempty proper subset C' of C.
 
     The paper asks for delta(C/B) = 0, B <= BC, and no X = BC' strictly
     between with B <= X <= BC.  Given the first two, such an X has
     delta(B) <= delta(X) <= delta(BC) = delta(B), so delta(X) = delta(B);
     conversely delta(X) = delta(B) = delta(BC) makes X strong on both
-    sides, since every set in [B, BC] has delta >= delta(B).  The strict
-    inequalities also give B <= BC.  B u C may be any point set of the
-    space; delta_table raises SizeLimit past TABLE_LIMIT points.
+    sides, since every set in [B, BC] has delta >= delta(B).  So C is
+    0-primitive over B exactly when B and BC minimize delta over [B, BC]
+    and no other set does.
+
+    One maximum flow of [B, BC] (dimension._flow) decides it.  Its
+    minimizers are B plus the free points of a minimum cut's source
+    side, and those sides are the sets that hold s, not t, and every
+    node a residual arc leaves them for (Picard and Queyranne, 1980).
+    Let B and BC both minimize, delta(BC) = delta(B) = the minimum.
+    B is the least minimizer, so s reaches no point of C; BC is the
+    greatest, so no point of C reaches t, and every point of C is fed.
+    Then a line reached from s feeds every point on it, and the residual
+    arcs among points are these alone: p -> q, when q lies on the line
+    feeding p and a different line feeds q (p to its feeding line, that
+    line to a point it does not feed).  A point set P then lies on such
+    a side exactly when P is closed under these arcs, with the lines
+    reached from s and those feeding P.  So only B and BC minimize
+    exactly when only the empty set and C are closed, that is when the
+    digraph is strongly connected: every point of C reaches the least
+    point r of C, and r reaches every point of C.  B u C may be any
+    point set of the space.
     """
-    base_delta = dt[b_mask]
-    if dt[b_mask | c_mask] != base_delta:
+    low, members, on, owner, _ = _flow(space, b_mask, b_mask | c_mask)
+    if not delta_mask(space, b_mask) == delta_mask(space, b_mask | c_mask) == low:
         return False
-    return bool((dt[b_mask | _submasks(c_mask)[1:-1]] > base_delta).all())
+    r = (c_mask & -c_mask).bit_length() - 1
+    if mask_of(_reaching(members, on, owner, [r])) != c_mask:
+        return False
+    return mask_of(_reached(members, owner, [owner[r]])) | 1 << r == c_mask
 
 
 def _base_mask(space: LinearSpace, b_mask: int, c_mask: int) -> int:
@@ -168,7 +179,7 @@ def is_good_pair(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> bool
         raise ValueError("B and C overlap")
     if not c_mask:
         raise ValueError("C is empty")
-    if not _zero_primitive(delta_table(space), b_mask, c_mask):
+    if not _zero_primitive(space, b_mask, c_mask):
         return False
     if c_mask.bit_count() == 1:
         return b_mask.bit_count() == 2
@@ -185,7 +196,9 @@ def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[fro
     b_mask, c_mask = _mask(space.n, B), _mask(space.n, C)
     if b_mask & c_mask:
         raise ValueError("B and C overlap")
-    if not _zero_primitive(delta_table(space), b_mask, c_mask):
+    if not c_mask:
+        raise ValueError("C is empty")
+    if not _zero_primitive(space, b_mask, c_mask):
         raise NotZeroPrimitive(
             f"({sorted(points_of(b_mask))}, {sorted(points_of(c_mask))}) is not 0-primitive"
         )
@@ -394,7 +407,9 @@ class GoodPair:
     """A base-and-extension pair carried on its own small linear space.
 
     Points 0..n-1 are B u C; `base` indexes B.  `code` is the canonical
-    isomorphism-type string keying mu functions.
+    isomorphism-type string keying mu functions.  The constructor
+    verifies the pair with is_good_pair and raises NotZeroPrimitive when
+    it is not good.
     """
 
     __slots__ = ("space", "base", "ext", "code")
@@ -404,7 +419,6 @@ class GoodPair:
         space: LinearSpace,
         base: Iterable[int],
         *,
-        check: bool = True,
         code_limit: int = DEFAULT_CODE_LIMIT,
     ):
         self.space = space
@@ -412,7 +426,7 @@ class GoodPair:
         self.ext = frozenset(range(space.n)) - self.base
         if not self.ext:
             raise ValueError("extension is empty")
-        if check and not is_good_pair(space, self.base, self.ext):
+        if not is_good_pair(space, self.base, self.ext):
             raise NotZeroPrimitive(
                 f"({sorted(self.base)}, {sorted(self.ext)}) is not a good pair"
             )

@@ -236,6 +236,20 @@ def test_check_runs(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,value,least", [("--max-points", "2", 3), ("--max-points", "-1", 3), ("--trials", "-1", 0)])
+def test_check_refuses_arguments_out_of_range(capsys, flag, value, least):
+    args = {"--trials": "3", "--max-points": "7", flag: value}
+    assert main(["check", "submodular", "--seed", "1", *(x for kv in args.items() for x in kv)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"usage error: check needs {flag} >= {least}, not {value}\n"
+
+
+def test_check_runs_zero_trials_and_three_points(capsys):
+    assert main(["check", "submodular", "--trials", "0", "--seed", "1", "--max-points", "3"]) == 0
+    assert capsys.readouterr().out == "0 violations\n"
+
+
 def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["icl"]) == 2

@@ -3,7 +3,9 @@ from itertools import combinations
 
 from steinergeom import (
     D_k,
+    GoodPair,
     LinearSpace,
+    NotZeroPrimitive,
     PairNotOnTriple,
     bases_of,
     canonical_code,
@@ -16,6 +18,7 @@ from steinergeom import (
     is_good_pair,
     is_strong,
 )
+from steinergeom.gallery import _cycle_lines
 
 
 def test_fano_shape():
@@ -48,6 +51,22 @@ def test_dk_formulas(k):
     assert gp.base == frozenset()
     assert delta(gp.space, range(n)) == 0
     assert is_good_pair(gp.space, [], range(n))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cycle_and_dk_pairs_are_verified_at_every_k(k):
+    # GoodPair always verifies goodness: C_k and D_k are rebuilt and
+    # checked past 24 points, where a per-subset delta table no longer fits
+    for gp in (cycle_Ck(k), D_k(k)):
+        again = GoodPair(gp.space, gp.base, code_limit=gp.space.n)
+        assert again == gp and again.code == gp.code
+        assert is_good_pair(gp.space, gp.base, gp.ext)
+
+
+def test_cycle_without_a_line_is_no_good_pair():
+    # dropping the line a c_1 c_2 of C_6 raises delta(C/B) from 0 to 1
+    with pytest.raises(NotZeroPrimitive):
+        GoodPair(LinearSpace(26, _cycle_lines(6)[1:]), (0, 1), code_limit=26)
 
 
 def test_d1_is_fano():

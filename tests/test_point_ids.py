@@ -67,7 +67,6 @@ ENTRY_POINTS = {
     "decompose": (7, lambda p: decompose(F, [0, p])),
     "canonical_code": (7, lambda p: canonical_code(F, [0, p])),
     "GoodPair": (7, lambda p: GoodPair(F, [0, p])),
-    "GoodPair unchecked": (7, lambda p: GoodPair(F, [0, p], check=False)),
     "embeddings_over_base base": (3, lambda p: embeddings_over_base(F, LINE, [0, p], {0: 0, p: 1})),
     "embeddings_over_base key": (3, lambda p: embeddings_over_base(F, LINE, [0, 1], {0: 0, 1: 1, p: 2})),
     "embeddings_over_base image": (7, lambda p: embeddings_over_base(F, LINE, [0, 1], {0: 0, 1: p})),
@@ -109,7 +108,7 @@ ESCAPES = [
     (lambda: bases_of(F, [0, 1], [2, 9]), 9),
     (lambda: copies_over_base(C1.space, C1.space, C1.base, dict(zip(sorted(C1.base), (30, 40)))), 30),
     (lambda: canonical_code(F, [0, 100]), 100),
-    (lambda: GoodPair(F, [0, 100], check=False), 100),
+    (lambda: GoodPair(F, [0, 100]), 100),
     (lambda: chi(F, alpha_pair(), {0: 0, 1: 100}), 100),
     (lambda: check_flatness(F, [[0, 1, 100], [0, 1, 2]]), 100),
     (lambda: in_K_mu_bounded(_three_c1_over_a_pair(), mu_X([]), 10, touching=[100]), 100),

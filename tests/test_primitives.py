@@ -29,7 +29,6 @@ from steinergeom import (
     decompose,
     default_templates,
     delta,
-    delta_table,
     enumerate_good_pairs,
     fano,
     fano_chain,
@@ -108,7 +107,7 @@ def test_zero_primitive_vs_oracle_on_every_split():
             rest = b_mask = full & ~c_mask
             while True:
                 B, C = points_of(b_mask), points_of(c_mask)
-                got = _zero_primitive(delta_table(M), b_mask, c_mask)
+                got = _zero_primitive(M, b_mask, c_mask)
                 assert got == zero_primitive_oracle(M, B, C), (M.lines, B, C)
                 whole = b_mask | c_mask == full
                 seen[got, len(C) == 1, whole] += 1
@@ -186,6 +185,33 @@ def test_bases_of_rejects_non_primitive():
     space = LinearSpace(6, [(0, 1, 4), (2, 3, 5)])
     with pytest.raises(NotZeroPrimitive):
         bases_of(space, [0, 1, 2, 3], [4, 5])
+
+
+@pytest.mark.parametrize("B", [[0, 1], []])
+def test_bases_of_refuses_an_empty_extension(B):
+    with pytest.raises(ValueError, match="^C is empty$"):
+        bases_of(fano(), B, [])
+
+
+def test_good_pairs_of_a_2271_point_build_and_their_variants():
+    # goodness needs no per-subset table, so it is decided inside a
+    # structure of any size: each enumerated pair verifies, and so fails
+    # B plus a point near C, and B u C less any one point of C
+    M, _ = build(MuFunction(1), 2000, seed=7)
+    assert M.n == 2271
+    pairs = [(gp, emb) for gp, emb in enumerate_good_pairs(M, 6) if gp.code != ALPHA_CODE]
+    assert len(pairs) == 433
+    for gp, emb in pairs:
+        B, C = frozenset(emb[p] for p in gp.base), frozenset(emb[p] for p in gp.ext)
+        assert is_good_pair(M, B, C)
+        assert bases_of(M, B, C) == [B]
+        near = [q for c in sorted(C) for li in M.lines_by_point[c] for q in M.lines[li] if q not in B | C]
+        x = near[0] if near else min(set(range(M.n)) - B - C)
+        assert not is_good_pair(M, B | {x}, C)
+        for c in C:
+            assert not is_good_pair(M, B, C - {c})
+        with pytest.raises(NotZeroPrimitive):
+            bases_of(M, B, C - {min(C)})
 
 
 def test_alpha_code_fixed():
