@@ -11,8 +11,16 @@ truth.
 The walk is deficiency-guided: while some point still has fewer than two
 populated lines, only additions on the lowest such point's unpopulated
 lines are tried; once every point is satisfied the set is emitted and
-grown through arbitrary collinear neighbours.  Per-line point counts,
-degrees, and delta are maintained incrementally across the DFS.
+grown through arbitrary collinear neighbours.
+
+Every point r roots one depth-first search in which r stays the least
+point, run as one loop over an explicit stack of successor lists.
+Per-line point counts, the populated-line degree of each set point, and
+delta are updated in place as a point is added or taken back.  The masks
+already reached are kept per root: every mask in r's search has r as its
+least point, so no later root looks one of them up, and they are dropped
+when r is done.  A walk over disjoint components thus holds one
+component's masks at a time.
 
 There is one walk, always over the whole space.  enumerate_good_pairs
 consumes it, and the bounded K_mu check groups that enumeration once per
@@ -50,105 +58,94 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
     # degree bound how far a set can still grow and what a base point can
     # attach
     ranked = sorted(((len(b), q) for q, b in enumerate(by_point)), reverse=True)
-    full = (1 << n) - 1
 
     cnt = [0] * len(lines)
     deg = [0] * n
     pts: list[int] = []
-    lines2: set[int] = set()
-    state = {"mask": 0, "delta": 0}
-    visited: set[int] = set()
-
-    def add(q: int) -> None:
-        mask = state["mask"]
-        d = state["delta"] + 1
-        dq = 0
-        for li in by_point[q]:
-            c = cnt[li]
-            if c == 1:
-                for r in lines[li]:
-                    if mask >> r & 1:
-                        deg[r] += 1
-                dq += 1
-                lines2.add(li)
-            elif c >= 2:
-                d -= 1
-                dq += 1
-            cnt[li] = c + 1
-        deg[q] = dq
-        state["mask"] = mask | (1 << q)
-        state["delta"] = d
-        pts.append(q)
-
-    def remove(q: int) -> None:
-        mask = state["mask"] & ~(1 << q)
-        state["mask"] = mask
-        d = state["delta"] - 1
-        for li in by_point[q]:
-            c = cnt[li] - 1
-            cnt[li] = c
-            if c == 1:
-                for r in lines[li]:
-                    if mask >> r & 1:
-                        deg[r] -= 1
-                lines2.discard(li)
-            elif c >= 2:
-                d += 1
-        deg[q] = 0
-        state["delta"] = d
-        pts.pop()
-
-    def expand(allowed: int) -> Iterator[tuple[int, int, set[int]]]:
-        mask = state["mask"]
-        delta = state["delta"]
-        deficient = [p for p in pts if deg[p] < 2]
-        if not deficient and delta >= 0 and len(pts) >= 2:
-            yield mask, delta, lines2
-        if delta <= 0 or len(pts) >= max_size:
-            return
-        room = max_size - len(pts)
-        # degrees of the `room` largest-degree points outside the set
-        top: list[int] = []
-        for d, q in ranked:
-            if not mask >> q & 1:
-                top.append(d)
-                if len(top) == room:
+    populated: set[int] = set()
+    mask = delta = 0
+    for root in range(n):
+        visited: set[int] = set()
+        # todo[i] holds the untried successors of the set of pts[:i],
+        # largest last, so pop() tries them in ascending order
+        todo = [[root]]
+        while todo:
+            untried = todo[-1]
+            if not untried:
+                todo.pop()
+                if not todo:
                     break
-        if not _growable(len(pts), delta, max_size, top):
-            return
-        succ = set()
-        if deficient:
-            p = min(deficient)
-            for li in by_point[p]:
-                if cnt[li] == 1:
-                    for q in lines[li]:
-                        if not mask >> q & 1 and allowed >> q & 1:
-                            succ.add(q)
-        else:
-            for p in pts:
-                for li in by_point[p]:
-                    for q in lines[li]:
-                        if not mask >> q & 1 and allowed >> q & 1:
-                            succ.add(q)
-        for q in sorted(succ):
+                # take the last point back
+                q = pts.pop()
+                mask &= ~(1 << q)
+                delta -= 1
+                for li in by_point[q]:
+                    c = cnt[li] - 1
+                    cnt[li] = c
+                    if c == 1:
+                        for r in lines[li]:
+                            if mask >> r & 1:
+                                deg[r] -= 1
+                        populated.discard(li)
+                    elif c >= 2:
+                        delta += 1
+                deg[q] = 0
+                continue
+            q = untried.pop()
             nxt = mask | (1 << q)
             if nxt in visited:
                 continue
             visited.add(nxt)
-            add(q)
-            yield from expand(allowed)
-            remove(q)
+            # add q
+            delta += 1
+            dq = 0
+            for li in by_point[q]:
+                c = cnt[li]
+                if c == 1:
+                    for r in lines[li]:
+                        if mask >> r & 1:
+                            deg[r] += 1
+                    dq += 1
+                    populated.add(li)
+                elif c >= 2:
+                    delta -= 1
+                    dq += 1
+                cnt[li] = c + 1
+            deg[q] = dq
+            mask = nxt
+            pts.append(q)
 
-    try:
-        for root in range(n):
-            add(root)
-            yield from expand(full & ~((1 << root) - 1))
-            remove(root)
-    finally:
-        # expand calls itself through its closure cell, a reference cycle
-        # that would keep `visited` and the counters alive until the next
-        # full collection; emptying the cell frees them when the walk ends
-        del expand
+            deficient = [p for p in pts if deg[p] < 2]
+            if not deficient and delta >= 0 and len(pts) >= 2:
+                yield mask, delta, populated
+            todo.append([])
+            if delta <= 0 or len(pts) >= max_size:
+                continue
+            room = max_size - len(pts)
+            # degrees of the `room` largest-degree points outside the set
+            top: list[int] = []
+            for d, r in ranked:
+                if not mask >> r & 1:
+                    top.append(d)
+                    if len(top) == room:
+                        break
+            if not _growable(len(pts), delta, max_size, top):
+                continue
+            succ = set()
+            if deficient:
+                p = min(deficient)
+                for li in by_point[p]:
+                    if cnt[li] == 1:
+                        for r in lines[li]:
+                            if r > root and not mask >> r & 1:
+                                succ.add(r)
+            else:
+                for p in pts:
+                    for li in by_point[p]:
+                        for r in lines[li]:
+                            if r > root and not mask >> r & 1:
+                                succ.add(r)
+            todo[-1] = sorted(succ, reverse=True)
 
 
 def _growable(size: int, delta: int, max_size: int, top: list[int]) -> bool:

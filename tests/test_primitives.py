@@ -414,6 +414,7 @@ def test_code_search_packing_and_walk_leave_no_cyclic_garbage():
         _max_disjoint(sets)
         for _ in iter_candidate_sets(space, 6):
             pass
+        next(iter_candidate_sets(space, 6))
         assert enumerate_good_pairs(hub, 6)
         assert len(copies_over_base(hub, gp.space, gp.base, {0: 0, 1: 1})) == 2
         next(embeddings_over_base(hub, gp.space, gp.base, {0: 0, 1: 1}))
