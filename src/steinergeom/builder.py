@@ -3,20 +3,22 @@
 The loop services three kinds of tasks round-robin: complete short
 lines to the target length mu(alpha)+2 with fresh points, realize
 good-pair templates over randomly chosen bases, and add fresh isolated
-points.  Queued completions and alpha realizations on a short line both
-add the point through one extend_line step; a line still short after it
-sits in the queue exactly once.  Every structural change is a free
-amalgam of a strong small extension, so the growing structure stays a
-strong extension chain and line lengths stay legal by construction; a
-realization that would push chi of its own code past the mu cap at that
-base is identified with the least existing copy instead.
+points.  A commit queues each short line it makes, and a queued line
+grows only through its own completion, so a popped line is always
+short.  Realizations run only on an empty queue, where every line is
+full: alpha's line (a, b, pid) is new, and so is each template line,
+since no default template has a line through two of its base points.
+Every structural change is a free amalgam of a strong small extension,
+so the growing structure stays a strong extension chain and line
+lengths stay legal by construction; a realization that would push chi
+of its own code past the mu cap at that base is identified with the
+least existing copy instead.
 
 A step costs what it adds.  Commits go through LinearSpace.with_lines,
 which validates only the new lines against the pairs already covered,
 splices them into the sorted line list and patches the point degrees
-that the base and alpha choices read; only the added lines are
-considered for the completion queue.  The copy search behind the mu cap
-reaches each copy through one leaf.  Global bounded checks are
+that the base and alpha choices read.  The copy search behind the mu
+cap reaches each copy through one leaf.  Global bounded checks are
 snapshot-time work for callers, not a per-step gate.
 """
 
@@ -88,9 +90,12 @@ def build(
     *,
     snapshot_every: int = 100,
 ) -> tuple[LinearSpace, BuildTrace]:
-    # the trace format holds no negative step count or template bound
-    for name, value in (("steps", steps), ("template_max", template_max)):
-        if value < 0:
+    # the trace writes each as an int, which a str or a float seed would
+    # misname, and holds no negative step count or template bound
+    for name, value in (("steps", steps), ("seed", seed), ("template_max", template_max)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, not {value!r}")
+        if value < 0 and name != "seed":
             raise ValueError(f"{name} must be >= 0, not {value}")
     ok, reasons = validate_mu(mu)
     if not ok:
@@ -109,20 +114,16 @@ def build(
     )
     cur = LinearSpace(0, [])
     complete_q: deque[tuple[int, int]] = deque()
-    queued_pairs: set[tuple[int, int]] = set()
     big_templates = [gp for gp in default_templates(template_max) if gp.code != ALPHA_CODE]
-    template_cursor = 0
     realize_count = 0
 
     def commit(candidate: LinearSpace, added: list[tuple[int, ...]]) -> None:
-        # every short line of cur is queued, so only the lines the commit
-        # adds can need queueing; they go in line order
+        # the short lines the commit adds are queued in line order
         nonlocal cur
         cur = candidate
         for ln in sorted(added):
-            if len(ln) < target_len and (ln[0], ln[1]) not in queued_pairs:
+            if len(ln) < target_len:
                 complete_q.append((ln[0], ln[1]))
-                queued_pairs.add((ln[0], ln[1]))
 
     def service_add_point(i: int) -> None:
         nonlocal cur
@@ -130,20 +131,13 @@ def build(
         cur = cur.with_lines(cur.n + 1)
         trace.steps.append(BuildStep(i, "add-point", (pid,)))
 
-    def extend_line(i: int, a: int, b: int) -> None:
-        # a fresh point on the line through a and b; if the line is still
-        # short, commit() queues it again
+    def service_complete(i: int, task: tuple[int, int]) -> None:
+        # a fresh point on the line; commit() queues it again while short
+        a, b = task
         ln = cur.line_through(a, b)
         pid = cur.n
         commit(cur.with_lines(pid + 1, add=[ln + (pid,)], drop=[ln]), [ln + (pid,)])
         trace.steps.append(BuildStep(i, "complete-line", (a, b, pid)))
-
-    def service_complete(i: int, task: tuple[int, int]) -> None:
-        a, b = task
-        queued_pairs.discard(task)
-        ln = cur.line_through(a, b)
-        if ln is not None and len(ln) < target_len:
-            extend_line(i, a, b)
 
     def pick_base(gp: GoodPair) -> Optional[dict[int, int]]:
         nb = len(gp.base)
@@ -178,9 +172,6 @@ def build(
                 commit(cur.with_lines(pid + 1, add=[(a, b, pid)]), [(a, b, pid)])
                 trace.steps.append(BuildStep(i, "realize", (ALPHA_CODE, (a, b), (pid,))))
                 return
-            if len(ln) < target_len:
-                extend_line(i, a, b)
-                return
             fallback = (a, b, ln)
         if fallback is not None:
             a, b, ln = fallback
@@ -188,15 +179,14 @@ def build(
             trace.steps.append(BuildStep(i, "identify", (ALPHA_CODE, (a, b), (third,))))
 
     def service_realize(i: int) -> None:
-        nonlocal template_cursor, realize_count
+        nonlocal realize_count
         realize_count += 1
         if realize_count % 8 or not big_templates:
             # alpha alternates with the larger templates: new lines through
             # uncovered pairs keep pair coverage climbing
             service_alpha(i)
             return
-        gp = big_templates[template_cursor % len(big_templates)]
-        template_cursor += 1
+        gp = big_templates[(realize_count // 8 - 1) % len(big_templates)]
         base_map = pick_base(gp)
         if base_map is None:
             return
@@ -209,11 +199,11 @@ def build(
             # copies_over_base lists them sorted, least first
             trace.steps.append(BuildStep(i, "identify", (gp.code, base_img, tuple(sorted(copies[0])))))
             return
-        candidate, cmap = _glue(cur, gp.space, base_map)
-        new_pts = sorted(set(cmap.values()) - set(base_map.values()))
+        candidate, _ = _glue(cur, gp.space, base_map)
+        new_pts = tuple(range(cur.n, candidate.n))  # _glue numbers them from cur.n
         # the glued lines are the ones through a new point
         commit(candidate, [ln for ln in candidate.lines if ln[-1] >= cur.n])
-        trace.steps.append(BuildStep(i, "realize", (gp.code, base_img, tuple(new_pts))))
+        trace.steps.append(BuildStep(i, "realize", (gp.code, base_img, new_pts)))
 
     for i in range(steps):
         if i < warmup or (i - warmup) % ADD_POINT_EVERY == 0:

@@ -35,16 +35,19 @@ class IncidenceStructure:
     lines: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        """Raise ValueError on the first bad line, on the first pair of a
-        line that an earlier line holds, in combinations order, or else on
-        the first pair of combinations(range(n), 2) that no line holds; a
-        SizeLimit on the first line that takes the pairs past MAX_PAIRS.
+        """Raise ValueError on a negative n, on the first bad line, on the
+        first pair of a line that an earlier line holds, in combinations
+        order, or else on the first pair of combinations(range(n), 2) that
+        no line holds; a SizeLimit on the first line that takes the pairs
+        past MAX_PAIRS.
 
         The pairs are entered through the index LinearSpace keeps.  Once
         no two lines share a pair, every pair is covered exactly when the
         index holds C(n, 2) pairs, and otherwise the scan for the first
         pair missing probes at most one pair more than the index holds.
         """
+        if self.n < 0:
+            raise ValueError(f"point count {self.n} is negative")
         pair_line: dict[tuple[int, int], tuple[int, ...]] = {}
         for j, ln in enumerate(self.lines):
             if len(ln) < 2:

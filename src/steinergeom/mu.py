@@ -81,7 +81,7 @@ def in_K_mu_bounded(
     mu: MuFunction,
     bound: int,
     *,
-    touching: Iterable[int] = (),
+    touching: Optional[Iterable[int]] = None,
 ) -> tuple[bool, list[tuple[str, tuple[int, ...], int, int]]]:
     """Whether no good pair of size <= bound exceeds its mu cap.
 
@@ -99,9 +99,13 @@ def in_K_mu_bounded(
     order, and it is computed without the full grouping (see
     _copy_groups_touching): the groups come from the cached grouping of
     the structure induced on the other points and from the good pairs
-    whose B u C meets the touched points.
+    whose B u C meets the touched points; no group meets an empty set.
     """
-    want = frozenset(points_of(_mask(M.n, touching)))
+    want = None
+    if touching is not None:
+        want = frozenset(points_of(_mask(M.n, touching)))
+        if not want:
+            return True, []
     violations: list[tuple[str, tuple[int, ...], int, int]] = []
     max_len = mu.line_length()
     for ln in M.lines if bound >= ALPHA_SIZE else ():

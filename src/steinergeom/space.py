@@ -96,6 +96,8 @@ class LinearSpace:
     __slots__ = ("n", "lines", "line_masks", "degrees", "_lines_by_point", "_pair_line")
 
     def __init__(self, n: int, lines: Iterable[Sequence[int]]):
+        if n < 0:
+            raise ValueError(f"point count {n} is negative")
         norm = _normalized(n, lines)
         seen: dict[tuple[int, int], tuple[int, ...]] = {}
         _cover(seen, norm)

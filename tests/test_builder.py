@@ -14,11 +14,13 @@ from steinergeom import (
     default_templates,
     delta,
     free_amalgam,
+    is_strong,
     pair_coverage,
     parse_trace_v1,
     stats,
     to_trace_v1,
 )
+from steinergeom.amalgam import _glue
 from steinergeom.errors import SizeLimit, TooManyPoints
 from steinergeom.space import MAX_POINTS
 
@@ -46,6 +48,25 @@ def test_build_rejects_negative_arguments(steps, template_max, name):
     # the trace of such a build once failed its own parser
     with pytest.raises(ValueError, match=rf"^{name} must be >= 0, not -"):
         build(MuFunction(1), steps, 0, template_max)
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("steps", {"steps": True}),
+        ("seed", {"seed": 1.5}),
+        ("seed", {"seed": True}),
+        ("seed", {"seed": "7"}),
+        ("template_max", {"template_max": 10.5}),
+    ],
+)
+def test_build_refuses_arguments_that_are_not_ints(name, kw):
+    # the trace writes each as an int: `seed 1.5` or `template-max 10.5`
+    # fail its parser, and `seed 7` would name a seed that Random("7")
+    # does not equal
+    args = {"mu": MuFunction(1), "steps": 10, "seed": 0, "template_max": 10, **kw}
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, not "):
+        build(**args)
 
 
 def test_line_lengths_hit_target():
@@ -165,6 +186,72 @@ def test_build_trace_is_pinned(alpha):
     _, trace = build(MuFunction(alpha), 1000, seed=7)
     digest = hashlib.sha256(to_trace_v1(trace).encode()).hexdigest()
     assert digest == PINNED_TRACES[alpha]
+
+
+def _replay(trace, alpha):
+    """The structures a parsed trace passes through, the empty space
+    first and one more after each step, rebuilt with with_lines and _glue
+    from the default templates keyed by code.  Checks on the way that the
+    snapshots are passed through, that each completion extends a short
+    line, that alpha meets only full lines, and that each realization
+    adds exactly the points it records."""
+    target = alpha + 2
+    templates = {gp.code: gp for gp in default_templates(trace.template_max)}
+    # the last snapshot is the result, taken after the drained completions
+    *snapshots, (_, result) = trace.snapshots
+    cur = LinearSpace(0, [])
+    out = [cur]
+    for st in trace.steps:
+        # snapshot s is taken after the steps with index below s
+        while snapshots and snapshots[0][0] <= st.index:
+            assert snapshots.pop(0)[1] == cur
+        if st.kind == "add-point":
+            assert st.payload == (cur.n,)
+            cur = cur.with_lines(cur.n + 1)
+        elif st.kind == "complete-line":
+            a, b, pid = st.payload
+            ln = cur.line_through(a, b)
+            assert ln is not None and len(ln) < target and pid == cur.n
+            cur = cur.with_lines(pid + 1, add=[ln + (pid,)], drop=[ln])
+        else:
+            code, base_img, ext = st.payload
+            if code == ALPHA_CODE:
+                assert all(len(ln) == target for ln in cur.lines)
+            if st.kind == "realize":
+                gp = templates[code]
+                G, _ = _glue(cur, gp.space, dict(zip(sorted(gp.base), base_img)))
+                assert ext == tuple(range(cur.n, G.n))
+                cur = G
+        out.append(cur)
+    assert [s for _, s in snapshots] + [result] == [cur] * (len(snapshots) + 1)
+    return out
+
+
+@pytest.mark.parametrize("template_max", [10, 14])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_replayed_trace_keeps_one_completion_queue(alpha, seed, template_max):
+    M, trace = build(MuFunction(alpha), 600, seed, template_max)
+    kinds = {st.kind for st in trace.steps}
+    # alpha 1 makes every line full at once
+    assert {"add-point", "realize"} | ({"complete-line"} if alpha > 1 else set()) <= kinds
+    assert _replay(parse_trace_v1(to_trace_v1(trace)), alpha)[-1] == M
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_every_build_step_is_a_strong_extension(alpha):
+    _, trace = build(MuFunction(alpha), 300, 7)
+    chain = _replay(trace, alpha)
+    for prev, nxt in zip(chain, chain[1:]):
+        assert is_strong(nxt, range(prev.n), range(nxt.n)).ok
+
+
+def test_no_default_template_has_a_line_through_two_base_points():
+    # so a template realization adds only new lines, none of them queued
+    # yet; alpha's one line is new because alpha takes an uncovered pair
+    for gp in default_templates(30)[1:]:
+        assert gp.code != ALPHA_CODE
+        assert all(len(gp.base.intersection(ln)) < 2 for ln in gp.space.lines), gp.code
 
 
 def test_default_templates():

@@ -57,6 +57,12 @@ def test_incidence_structure_validation():
         IncidenceStructure(2, ((0, 2),))
 
 
+def test_incidence_structure_rejects_a_negative_point_count():
+    # before the pair scan, which finds no first missing pair of range(-2)
+    with pytest.raises(ValueError, match="point count -2 is negative"):
+        IncidenceStructure(-2, ())
+
+
 def _first_fault_by_pairs(n, lines):
     """IncidenceStructure's error message, found by storing every pair."""
     seen = set()

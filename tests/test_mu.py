@@ -143,6 +143,13 @@ def test_bounded_check_sees_no_alpha_below_its_size():
     assert in_K_mu_bounded(line5, MuFunction(1), 3) == (False, [(ALPHA_CODE, (0, 1), 3, 1)])
 
 
+def test_bounded_check_touching_no_point_finds_nothing():
+    # no group meets the empty set; an empty `touching` is not the full check
+    line5 = LinearSpace(5, [(0, 1, 2, 3, 4)])
+    assert in_K_mu_bounded(line5, MuFunction(1), 3, touching=[]) == (True, [])
+    assert in_K_mu_bounded(line5, MuFunction(1), 3, touching=None) == (False, [(ALPHA_CODE, (0, 1), 3, 1)])
+
+
 def test_bounded_check_fano():
     # one copy of the Fano plane over the empty base is within the cap
     assert in_K_mu_bounded(fano(), MuFunction(1), 7)[0]

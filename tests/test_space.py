@@ -16,6 +16,7 @@ from steinergeom import (
     pair_coverage,
     parse_gp_v1,
     parse_ls_v1,
+    random_k0,
     random_space,
     to_ls_v1,
     validate,
@@ -43,6 +44,14 @@ def test_constructor_rejects_shared_pair():
 def test_constructor_rejects_duplicates():
     with pytest.raises(ValueError):
         LinearSpace(3, [(0, 1, 2), (2, 1, 0)])
+
+
+def test_constructor_rejects_a_negative_point_count():
+    # d, icl and in_K0 cannot shift by a negative point count
+    with pytest.raises(ValueError, match="point count -3 is negative"):
+        LinearSpace(-3, [])
+    with pytest.raises(ValueError, match="point count -4 is negative"):
+        random_k0(Random(0), -4)
 
 
 def _random_edit(rng, S):
