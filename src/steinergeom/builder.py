@@ -91,8 +91,10 @@ def build(
     snapshot_every: int = 100,
 ) -> tuple[LinearSpace, BuildTrace]:
     # the trace writes each as an int, which a str or a float seed would
-    # misname, and holds no negative step count or template bound
-    for name, value in (("steps", steps), ("seed", seed), ("template_max", template_max)):
+    # misname, and holds no negative step count, template bound or
+    # snapshot period; a period of 0 takes no snapshots in the loop
+    checked = dict(steps=steps, seed=seed, template_max=template_max, snapshot_every=snapshot_every)
+    for name, value in checked.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{name} must be an int, not {value!r}")
         if value < 0 and name != "seed":
@@ -140,11 +142,12 @@ def build(
         trace.steps.append(BuildStep(i, "complete-line", (a, b, pid)))
 
     def pick_base(gp: GoodPair) -> Optional[dict[int, int]]:
+        # the eighth realization, the first of a template, comes at step
+        # warmup + 8 or later; that needs steps >= 21, so warmup >= 12 and
+        # cur holds 13 or more points, past any default template's 3
         nb = len(gp.base)
         if nb == 0:
             return {}
-        if cur.n < nb:
-            return None
         base_sorted = sorted(gp.base)
         for _ in range(40):
             img = rng.sample(range(cur.n), nb)
@@ -159,8 +162,7 @@ def build(
         return None
 
     def service_alpha(i: int) -> None:
-        if cur.n < 2:
-            return
+        # a realization comes after warmup + 1 >= 2 add-point steps
         fallback = None
         for _ in range(40):
             a, b = sorted(rng.sample(range(cur.n), 2))

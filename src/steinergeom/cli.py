@@ -243,25 +243,17 @@ def cmd_check(args) -> int:
             X = rng.sample(range(n), rng.randrange(n + 1))
             Y = rng.sample(range(n), rng.randrange(n + 1))
             xs, ys = set(X), set(Y)
-            lhs = delta(space, xs | ys) + delta(space, xs & ys)
-            if lhs > delta(space, xs) + delta(space, ys):
-                bad += 1
+            bad += delta(space, xs | ys) + delta(space, xs & ys) > delta(space, xs) + delta(space, ys)
         elif args.property == "flat":
             space = random_k0(rng, n)
             fam = [rng.sample(range(n), rng.randrange(1, n + 1)) for _ in range(rng.randrange(2, 5))]
-            ok, _w = check_flatness(space, fam, mode="delta")
-            if not ok:
-                bad += 1
+            bad += not check_flatness(space, fam, mode="delta")[0]
         elif args.property == "exchange":
             space = random_k0(rng, min(n, 8))
-            ok, _w = check_exchange(space)
-            if not ok:
-                bad += 1
+            bad += not check_exchange(space)[0]
         else:  # matroid
             space = random_space(rng, min(n, 8))
-            ok, _w = check_matroid_exchange(space)
-            if not ok:
-                bad += 1
+            bad += not check_matroid_exchange(space)[0]
     _emit(args, f"{bad} violations", {"property": args.property, "trials": args.trials, "violations": bad})
     return 1 if bad else 0
 

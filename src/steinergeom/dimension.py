@@ -334,13 +334,8 @@ def check_flatness(space: LinearSpace, family, mode: str = "delta"):
     rhs = 0
     for r in range(1, len(sets) + 1):
         for combo in combinations(sets, r):
-            inter = combo[0]
-            for s in combo[1:]:
-                inter = inter & s
-            rhs += (-1) ** (r + 1) * f(inter)
-    if lhs <= rhs:
-        return True, None
-    return False, (lhs, rhs)
+            rhs += (-1) ** (r + 1) * f(frozenset.intersection(*combo))
+    return (True, None) if lhs <= rhs else (False, (lhs, rhs))
 
 
 def check_exchange(space: LinearSpace):
@@ -353,16 +348,8 @@ def check_exchange(space: LinearSpace):
     if n > EXCHANGE_LIMIT:
         raise SizeLimit(f"{n} points exceeds exchange-check limit {EXCHANGE_LIMIT}")
     table = d_table(space)
-
-    def cl(mask: int) -> int:
-        dx = table[mask]
-        out = mask
-        for p in range(n):
-            if table[mask | (1 << p)] == dx:
-                out |= 1 << p
-        return out
-
-    closures = [cl(m) for m in range(1 << n)]
+    # cl(X): the points p with d(X + p) = d(X), X's own among them
+    closures = [mask_of(p for p in range(n) if table[m | 1 << p] == table[m]) for m in range(1 << n)]
     for m in range(1 << n):
         cm = closures[m]
         if cm & m != m:
@@ -371,10 +358,7 @@ def check_exchange(space: LinearSpace):
             return False, ("not-idempotent", points_of(m))
     for m in range(1 << n):
         for p in range(n):
-            if m & (1 << p):
-                continue
-            sup = closures[m | (1 << p)]
-            if closures[m] & ~sup:
+            if not m >> p & 1 and closures[m] & ~closures[m | 1 << p]:
                 return False, ("not-monotone", points_of(m), p)
     for m in range(1 << n):
         cm = closures[m]

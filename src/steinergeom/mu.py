@@ -65,6 +65,9 @@ def validate_mu(mu: MuFunction) -> tuple[bool, list[str]]:
     if mu.alpha_value < 1:
         reasons.append(f"alpha value {mu.alpha_value} < 1")
     for code, val in sorted(mu.overrides.items()):
+        if fault := _override_fault(code):
+            reasons.append(fault)
+            continue
         space, base = decode_code(code)
         ext = frozenset(range(space.n)) - base
         if len(ext) >= 2:
@@ -74,6 +77,19 @@ def validate_mu(mu: MuFunction) -> tuple[bool, list[str]]:
         elif val < 1:
             reasons.append(f"mu({code}) = {val} < 1 for a single-point extension")
     return not reasons, reasons
+
+
+def _override_fault(code: str) -> Optional[str]:
+    """Why a cap keyed `code` would never apply, or None.  Alpha's cap is
+    the alpha value.  The enumerations key caps by canonical codes of at
+    most DEFAULT_CODE_LIMIT points, so another spelling of such a shape
+    never meets its pairs; a longer code is kept as written."""
+    if code == ALPHA_CODE:
+        return "alpha's cap is the alpha value, not a pair override"
+    space, base = decode_code(code)
+    if space.n <= DEFAULT_CODE_LIMIT and (canon := canonical_code(space, base)) != code:
+        return f"code {code!r} is not canonical; its shape's code is {canon!r}"
+    return None
 
 
 def in_K_mu_bounded(
@@ -210,10 +226,8 @@ def parse_mu_v1(text: str) -> MuFunction:
                 case ["alpha", value] if alpha is None:
                     alpha = _int(value, "alpha value")
                 case ["pair", code, value] if code not in overrides:
-                    space, base = decode_code(code)
-                    # enumerations give canonical codes of at most DEFAULT_CODE_LIMIT points
-                    if space.n <= DEFAULT_CODE_LIMIT and (canon := canonical_code(space, base)) != code:
-                        raise ValueError(f"code {code!r} is not canonical; its shape's code is {canon!r}")
+                    if fault := _override_fault(code):
+                        raise ValueError(fault)
                     overrides[code] = _int(value, "pair value")
                 case ["default", policy] if default is None:
                     if policy != DEFAULT_POLICY:

@@ -43,8 +43,10 @@ from .space import (
     LinearSpace,
     _content_lines,
     _int,
+    _keeps_lines,
     _mask,
     _ls_v1_rows,
+    _relabelled_lines,
     _row,
     delta_mask,
     mask_of,
@@ -203,11 +205,10 @@ def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[fro
             f"({sorted(points_of(b_mask))}, {sorted(points_of(c_mask))}) is not 0-primitive"
         )
     if c_mask.bit_count() == 1:
-        for lm in space.line_masks:
-            if lm & c_mask and (lm & b_mask).bit_count() >= 2:
-                pts = points_of(lm & b_mask)
-                return [frozenset(pair) for pair in combinations(pts, 2)]
-        raise NotZeroPrimitive("single extension point lies on no line based in B")
+        # delta(B + c) = delta(B) puts c on exactly one line with two or
+        # more points of B
+        lm = next(lm for lm in space.line_masks if lm & c_mask and (lm & b_mask).bit_count() >= 2)
+        return [frozenset(pair) for pair in combinations(points_of(lm & b_mask), 2)]
     return [frozenset(points_of(_base_mask(space, b_mask, c_mask)))]
 
 
@@ -530,28 +531,12 @@ def _extend(
     need, degree = pair_space.degrees[x], M.degrees
     floor = max((phi[w] for w in above[x]), default=-1)
     for m in _candidates(M, pair_space, phi, x):
-        if m > floor and degree[m] >= need and m not in used and _consistent(M, pair_space, phi, used, x, m):
+        if m > floor and degree[m] >= need and m not in used and _keeps_lines(pair_space, M, phi, used, x, m):
             phi[x] = m
             used.add(m)
             yield from _extend(M, pair_space, ext, i + 1, phi, used, above)
             used.discard(m)
             del phi[x]
-
-
-def _consistent(
-    M: LinearSpace, pair_space: LinearSpace, phi: dict[int, int], used: set[int], x: int, m: int
-) -> bool:
-    """Mapping x to m keeps every triple {u, w, x} of mapped u, w: the
-    mapped points on the pair line (u, x) are exactly those whose images
-    lie on the M-line (phi(u), m)."""
-    for u, pu in phi.items():
-        pl = pair_space.line_through(u, x)
-        ml = M.line_through(pu, m)
-        on_pl = {phi[w] for w in pl if w != u and w in phi} if pl else set()
-        on_ml = {q for q in ml if q != pu and q in used} if ml else set()
-        if on_pl != on_ml:
-            return False
-    return True
 
 
 def _candidates(M: LinearSpace, pair_space: LinearSpace, phi: dict[int, int], x: int) -> Iterable[int]:
@@ -728,18 +713,13 @@ Shape = tuple[int, tuple[tuple[int, ...], ...], int]
 
 def _shape(M: LinearSpace, bc_mask: int, b_pts: Iterable[int]) -> tuple[tuple[int, ...], Shape]:
     """The points of B u C, ascending, and the labelled shape of (B, C):
-    (n, lines, base mask) of the structure induced on B u C, relabelled
-    order-preservingly, as induced() would give it.  Only the lines
-    through points of B u C are read."""
+    (n, lines, base mask) of the structure induced on B u C as
+    space._relabelled_lines relabels it, each point to the number of
+    points of B u C below it.  No LinearSpace is built."""
     pts = points_of(bc_mask)
-    relabel = {p: i for i, p in enumerate(pts)}
-    line_masks, by_point = M.line_masks, M.lines_by_point
-    lines = sorted(
-        tuple(relabel[q] for q in M.lines[li] if q in relabel)
-        for li in {li for p in pts for li in by_point[p]}
-        if (line_masks[li] & bc_mask).bit_count() >= 3
-    )
-    return pts, (len(pts), tuple(lines), mask_of(relabel[p] for p in b_pts))
+    by_point = M.lines_by_point
+    lines = _relabelled_lines(M, pts, bc_mask, {li for p in pts for li in by_point[p]})
+    return pts, (len(pts), tuple(lines), mask_of((bc_mask & ((1 << p) - 1)).bit_count() for p in b_pts))
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)

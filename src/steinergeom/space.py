@@ -268,27 +268,54 @@ def delta_rel(space: LinearSpace, X: Iterable[int], B: Iterable[int]) -> int:
     return delta_mask(space, xm | bm) - delta_mask(space, bm)
 
 
+def _relabelled_lines(
+    space: LinearSpace, pts: Sequence[int], mask: int, line_ids: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """The lines of line_ids with three or more points of `mask`, which
+    `pts` lists ascending, cut to them and relabelled by rank, sorted: the
+    one relabelling of an induced structure, for induced() and _shape."""
+    rank = {p: i for i, p in enumerate(pts)}
+    lines, masks = space.lines, space.line_masks
+    return sorted(
+        tuple(rank[q] for q in lines[li] if q in rank)
+        for li in line_ids
+        if (masks[li] & mask).bit_count() >= 3
+    )
+
+
 def induced(space: LinearSpace, S: Iterable[int]) -> LinearSpace:
     """Substructure on S, points relabeled 0..|S|-1 order-preservingly."""
     pts = sorted(set(S))
     sm = _mask(space.n, pts)
-    relabel = {p: i for i, p in enumerate(pts)}
-    new_lines = []
-    for ln, lm in zip(space.lines, space.line_masks):
-        if (lm & sm).bit_count() >= 3:
-            new_lines.append(tuple(relabel[p] for p in ln if p in relabel))
-    return LinearSpace(len(pts), new_lines)
+    return LinearSpace(len(pts), _relabelled_lines(space, pts, sm, range(len(space.lines))))
+
+
+def _keeps_lines(A: LinearSpace, B: LinearSpace, phi: dict[int, int], image: set[int], x: int, m: int) -> bool:
+    """Mapping x to m keeps every triple {u, w, x} of u, w in phi, an
+    injection of A's points into B's onto `image`: the mapped points on
+    the A-line (u, x) are those whose images lie on the B-line (phi(u), m)."""
+    for u, pu in phi.items():
+        pl, ml = A.line_through(u, x), B.line_through(pu, m)
+        on_pl = {phi[w] for w in pl if w != u and w in phi} if pl else set()
+        on_ml = {q for q in ml if q != pu and q in image} if ml else set()
+        if on_pl != on_ml:
+            return False
+    return True
 
 
 def preserves_lines(A: LinearSpace, B: LinearSpace, phi: dict[int, int]) -> bool:
     """A triple of phi's domain is collinear in A exactly when its image
-    is collinear in B; for injective phi, the induced structures on the
-    domain and on the image then agree."""
-    for u, v, w in combinations(sorted(phi), 3):
-        la = A.line_through(u, v)
-        lb = B.line_through(phi[u], phi[v])
-        if (la is not None and w in la) != (lb is not None and phi[w] in lb):
+    is collinear in B; phi must be injective, and the induced structures
+    on its domain and image then agree.  Each point, ascending, goes
+    through _keeps_lines against those before it: |phi|^2 line lookups,
+    not one per triple."""
+    done: dict[int, int] = {}
+    image: set[int] = set()
+    for x in sorted(phi):
+        if not _keeps_lines(A, B, done, image, x, phi[x]):
             return False
+        done[x] = phi[x]
+        image.add(phi[x])
     return True
 
 

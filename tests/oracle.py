@@ -179,6 +179,17 @@ def copies_oracle(M, pair_space, base, b_embed):
     return images
 
 
+def preserves_lines_oracle(A, B, phi):
+    """Whether every triple of phi's domain is collinear in A exactly when
+    its image is collinear in B; one test per triple."""
+    in_a = {frozenset(t) for ln in A.lines for t in combinations(ln, 3)}
+    in_b = {frozenset(t) for ln in B.lines for t in combinations(ln, 3)}
+    return all(
+        (frozenset(t) in in_a) == (frozenset(phi[p] for p in t) in in_b)
+        for t in combinations(sorted(phi), 3)
+    )
+
+
 def embeddings_oracle(M, pair_space, base, b_embed):
     """All injections of the pair's points into M extending b_embed under
     which a triple is collinear exactly when its image is; brute force

@@ -22,6 +22,7 @@ from steinergeom import (
     random_k0,
     to_ls_v1,
 )
+from steinergeom.amalgam import _glue
 from oracle import embeddings_oracle
 
 
@@ -79,6 +80,20 @@ def test_free_amalgam_shared_part_must_agree():
     E = LinearSpace(3, [])
     with pytest.raises(BaseMismatch):
         free_amalgam(F, E, [0, 1, 2])
+
+
+def test_glue_refuses_a_shared_map_that_is_not_injective():
+    with pytest.raises(BaseMismatch, match="^shared-part map is not injective$"):
+        _glue(LinearSpace(3, []), LinearSpace(3, []), {0: 0, 1: 0})
+
+
+@pytest.mark.parametrize("side", ["E", "F"])
+def test_amalgamate_refuses_a_side_that_fails_the_bounded_check(side):
+    # mu(alpha) = 1 caps lines at 3 points
+    long_line, line = LinearSpace(4, [(0, 1, 2, 3)]), LinearSpace(3, [(0, 1, 2)])
+    F, E = (line, long_line) if side == "E" else (long_line, line)
+    with pytest.raises(ValueError, match=f"^{side} fails the bounded mu check"):
+        amalgamate_or_identify(F, E, [0, 1, 2], MuFunction(1), 4)
 
 
 def test_free_amalgam_delta_additivity():

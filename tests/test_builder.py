@@ -69,6 +69,17 @@ def test_build_refuses_arguments_that_are_not_ints(name, kw):
         build(**args)
 
 
+@pytest.mark.parametrize("value, exc", [(-3, ValueError), (True, TypeError), (2.5, TypeError)])
+def test_build_refuses_a_bad_snapshot_period(value, exc):
+    with pytest.raises(exc, match=r"^snapshot_every must be "):
+        build(MuFunction(1), 10, 0, snapshot_every=value)
+
+
+def test_snapshot_period_zero_keeps_only_the_final_snapshot():
+    _, trace = build(MuFunction(1), 10, 0, snapshot_every=0)
+    assert [i for i, _ in trace.snapshots] == [10]
+
+
 def test_line_lengths_hit_target():
     for alpha in (1, 2):
         M, _ = small_build(MuFunction(alpha), steps=150)

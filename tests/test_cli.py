@@ -236,6 +236,12 @@ def test_check_runs(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("prop", ["submodular", "flat", "exchange", "matroid"])
+def test_check_properties_hold(capsys, prop):
+    assert main(["check", prop, "--trials", "25", "--seed", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"property": prop, "trials": 25, "violations": 0}
+
+
 @pytest.mark.parametrize("flag,value,least", [("--max-points", "2", 3), ("--max-points", "-1", 3), ("--trials", "-1", 0)])
 def test_check_refuses_arguments_out_of_range(capsys, flag, value, least):
     args = {"--trials": "3", "--max-points": "7", flag: value}

@@ -20,6 +20,7 @@ from steinergeom import (
     fano_chain,
     icl,
     MuFunction,
+    SizeLimit,
     build,
     in_K0,
     induced,
@@ -375,6 +376,22 @@ def test_flatness_mode_d_requires_closed_sets():
     ck = cycle_Ck(1).space
     with pytest.raises(ValueError):
         check_flatness(ck, [[0, 1], [2, 3]], mode="d")
+
+
+@pytest.mark.parametrize(
+    "family, mode, message",
+    [([[0, 1]], "delta", "^need at least 2 sets$"), ([[0], [1]], "rank", "^unknown mode 'rank'$")],
+)
+def test_flatness_refuses_bad_arguments(family, mode, message):
+    with pytest.raises(ValueError, match=message):
+        check_flatness(fano(), family, mode=mode)
+
+
+def test_dense_tables_refuse_spaces_past_their_limits():
+    with pytest.raises(SizeLimit, match="^17 points exceeds exchange-check limit 16$"):
+        check_exchange(LinearSpace(17, []))
+    with pytest.raises(SizeLimit, match="^25 points exceeds table limit 24$"):
+        delta_table(LinearSpace(25, []))
 
 
 def test_flatness_mode_d():

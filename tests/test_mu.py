@@ -68,6 +68,24 @@ def test_validate_mu():
     assert validate_mu(MuFunction(1, {ck.code: 2}))[0]
 
 
+def test_validate_mu_refuses_caps_that_never_apply():
+    code = cycle_Ck(1).code
+    # C_1 with its extension points 2 and 3 swapped: a code of the same
+    # shape that no enumeration gives, so its cap never meets a pair
+    alt = "gp2.4|0,2,3|0,4,5|1,2,5|1,3,4"
+    assert alt != code and canonical_code(*decode_code(alt)) == code
+    assert MuFunction(1, {alt: 3}).value(code) == 2
+    # alpha's cap is the alpha value, whatever an override says
+    assert MuFunction(1, {ALPHA_CODE: 5}).value(ALPHA_CODE) == 1
+    for key, message in ((alt, "is not canonical"), (ALPHA_CODE, "alpha's cap is the alpha value")):
+        mu = MuFunction(1, {key: 3})
+        ok, reasons = validate_mu(mu)
+        assert not ok and len(reasons) == 1 and message in reasons[0]
+        with pytest.raises(FormatError, match=message) as exc:
+            parse_mu_v1(to_mu_v1(mu))
+        assert exc.value.lineno == 2
+
+
 def test_decode_code_roundtrip():
     for gp in (alpha_pair(), cycle_Ck(1), cycle_Ck(2)):
         space, base = decode_code(gp.code)
@@ -98,6 +116,8 @@ def test_mu_v1_roundtrip():
         "alpha 1\npair gp2.2|0,1,3 -1\n",
         # a shape whose canonical code is gp2.2|0,1,3
         "alpha 1\npair gp2.2|0,1,2 5\n",
+        # alpha's cap is the alpha row's
+        "alpha 1\npair alpha 5\n",
         pytest.param("alpha 1\npair gp1" + "0" * 4999 + ".1| 3\n", id="5000-digit base size"),
     ],
 )

@@ -139,6 +139,40 @@ def test_is_good_pair_examples():
     assert is_good_pair(ck.space, sorted(ck.base), sorted(ck.ext))
 
 
+@pytest.mark.parametrize("test", [is_good_pair, bases_of])
+def test_good_pair_questions_refuse_overlapping_sides(test):
+    with pytest.raises(ValueError, match="^B and C overlap$"):
+        test(fano(), [0, 1], [1, 2])
+
+
+def test_is_good_pair_refuses_an_empty_extension():
+    with pytest.raises(ValueError, match="^C is empty$"):
+        is_good_pair(fano(), [0, 1], [])
+
+
+def test_enumeration_refuses_a_size_past_the_code_limit():
+    with pytest.raises(SizeLimit, match="^max_size 17 exceeds code limit 16$"):
+        enumerate_good_pairs(fano(), 17)
+
+
+def test_shape_is_the_induced_structure():
+    # enumerate_good_pairs keys verification on _shape, which must give the
+    # structure induced on B u C and the base relabelled alike
+    checked = 0
+    for M in (fano_chain(2)[-1], build(MuFunction(2), 80, seed=4)[0], cycle_Ck(2).space):
+        for gp, emb in enumerate_good_pairs(M, 10):
+            pts = sorted(emb.values())
+            b_pts = tuple(sorted(emb[b] for b in gp.base))
+            got, (n, lines, b_mask) = primitives._shape(M, mask_of(pts), b_pts)
+            sub = induced(M, pts)
+            assert (got, n, lines) == (tuple(pts), sub.n, sub.lines)
+            assert b_mask == mask_of(pts.index(b) for b in b_pts)
+            if gp.code != ALPHA_CODE:
+                assert gp.space == sub
+            checked += 1
+    assert checked > 100
+
+
 def test_is_good_pair_rejects_oversized_base():
     # an idle extra base point breaks base minimality
     space = LinearSpace(4, [(0, 1, 3)])

@@ -7,6 +7,8 @@ from steinergeom import (
     AxiomViolation,
     FormatError,
     LinearSpace,
+    MuFunction,
+    build,
     SizeLimit,
     delta,
     delta_rel,
@@ -22,8 +24,8 @@ from steinergeom import (
     validate,
 )
 from steinergeom.errors import TooManyPoints
-from steinergeom.space import MAX_POINTS
-from oracle import delta_from_triples, delta_set
+from steinergeom.space import MAX_POINTS, preserves_lines
+from oracle import delta_from_triples, delta_set, preserves_lines_oracle
 
 
 def test_constructor_rejects_short_line():
@@ -159,6 +161,15 @@ def test_validate_clique_failure():
         validate(4, [(0, 1, 2), (0, 1, 3)])
 
 
+@pytest.mark.parametrize(
+    "triple, message",
+    [((0, 1, 1), "does not have 3 distinct points"), ((0, 1, 4), "out of range for 4 points")],
+)
+def test_validate_refuses_a_bad_triple(triple, message):
+    with pytest.raises(ValueError, match=message):
+        validate(4, [(0, 1, 2), triple])
+
+
 def test_validate_four_point_line():
     space = validate(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert space.lines == ((0, 1, 2, 3),)
@@ -222,6 +233,49 @@ def test_induced_relabels_order_preservingly():
     space = LinearSpace(5, [(1, 3, 4)])
     sub = induced(space, [1, 3, 4])
     assert sub.lines == ((0, 1, 2),)
+
+
+def test_preserves_lines_matches_the_triple_definition():
+    # each point of the domain is tested against the points before it;
+    # the oracle tests every triple of the domain
+    rng = Random(41)
+    seen = Counter()
+    for trial in range(2400):
+        large = trial % 8 == 0
+        if large:
+            # a 20-60-point space and the structure it induces on a random
+            # subset, mapped back, half the time with two images swapped
+            B = random_space(rng, rng.randrange(20, 61))
+            img = sorted(rng.sample(range(B.n), rng.randrange(3, 21)))
+            A = induced(B, img)
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(len(img)), 2)
+                img[i], img[j] = img[j], img[i]
+            phi = dict(enumerate(img))
+        else:
+            A, B = random_space(rng, rng.randrange(3, 9)), random_space(rng, rng.randrange(3, 9))
+            k = rng.randrange(min(A.n, B.n) + 1)
+            phi = dict(zip(rng.sample(range(A.n), k), rng.sample(range(B.n), k)))
+        want = preserves_lines_oracle(A, B, phi)
+        assert preserves_lines(A, B, phi) == want
+        seen[large, want] += 1
+    assert len(seen) == 4 and min(seen.values()) > 20
+
+
+def test_preserves_lines_looks_up_a_quadratic_number_of_lines(monkeypatch):
+    M, _ = build(MuFunction(1), 60, seed=0)
+    phi = {p: p for p in range(60)}
+    calls = Counter()
+    line_through = LinearSpace.line_through
+
+    def counted(self, a, b):
+        calls["line_through"] += 1
+        return line_through(self, a, b)
+
+    monkeypatch.setattr(LinearSpace, "line_through", counted)
+    assert M.n >= 60 and preserves_lines(M, M, phi)
+    # a test per triple would look up 2 * C(60, 3) = 68,440 lines
+    assert calls["line_through"] <= len(phi) ** 2
 
 
 def test_pair_coverage():
