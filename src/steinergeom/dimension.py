@@ -44,19 +44,21 @@ or when its `room` = |incumbent| - |X - lo| largest drops left,
 suffix[i] - suffix[i + room], cannot bring delta below the threshold;
 with no room left that sum is 0.  in_K0 is is_strong(∅, M).  Dense
 numpy tables (delta_table, d_table) serve only is_primitive,
-check_exchange and the tests, where every subset's value is needed.
+check_exchange and the tests, where every subset's value is needed;
+numpy is imported on the first table call, so nothing else loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import SizeLimit
 from .space import LinearSpace, _mask, delta_mask, mask_of, points_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SEARCH_LIMIT = 24
 TABLE_LIMIT = 24
@@ -289,6 +291,8 @@ def delta_table(space: LinearSpace) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _delta_table_cached(space: LinearSpace) -> np.ndarray:
+    import numpy as np
+
     masks = np.arange(1 << space.n, dtype=np.uint32)
     out = np.bitwise_count(masks).astype(np.int32)
     for lm in space.line_masks:
@@ -300,6 +304,8 @@ def _delta_table_cached(space: LinearSpace) -> np.ndarray:
 
 def d_table(space: LinearSpace) -> np.ndarray:
     """d of every subset: superset-minimum of the delta table."""
+    import numpy as np
+
     n = space.n
     out = delta_table(space).copy()
     for b in range(n):

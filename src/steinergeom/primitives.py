@@ -16,10 +16,11 @@ One rule decides how a delta question is answered.  Strongness
 preconditions go through dimension.is_strong and carry its witness.
 Dense per-subset tables are used only where every subset's value is
 needed: is_primitive reads the superset minimum of every intermediate
-set.  0-primitivity compares delta values of the sets B u C' on one
-maximum flow (_zero_primitive).  What the calculus fixes is not
-searched: the base of a good pair is _base_mask, and a primitive step
-of decompose is the least of the closures icl(X + p).
+set; it and _from_base_table import numpy on their first call, so no
+other question loads it.  0-primitivity compares delta values of the
+sets B u C' on one maximum flow (_zero_primitive).  What the calculus
+fixes is not searched: the base of a good pair is _base_mask, and a
+primitive step of decompose is the least of the closures icl(X + p).
 
 canonical_code is the only path to a code, and decode_code reads one
 back.  Two lru_caches of SHAPE_CACHE_SIZE entries, read by cache_info(),
@@ -32,9 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .dimension import _flow, _reached, _reaching, d_table, delta_table, icl_mask, is_strong
 from .errors import AxiomViolation, FormatError, NotStrong, NotZeroPrimitive, SizeLimit
@@ -56,6 +55,9 @@ from .space import (
 )
 from .tight import iter_candidate_sets
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_CODE_LIMIT = 16
 COPY_CAP = 10000
 ALPHA_CODE = "alpha"
@@ -75,6 +77,8 @@ def _tables(space: LinearSpace):
 @lru_cache(maxsize=16)
 def _from_base_table(space: LinearSpace, b_mask: int) -> np.ndarray:
     """For masks X >= b_mask: min delta over the interval [b_mask, X]."""
+    import numpy as np
+
     n = space.n
     m = delta_table(space).copy()
     for b in range(n):
@@ -88,6 +92,8 @@ def _from_base_table(space: LinearSpace, b_mask: int) -> np.ndarray:
 
 def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
     """No proper intermediate strong set between B and the whole space."""
+    import numpy as np
+
     b_mask = _mask(space.n, B)
     full = space.full_mask()
     _require_strong(space, points_of(b_mask), range(space.n))

@@ -293,12 +293,17 @@ def induced(space: LinearSpace, S: Iterable[int]) -> LinearSpace:
 def _keeps_lines(A: LinearSpace, B: LinearSpace, phi: dict[int, int], image: set[int], x: int, m: int) -> bool:
     """Mapping x to m keeps every triple {u, w, x} of u, w in phi, an
     injection of A's points into B's onto `image`: the mapped points on
-    the A-line (u, x) are those whose images lie on the B-line (phi(u), m)."""
+    the A-line (u, x) are those whose images lie on the B-line (phi(u), m).
+    Where only one of the two lines exists, no mapped point may lie on it."""
     for u, pu in phi.items():
         pl, ml = A.line_through(u, x), B.line_through(pu, m)
-        on_pl = {phi[w] for w in pl if w != u and w in phi} if pl else set()
-        on_ml = {q for q in ml if q != pu and q in image} if ml else set()
-        if on_pl != on_ml:
+        if pl is None:
+            if ml is not None and any(q != pu and q in image for q in ml):
+                return False
+        elif ml is None:
+            if any(w != u and w in phi for w in pl):
+                return False
+        elif {phi[w] for w in pl if w != u and w in phi} != {q for q in ml if q != pu and q in image}:
             return False
     return True
 
