@@ -32,7 +32,7 @@ from random import Random
 from typing import Optional
 
 from .amalgam import _glue
-from .errors import FormatError
+from .errors import FormatError, check_int
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
 from .primitives import ALPHA_CODE, ALPHA_SIZE, GoodPair, _group_chi, _max_disjoint, alpha_pair
@@ -95,10 +95,7 @@ def build(
     # snapshot period; a period of 0 takes no snapshots in the loop
     checked = dict(steps=steps, seed=seed, template_max=template_max, snapshot_every=snapshot_every)
     for name, value in checked.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, not {value!r}")
-        if value < 0 and name != "seed":
-            raise ValueError(f"{name} must be >= 0, not {value}")
+        check_int(name, value, signed=name == "seed")
     ok, reasons = validate_mu(mu)
     if not ok:
         raise ValueError("invalid mu: " + "; ".join(reasons))

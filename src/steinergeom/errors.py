@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an int argument."""
 
 
 class SteinerGeomError(Exception):
@@ -68,3 +68,11 @@ class BoundTooSmall(SteinerGeomError):
 
 class PairNotOnTriple(SteinerGeomError):
     """Cycle-graph base pair does not lie on a 3-point line."""
+
+
+def check_int(name: str, value, *, signed: bool = False) -> None:
+    """A TypeError unless `value` is an int, not a bool; a ValueError if negative and not `signed`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    if value < 0 and not signed:
+        raise ValueError(f"{name} must be >= 0, not {value}")

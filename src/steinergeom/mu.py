@@ -13,7 +13,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .errors import FormatError
+from .errors import FormatError, check_int
 from .primitives import ALPHA_CODE, ALPHA_SIZE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
 from .primitives import canonical_code, decode_code, enumerate_good_pairs
 from .space import LinearSpace, _content_lines, _int, _mask, _row, delta_mask, induced, mask_of, points_of
@@ -117,6 +117,7 @@ def in_K_mu_bounded(
     the structure induced on the other points and from the good pairs
     whose B u C meets the touched points; no group meets an empty set.
     """
+    check_int("bound", bound)
     want = None
     if touching is not None:
         want = frozenset(points_of(_mask(M.n, touching)))

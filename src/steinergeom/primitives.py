@@ -32,11 +32,11 @@ its verdict and code.  Both keep strings only, never a space.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .dimension import _flow, _reached, _reaching, d_table, delta_table, icl_mask, is_strong
-from .errors import AxiomViolation, FormatError, NotStrong, NotZeroPrimitive, SizeLimit
+from .errors import AxiomViolation, FormatError, NotStrong, NotZeroPrimitive, SizeLimit, check_int
 from .space import (
     MAX_POINTS,
     LinearSpace,
@@ -669,22 +669,49 @@ def _group_chi(M: LinearSpace, code: str, base_img: Iterable[int], most: int) ->
 
 # -- enumeration -------------------------------------------------------
 
+def _bases(M: LinearSpace, c_mask: int, dc: int, pop_lines: Iterable[int], slots: int) -> list[tuple[int, ...]]:
+    """The base choices for a candidate set C with delta dc: at most
+    `slots` outside points whose weights, the numbers of populated lines
+    of C they sit on, sum to dc.  Empty, before any clash mask is built,
+    when the `slots` largest weights fall short of dc."""
+    line_masks, by_point = M.line_masks, M.lines_by_point
+    weight_of: dict[int, int] = {}
+    for li in pop_lines:
+        for q in M.lines[li]:
+            if not c_mask >> q & 1:
+                weight_of[q] = weight_of.get(q, 0) + 1
+    weights = sorted(weight_of.items(), key=lambda qw: (-qw[1], qw[0]))
+    top = [0, *accumulate(w for _q, w in weights)]
+    if top[min(slots, len(weights))] < dc:
+        return []
+    clash = [0] * len(weights)
+    for j, (q, _w) in enumerate(weights):
+        for li in by_point[q]:
+            if line_masks[li] & c_mask:
+                clash[j] |= line_masks[li] & ~c_mask
+    return list(_base_choices(weights, top, clash, 0, (), 0, dc, slots))
+
+
 def _base_choices(
     weights: list[tuple[int, int]],
     top: list[int],
+    clash: list[int],
     i: int,
     chosen: tuple[int, ...],
+    banned: int,
     need: int,
     slots: int,
 ) -> Iterator[tuple[int, ...]]:
     """`chosen` extended by at most `slots` points of weights[i:] whose
-    weights sum to `need`.  `weights` holds (point, weight), heaviest
-    first, and top[j] is the total weight of weights[:j].
+    weights sum to `need`, no two on a line that meets C: such a line,
+    through two base points and an extension point, makes the extension
+    non-primitive.  `weights` holds (point, weight), heaviest first,
+    top[j] is the total weight of weights[:j], clash[j] masks the points
+    on the lines through weights[j]'s point that meet C, and `banned` is
+    the union of the clash masks of `chosen`.
 
     The `slots` largest weights from index j on are weights[j:j + slots];
     once they fall short of `need`, so do those from every later index.
-    At the root this is the emission test: a candidate set whose
-    max_size - |C| largest weights sum to less than delta(C) has no base.
     """
     if need == 0:
         yield chosen
@@ -693,8 +720,10 @@ def _base_choices(
         if top[min(j + slots, len(weights))] - top[j] < need:
             return
         q, w = weights[j]
-        if w <= need:
-            yield from _base_choices(weights, top, j + 1, chosen + (q,), need - w, slots - 1)
+        if w <= need and not banned >> q & 1:
+            yield from _base_choices(
+                weights, top, clash, j + 1, chosen + (q,), banned | clash[j], need - w, slots - 1
+            )
 
 
 def _line_test(M: LinearSpace, bc_mask: int, c_pts: Iterable[int]) -> bool:
@@ -756,16 +785,13 @@ def enumerate_good_pairs(
     a populated line of C; then base choices whose B u C misses it, and
     alpha instances whose three points miss it.
 
-    Bases come from _base_choices: at most max_size - |C| outside points
-    whose weights, the numbers of populated lines of C they sit on, sum
-    to delta(C).  Its first test is the emission test: a candidate set
-    whose max_size - |C| largest weights fall short of delta(C) has no
-    base.  Two tests then reject a base choice before anything is built
-    for it.  A line through two base points and an extension point makes
-    the extension non-primitive.  And every point p of C must lie on two
-    or more lines with three or more points of B u C (_line_test): for a
-    good pair, delta(B u C - p) > delta(B u C), and the difference is 1
-    minus the number of such lines through p.
+    Bases come from _bases, at most max_size - |C| outside points, no
+    two of them on a line that meets C; a candidate set whose max_size -
+    |C| largest weights fall short of delta(C) has none.  One more test
+    rejects a base choice before anything is built for it: every point p
+    of C must lie on two or more lines with three or more points of B u C
+    (_line_test).  For a good pair, delta(B u C - p) > delta(B u C), and
+    the difference is 1 minus the number of such lines through p.
 
     Verification is keyed on the labelled shape (n, lines, base mask) of
     the order-preserving relabelling of B u C (_shape).  That key is the
@@ -775,6 +801,7 @@ def enumerate_good_pairs(
     and canonical_code's own cache serves a new shape isomorphic to one
     coded recently.  Within a call, copies of one shape share a GoodPair.
     """
+    check_int("max_size", max_size)
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
     touch = M.full_mask() if _touching is None else _touching
@@ -793,30 +820,10 @@ def enumerate_good_pairs(
         meets = c_mask & touch
         if not meets and not any(M.line_masks[li] & touch for li in pop_lines):
             continue
-        c_size = c_mask.bit_count()
-        # base candidates are the outside points on populated lines; their
-        # weight is how many such lines they sit on
-        weight_of: dict[int, int] = {}
-        for li in pop_lines:
-            rest = M.line_masks[li] & ~c_mask
-            while rest:
-                q = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                weight_of[q] = weight_of.get(q, 0) + 1
-        weights = sorted(weight_of.items(), key=lambda qw: (-qw[1], qw[0]))
-        top = [0]
-        for _q, w in weights:
-            top.append(top[-1] + w)
-        c_pts = points_of(c_mask)
-        for b_pts in _base_choices(weights, top, 0, (), dc, max_size - c_size):
+        choices = _bases(M, c_mask, dc, pop_lines, max_size - c_mask.bit_count())
+        c_pts = points_of(c_mask) if choices else ()
+        for b_pts in choices:
             if not meets and not any(touch >> q & 1 for q in b_pts):
-                continue
-            # a line through two base points and an extension point makes
-            # the extension non-primitive, so such a choice is never good
-            if any(
-                (lm := M.line_through(u, v)) is not None and mask_of(lm) & c_mask
-                for u, v in combinations(b_pts, 2)
-            ):
                 continue
             bc_mask = c_mask | mask_of(b_pts)
             if not _line_test(M, bc_mask, c_pts):

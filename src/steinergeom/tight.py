@@ -8,31 +8,27 @@ inside an ambient space, as bitmasks; callers verify each candidate
 exactly afterwards, so the output only needs to be a superset of the
 truth.
 
+The walk stays in the core K (_core), the largest point set in which
+every point lies on two lines that each hold another point of K: K is
+the union of all such sets, so every emitted set lies in it.  A path to
+a mask passes only through its subsets, so the masks inside K come out
+as over the whole space, in the same order.
+
 The walk is deficiency-guided: while some point still has fewer than two
 populated lines, only additions on the lowest such point's unpopulated
 lines are tried; once every point is satisfied the set is emitted and
-grown through arbitrary collinear neighbours.
+grown through any point collinear with it.  Every point r of K roots one
+depth-first search in which r stays the least point, over an explicit
+stack of successor masks.  Line counts, degrees, the mask of deficient
+points, the mask of points collinear with the set and delta are updated
+as a point is added or taken back.  The masks a root reached are dropped
+when it is done: every later mask has a larger least point.
 
-Every point r roots one depth-first search in which r stays the least
-point, run as one loop over an explicit stack of successor lists.
-Per-line point counts, the populated-line degree of each set point, and
-delta are updated in place as a point is added or taken back.  The masks
-already reached are kept per root: every mask in r's search has r as its
-least point, so no later root looks one of them up, and they are dropped
-when r is done.  A walk over disjoint components thus holds one
-component's masks at a time.
-
-There is one walk, always over the whole space.  enumerate_good_pairs
-consumes it, and the bounded K_mu check groups that enumeration once per
-structure and bound.
-
-Growth is pruned with bounds over the points outside the current set S,
+Growth is pruned with bounds over all points outside the current set S,
 read off the degree order (see _growable): delta can fall by at most
 deg(q) - 1 for each point q still added, and a base point's attach
-weight is at most its degree and at most |C| // 2.  Once the hubs of a
-stack lie in S, their degrees no longer count.  Emitted sets are not tested for a
-base; enumerate_good_pairs does that exactly, with the sets' actual
-weights, when it chooses bases.
+weight is at most its degree and at most |C| // 2.  enumerate_good_pairs
+chooses the bases of emitted sets exactly.
 """
 
 from __future__ import annotations
@@ -42,33 +38,60 @@ from typing import Iterator
 from .space import LinearSpace
 
 
+def _core(space: LinearSpace) -> int:
+    """The mask of the core K, peeled as Batagelj and Zaversnik peel a
+    graph: a point on fewer than two lines holding another point of K
+    leaves K, and the last point of K on a line it leaves loses that line
+    and is queued once it is on fewer than two.  Each line falls to one
+    point of K once, so this is linear in the incidences."""
+    by_point, line_masks = space.lines_by_point, space.line_masks
+    have = [len(b) for b in by_point]  # lines through q with another point of K
+    core = space.full_mask()
+    queue = [q for q in range(space.n) if have[q] < 2]
+    while queue:
+        q = queue.pop()
+        core ^= 1 << q
+        for li in by_point[q]:
+            rest = line_masks[li] & core
+            if rest.bit_count() == 1:
+                r = rest.bit_length() - 1
+                have[r] -= 1
+                if have[r] == 1:
+                    queue.append(r)
+    return core
+
+
 def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int, int, set[int]]]:
     """(mask, delta, populated line indices) for candidate extension sets
     of size 2..max_size.
 
     The third element lists the lines carrying >= 2 set points; it is the
     walk's live working set, so consume it before advancing the iterator.
-    Every point seeds a search in which it stays the minimum, so each
-    set comes out once.
+    Every point of the core seeds a search in which it stays the minimum,
+    so each set comes out once.
     """
-    n = space.n
-    lines = space.lines
-    by_point = space.lines_by_point
+    line_masks, by_point = space.line_masks, space.lines_by_point
     # (degree, point), largest degree first: the outside points of largest
     # degree bound how far a set can still grow and what a base point can
-    # attach
+    # attach; a base point may lie outside the core, so all points count
     ranked = sorted(((len(b), q) for q, b in enumerate(by_point)), reverse=True)
 
-    cnt = [0] * len(lines)
-    deg = [0] * n
+    cnt = [0] * len(line_masks)
+    deg = [0] * space.n
     pts: list[int] = []
+    # near[i]: the points on or collinear with pts[:i]
+    near = [0]
     populated: set[int] = set()
-    mask = delta = 0
-    for root in range(n):
+    # low: the set points on fewer than two populated lines
+    mask = delta = low = 0
+    above = _core(space)
+    while above:
+        root = above & -above
+        above ^= root
         visited: set[int] = set()
-        # todo[i] holds the untried successors of the set of pts[:i],
-        # largest last, so pop() tries them in ascending order
-        todo = [[root]]
+        # todo[i] holds the untried successors of the set of pts[:i] as a
+        # mask, tried lowest bit first
+        todo = [root]
         while todo:
             untried = todo[-1]
             if not untried:
@@ -77,34 +100,41 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
                     break
                 # take the last point back
                 q = pts.pop()
-                mask &= ~(1 << q)
+                near.pop()
+                mask ^= 1 << q
+                low &= ~(1 << q)
                 delta -= 1
                 for li in by_point[q]:
                     c = cnt[li] - 1
                     cnt[li] = c
                     if c == 1:
-                        for r in lines[li]:
-                            if mask >> r & 1:
-                                deg[r] -= 1
+                        r = (line_masks[li] & mask).bit_length() - 1
+                        deg[r] -= 1
+                        if deg[r] == 1:
+                            low |= 1 << r
                         populated.discard(li)
                     elif c >= 2:
                         delta += 1
-                deg[q] = 0
                 continue
-            q = untried.pop()
-            nxt = mask | (1 << q)
+            bit = untried & -untried
+            todo[-1] = untried ^ bit
+            nxt = mask | bit
             if nxt in visited:
                 continue
             visited.add(nxt)
             # add q
+            q = bit.bit_length() - 1
             delta += 1
             dq = 0
+            nq = near[-1]
             for li in by_point[q]:
+                nq |= line_masks[li]
                 c = cnt[li]
                 if c == 1:
-                    for r in lines[li]:
-                        if mask >> r & 1:
-                            deg[r] += 1
+                    r = (line_masks[li] & mask).bit_length() - 1
+                    deg[r] += 1
+                    if deg[r] == 2:
+                        low ^= 1 << r
                     dq += 1
                     populated.add(li)
                 elif c >= 2:
@@ -112,13 +142,14 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
                     dq += 1
                 cnt[li] = c + 1
             deg[q] = dq
+            low |= bit if dq < 2 else 0
             mask = nxt
             pts.append(q)
+            near.append(nq)
 
-            deficient = [p for p in pts if deg[p] < 2]
-            if not deficient and delta >= 0 and len(pts) >= 2:
+            if not low and delta >= 0 and len(pts) >= 2:
                 yield mask, delta, populated
-            todo.append([])
+            todo.append(0)
             if delta <= 0 or len(pts) >= max_size:
                 continue
             room = max_size - len(pts)
@@ -131,21 +162,16 @@ def iter_candidate_sets(space: LinearSpace, max_size: int) -> Iterator[tuple[int
                         break
             if not _growable(len(pts), delta, max_size, top):
                 continue
-            succ = set()
-            if deficient:
-                p = min(deficient)
+            if low:
+                # additions on the lowest deficient point's unpopulated lines
+                p = (low & -low).bit_length() - 1
+                succ = 0
                 for li in by_point[p]:
                     if cnt[li] == 1:
-                        for r in lines[li]:
-                            if r > root and not mask >> r & 1:
-                                succ.add(r)
+                        succ |= line_masks[li]
             else:
-                for p in pts:
-                    for li in by_point[p]:
-                        for r in lines[li]:
-                            if r > root and not mask >> r & 1:
-                                succ.add(r)
-            todo[-1] = sorted(succ, reverse=True)
+                succ = near[-1]
+            todo[-1] = succ & above & ~mask
 
 
 def _growable(size: int, delta: int, max_size: int, top: list[int]) -> bool:

@@ -272,3 +272,56 @@ def decompose_oracle(space, D):
 
 def _mask(S):
     return sum(1 << p for p in S)
+
+
+def walk_core_oracle(space):
+    """The union of all point sets S in which every point lies on two or
+    more lines holding another point of S, as a mask, by brute force over
+    every subset."""
+    core = 0
+    for size in range(2, space.n + 1):
+        for S in combinations(range(space.n), size):
+            m = _mask(S)
+            if all(
+                sum((lm & m).bit_count() >= 2 for lm in space.line_masks if lm >> p & 1) >= 2
+                for p in S
+            ):
+                core |= m
+    return core
+
+
+def base_choices_reference(M, c_mask, dc, pop_lines, slots):
+    """The base choices for a candidate set C generated and then filtered:
+    every choice of at most `slots` outside points whose weights, the
+    populated lines of C they sit on, sum to dc, in the branch-and-bound
+    order (heaviest, then lowest point first), less those with two points
+    on a line that meets C."""
+    weight_of = {}
+    for li in pop_lines:
+        for q in M.lines[li]:
+            if not c_mask >> q & 1:
+                weight_of[q] = weight_of.get(q, 0) + 1
+    weights = sorted(weight_of.items(), key=lambda qw: (-qw[1], qw[0]))
+    top = [0]
+    for _q, w in weights:
+        top.append(top[-1] + w)
+
+    def choose(i, chosen, need, slots):
+        if need == 0:
+            yield chosen
+            return
+        for j in range(i, len(weights)):
+            if top[min(j + slots, len(weights))] - top[j] < need:
+                return
+            q, w = weights[j]
+            if w <= need:
+                yield from choose(j + 1, chosen + (q,), need - w, slots - 1)
+
+    return [
+        b
+        for b in choose(0, (), dc, slots)
+        if not any(
+            (ln := M.line_through(u, v)) is not None and _mask(ln) & c_mask
+            for u, v in combinations(b, 2)
+        )
+    ]

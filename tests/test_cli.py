@@ -176,6 +176,13 @@ def test_goodpairs_lists_no_alpha_below_its_size(fano_file, capsys):
     assert capsys.readouterr().out == "0 good pairs\n"
 
 
+def test_goodpairs_refuses_a_negative_max_size(fano_file, capsys):
+    assert main(["goodpairs", fano_file, "--max-size", "-5"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "max_size must be >= 0" in out.err
+
+
 def test_gallery_cyclegraph(fano_file, capsys):
     assert main(["gallery", "cyclegraph", fano_file, "--pair", "0,1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -155,12 +155,27 @@ def test_bounded_check_alpha_violation():
 
 
 def test_bounded_check_sees_no_alpha_below_its_size():
-    # alpha has three points: a bound below 3 admits none of its pairs
+    # alpha has three points: a bound below 3 admits none of its pairs (a
+    # negative bound is refused, see test_bound_must_be_a_nonnegative_int)
     line5 = LinearSpace(5, [(0, 1, 2, 3, 4)])
-    for bound in (2, 1, 0, -1):
+    for bound in (2, 1, 0):
         assert in_K_mu_bounded(line5, MuFunction(1), bound) == (True, [])
         assert in_K_mu_bounded(line5, MuFunction(1), bound, touching=[0]) == (True, [])
     assert in_K_mu_bounded(line5, MuFunction(1), 3) == (False, [(ALPHA_CODE, (0, 1), 3, 1)])
+
+
+@pytest.mark.parametrize("bound", [6.0, 8.5, True, "8", None, -1])
+def test_bound_must_be_a_nonnegative_int(bound):
+    # refused as build refuses its counts, before any search and before
+    # an empty `touching` returns; a bool is not an int here
+    err = ValueError if bound == -1 else TypeError
+    M = build(MuFunction(2), 60, seed=1)[0]
+    with pytest.raises(err, match="must be"):
+        enumerate_good_pairs(M, bound)
+    with pytest.raises(err, match="must be"):
+        in_K_mu_bounded(fano(), MuFunction(1), bound)
+    with pytest.raises(err, match="must be"):
+        in_K_mu_bounded(fano(), MuFunction(1), bound, touching=[])
 
 
 def test_bounded_check_touching_no_point_finds_nothing():

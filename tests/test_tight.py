@@ -15,8 +15,9 @@ from steinergeom import (
     random_k0,
     random_space,
 )
-from steinergeom.tight import iter_candidate_sets
-from oracle import delta_set, good_pair_oracle
+from steinergeom.primitives import _bases
+from steinergeom.tight import _core, iter_candidate_sets
+from oracle import base_choices_reference, delta_set, good_pair_oracle, walk_core_oracle
 from test_amalgam import _hub
 
 
@@ -184,3 +185,41 @@ def test_good_pair_extensions_satisfy_the_walk_premise():
                 for sub in combinations(pts, r):
                     assert delta_set(M, sub) >= 1, (i, sorted(C), sub)
     assert len(seen) == 1286
+
+
+def hang_path(rng, M, n):
+    """M with n - M.n new points on a path of three-point lines hung from
+    one of its points; the last line may close back onto M."""
+    lines, p = list(M.lines), rng.randrange(M.n)
+    for x in range(M.n, n - 1, 2):
+        lines.append((p, x, x + 1))
+        p = x + 1
+    free = [q for q in range(M.n) if q != p and not any(p in ln and q in ln for ln in lines)]
+    if (n - M.n) % 2 and free:
+        lines.append((p, n - 1, rng.choice(free)))
+    return LinearSpace(n, lines)
+
+
+def test_core_matches_oracle():
+    rng = Random(64)
+    for i in range(300):
+        n = rng.randrange(4, 11)
+        m = n if i % 3 == 0 else rng.randrange(3, n)
+        M = random_space(rng, m, tries=3 * m) if i % 2 == 0 else random_k0(rng, m)
+        if m < n:
+            M = hang_path(rng, M, n)
+        assert _core(M) == walk_core_oracle(M), M.lines
+
+
+def test_walk_stays_in_core():
+    for M, bound in pinned_inputs():
+        core = _core(M)
+        assert all(not mask & ~core for mask, _, _ in iter_candidate_sets(M, bound))
+
+
+def test_base_choices_match_generate_then_filter():
+    # the pinned kmu-sparse builds and hub stacks, and the rest of the pinned inputs
+    for M, bound in pinned_inputs():
+        for mask, dlt, lines2 in iter_candidate_sets(M, bound):
+            slots = bound - mask.bit_count()
+            assert _bases(M, mask, dlt, lines2, slots) == base_choices_reference(M, mask, dlt, lines2, slots)
