@@ -14,8 +14,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import FormatError, check_int
-from .primitives import ALPHA_CODE, ALPHA_SIZE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _group_chi, _max_disjoint
-from .primitives import canonical_code, decode_code, enumerate_good_pairs
+from .primitives import ALPHA_CODE, ALPHA_SIZE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _good_pairs, _group_chi
+from .primitives import _max_disjoint, canonical_code, decode_code
 from .space import LinearSpace, _content_lines, _int, _mask, _row, delta_mask, induced, mask_of, points_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
@@ -27,8 +27,11 @@ class MuFunction:
     __slots__ = ("alpha_value", "overrides")
 
     def __init__(self, alpha_value: int = 1, overrides: Optional[dict[str, int]] = None):
-        self.alpha_value = int(alpha_value)
+        check_int("alpha value", alpha_value, signed=True)
+        self.alpha_value = alpha_value
         self.overrides = dict(overrides or {})
+        for code, cap in self.overrides.items():
+            check_int(f"mu({code})", cap, signed=True)
 
     def line_length(self) -> int:
         """Target length of every nontrivial line: mu(alpha) + 2."""
@@ -141,15 +144,13 @@ def in_K_mu_bounded(
     return not violations, violations
 
 
-def _group(pairs) -> dict[tuple[str, frozenset[int]], set[frozenset[int]]]:
-    """Extension images per (code, base image) of enumerated good pairs,
-    excluding alpha."""
+def _group(M: LinearSpace, bound: int, touch: int) -> dict[tuple[str, frozenset[int]], set[frozenset[int]]]:
+    """Extension images per (code, base image) of the good pairs of
+    primitives._good_pairs(M, bound, touch); no GoodPair is built."""
     out: dict[tuple[str, frozenset[int]], set[frozenset[int]]] = {}
-    for gp, emb in pairs:
-        if gp.code == ALPHA_CODE:
-            continue
-        key = (gp.code, frozenset(emb[b] for b in gp.base))
-        out.setdefault(key, set()).add(frozenset(emb[c] for c in gp.ext))
+    for code, _shape, pts, b_pts in _good_pairs(M, bound, touch):
+        base = frozenset(b_pts)
+        out.setdefault((code, base), set()).add(frozenset(pts) - base)
     return out
 
 
@@ -165,10 +166,10 @@ def _copy_groups_full(
     <= bound, excluding alpha.
 
     Every copy over a base is itself a good pair with the same code and
-    base image, so one enumeration collects complete copy lists.  The
+    base image, so one pass of _group collects complete copy lists.  The
     result is cached and read-only: every caller gets the same object.
     """
-    groups = _group(enumerate_good_pairs(M, bound))
+    groups = _group(M, bound, M.full_mask())
     return MappingProxyType({key: frozenset(copies) for key, copies in groups.items()})
 
 
@@ -189,7 +190,7 @@ def _copy_groups_touching(
     old = [p for p in range(M.n) if p not in want]
     pos = {p: i for i, p in enumerate(old)}
     parent = _copy_groups_full(induced(M, old), bound)
-    groups = _group(enumerate_good_pairs(M, bound, _touching=M.full_mask() & ~mask_of(old)))
+    groups = _group(M, bound, mask_of(want))
     for (code, base_img), copies in groups.items():
         if want.isdisjoint(base_img):
             key = (code, frozenset(pos[b] for b in base_img))

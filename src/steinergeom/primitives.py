@@ -25,8 +25,10 @@ primitive step of decompose is the least of the closures icl(X + p).
 canonical_code is the only path to a code, and decode_code reads one
 back.  Two lru_caches of SHAPE_CACHE_SIZE entries, read by cache_info(),
 keep code work across calls: _least_leaf maps a first-leaf encoding to
-its code, and _shape_code a labelled shape of enumerate_good_pairs to
-its verdict and code.  Both keep strings only, never a space.
+its code, and _shape_code a labelled shape of _good_pairs to its verdict
+and code.  Both keep strings only, never a space.  _good_pairs is the
+one good-pair engine: enumerate_good_pairs makes GoodPairs of what it
+yields, and the bounded K_mu check groups it as read.
 """
 
 from __future__ import annotations
@@ -167,6 +169,16 @@ def _base_mask(space: LinearSpace, b_mask: int, c_mask: int) -> int:
     return b0
 
 
+def _pair_masks(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> tuple[int, int]:
+    """The point masks of B and C; a ValueError when they overlap or C is empty."""
+    b_mask, c_mask = _mask(space.n, B), _mask(space.n, C)
+    if b_mask & c_mask:
+        raise ValueError("B and C overlap")
+    if not c_mask:
+        raise ValueError("C is empty")
+    return b_mask, c_mask
+
+
 def is_good_pair(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> bool:
     """0-primitive over B with base-minimal B: C is 0-primitive over B
     and over no proper subset of B.  B u C may be any point set of the
@@ -182,11 +194,7 @@ def is_good_pair(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> bool
     B + c would be an intermediate strong set; so dropping any point of
     B0 raises delta(C/B0) above 0, and B is minimal exactly when B = B0.
     """
-    b_mask, c_mask = _mask(space.n, B), _mask(space.n, C)
-    if b_mask & c_mask:
-        raise ValueError("B and C overlap")
-    if not c_mask:
-        raise ValueError("C is empty")
+    b_mask, c_mask = _pair_masks(space, B, C)
     if not _zero_primitive(space, b_mask, c_mask):
         return False
     if c_mask.bit_count() == 1:
@@ -201,11 +209,7 @@ def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[fro
     Larger extensions: the unique base, the B-points on the nontrivial
     lines of B u C that meet C.
     """
-    b_mask, c_mask = _mask(space.n, B), _mask(space.n, C)
-    if b_mask & c_mask:
-        raise ValueError("B and C overlap")
-    if not c_mask:
-        raise ValueError("C is empty")
+    b_mask, c_mask = _pair_masks(space, B, C)
     if not _zero_primitive(space, b_mask, c_mask):
         raise NotZeroPrimitive(
             f"({sorted(points_of(b_mask))}, {sorted(points_of(c_mask))}) is not 0-primitive"
@@ -767,23 +771,13 @@ def _shape_code(shape: Shape) -> Optional[str]:
     return canonical_code(space, base) if is_good_pair(space, base, ext) else None
 
 
-def enumerate_good_pairs(
-    M: LinearSpace, max_size: int, *, _touching: Optional[int] = None
-) -> list[tuple[GoodPair, dict[int, int]]]:
-    """All good pairs with B u C inside M, |B u C| <= max_size.
-
-    Single-point extensions are exactly the alpha instances and are read
-    off the lines; larger extensions come from the candidate-set walk
-    plus base recovery among attached points, each verified exactly.
-    This is the one enumeration: the bounded K_mu check groups its
-    output once per structure and bound.
-
-    `_touching`, a point mask, is private to that check's incremental
-    rechecks: when given, only the pairs whose B u C meets it are
-    returned.  An emitted set C that misses it and has no populated line
-    through one of its points is skipped, since every base point lies on
-    a populated line of C; then base choices whose B u C misses it, and
-    alpha instances whose three points miss it.
+def _good_pairs(M: LinearSpace, max_size: int, touch: int) -> Iterator[tuple[str, Shape, tuple, tuple]]:
+    """(code, labelled shape, points of B u C ascending, base points) of
+    each good pair (B, C) inside M with |C| >= 2, |B u C| <= max_size and
+    B u C meeting the point mask `touch`, in the walk's order.  An emitted
+    set C that misses `touch` and has no populated line meeting it is
+    skipped, since every base point lies on a populated line of C; then
+    base choices whose B u C misses it.
 
     Bases come from _bases, at most max_size - |C| outside points, no
     two of them on a line that meets C; a candidate set whose max_size -
@@ -796,26 +790,14 @@ def enumerate_good_pairs(
     Verification is keyed on the labelled shape (n, lines, base mask) of
     the order-preserving relabelling of B u C (_shape).  That key is the
     labelled structure together with B, and C is the rest of it, so the
-    verdict and the canonical code are functions of the key.  _shape_code
-    keeps both for the SHAPE_CACHE_SIZE shapes used last, across calls,
-    and canonical_code's own cache serves a new shape isomorphic to one
-    coded recently.  Within a call, copies of one shape share a GoodPair.
+    verdict and the canonical code are functions of the key.  A call
+    verifies each shape once; _shape_code keeps verdict and code for the
+    SHAPE_CACHE_SIZE shapes used last, across calls, and canonical_code's
+    own cache serves a new shape isomorphic to one coded recently.
     """
-    check_int("max_size", max_size)
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")
-    touch = M.full_mask() if _touching is None else _touching
-    out: list[tuple[GoodPair, dict[int, int]]] = []
-    alpha = alpha_pair()
-    for ln, lm in zip(M.lines, M.line_masks) if max_size >= ALPHA_SIZE else ():
-        if not lm & touch:
-            continue
-        for c in ln:
-            for a, b in combinations([p for p in ln if p != c], 2):
-                if touch & (1 << a | 1 << b | 1 << c):
-                    out.append((alpha, {0: a, 1: b, 2: c}))
-
-    pairs: dict[Shape, Optional[GoodPair]] = {}
+    codes: dict[Shape, Optional[str]] = {}
     for c_mask, dc, pop_lines in iter_candidate_sets(M, max_size):
         meets = c_mask & touch
         if not meets and not any(M.line_masks[li] & touch for li in pop_lines):
@@ -823,24 +805,40 @@ def enumerate_good_pairs(
         choices = _bases(M, c_mask, dc, pop_lines, max_size - c_mask.bit_count())
         c_pts = points_of(c_mask) if choices else ()
         for b_pts in choices:
-            if not meets and not any(touch >> q & 1 for q in b_pts):
+            b_mask = mask_of(b_pts)
+            if not meets and not b_mask & touch:
                 continue
-            bc_mask = c_mask | mask_of(b_pts)
+            bc_mask = c_mask | b_mask
             if not _line_test(M, bc_mask, c_pts):
                 continue
             pts, shape = _shape(M, bc_mask, b_pts)
-            if shape not in pairs:
-                code = _shape_code(shape)
-                pairs[shape] = None if code is None else _coded_pair(shape, code)
-            gp = pairs[shape]
-            if gp is not None:
-                out.append((gp, dict(enumerate(pts))))
-    out.sort(
-        key=lambda item: (
-            sorted(item[1].values()),
-            sorted(item[1][b] for b in item[0].base),
-        )
-    )
+            if shape not in codes:
+                codes[shape] = _shape_code(shape)
+            if (code := codes[shape]) is not None:
+                yield code, shape, pts, b_pts
+
+
+def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, dict[int, int]]]:
+    """All good pairs with B u C inside M, |B u C| <= max_size, as (pair,
+    embedding into M), ordered by the points of B u C, then by the base.
+
+    Single-point extensions are exactly the alpha instances and are read
+    off the lines; larger ones come from _good_pairs, verified exactly.
+    Copies of one shape share a GoodPair.
+    """
+    check_int("max_size", max_size)
+    out: list[tuple[GoodPair, dict[int, int]]] = []
+    pairs: dict[Shape, GoodPair] = {}
+    for code, shape, pts, _b_pts in _good_pairs(M, max_size, M.full_mask()):
+        if shape not in pairs:
+            pairs[shape] = _coded_pair(shape, code)
+        out.append((pairs[shape], dict(enumerate(pts))))
+    alpha = alpha_pair()
+    for ln in M.lines if max_size >= ALPHA_SIZE else ():
+        for c in ln:
+            for a, b in combinations([p for p in ln if p != c], 2):
+                out.append((alpha, {0: a, 1: b, 2: c}))
+    out.sort(key=lambda item: (sorted(item[1].values()), sorted(item[1][b] for b in item[0].base)))
     return out
 
 

@@ -27,7 +27,7 @@ when it is done: every later mask has a larger least point.
 Growth is pruned with bounds over all points outside the current set S,
 read off the degree order (see _growable): delta can fall by at most
 deg(q) - 1 for each point q still added, and a base point's attach
-weight is at most its degree and at most |C| // 2.  enumerate_good_pairs
+weight is at most its degree and at most |C| // 2.  primitives._good_pairs
 chooses the bases of emitted sets exactly.
 """
 

@@ -282,6 +282,11 @@ def test_size_limit_exit_code(tmp_path, capsys):
     assert "27 free points exceeds search limit 24" in capsys.readouterr().err
 
 
+def test_stats_over_the_code_limit_exits_3(fano_file, mu1_file, capsys):
+    assert main(["stats", fano_file, "--mu", mu1_file, "--bound", "17"]) == 3
+    assert "max_size 17 exceeds code limit 16" in capsys.readouterr().err
+
+
 def test_point_cap_exit_code(tmp_path, capsys):
     ls = tmp_path / "over.ls"
     ls.write_text(f"linear-space v1\npoints {MAX_POINTS + 1}\n")

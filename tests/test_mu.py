@@ -1,5 +1,5 @@
 import hashlib
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -26,6 +26,8 @@ from steinergeom import (
     mu_X,
     parse_mu_v1,
     random_k0,
+    random_space,
+    stats,
     to_mu_v1,
     validate_mu,
 )
@@ -33,8 +35,9 @@ from steinergeom.errors import SizeLimit, TooManyPoints
 from steinergeom.mu import _copy_groups_full, _copy_groups_touching
 from steinergeom.primitives import DEFAULT_CODE_LIMIT
 from steinergeom.space import MAX_POINTS
-from oracle import embeddings_oracle, max_disjoint_oracle
+from oracle import embeddings_oracle, good_pair_oracle, max_disjoint_oracle
 from test_amalgam import grow_k0
+from test_tight import pinned_inputs
 
 
 def test_line_length():
@@ -97,6 +100,26 @@ def test_decode_code_roundtrip():
 def test_mu_v1_roundtrip():
     mu = MuFunction(2, {cycle_Ck(1).code: 3})
     assert parse_mu_v1(to_mu_v1(mu)) == mu
+
+
+@pytest.mark.parametrize("alpha", [2.9, "2", True, None])
+def test_mu_function_refuses_an_alpha_value_that_is_not_an_int(alpha):
+    # int() would make 2.9 alpha 2 and parse "2"
+    with pytest.raises(TypeError, match="alpha value must be an int"):
+        MuFunction(alpha)
+
+
+@pytest.mark.parametrize("cap", [2.5, True])
+def test_mu_function_refuses_a_cap_that_is_not_an_int(cap):
+    # a cap of 2.5 would be written as a pair row that parse_mu_v1 refuses
+    with pytest.raises(TypeError, match="must be an int"):
+        MuFunction(1, {cycle_Ck(1).code: cap})
+
+
+def test_mu_function_leaves_negative_values_to_validate_mu():
+    code = cycle_Ck(1).code
+    ok, reasons = validate_mu(MuFunction(-1, {code: -3}))
+    assert not ok and reasons == ["alpha value -1 < 1", f"mu({code}) = -3 < delta(B) = 2"]
 
 
 @pytest.mark.parametrize(
@@ -176,6 +199,17 @@ def test_bound_must_be_a_nonnegative_int(bound):
         in_K_mu_bounded(fano(), MuFunction(1), bound)
     with pytest.raises(err, match="must be"):
         in_K_mu_bounded(fano(), MuFunction(1), bound, touching=[])
+
+
+def test_check_path_keeps_the_code_limit():
+    # the limit is raised by the good-pair generator the check reads
+    M = build(MuFunction(2), 60, seed=1)[0]
+    message = f"max_size 17 exceeds code limit {DEFAULT_CODE_LIMIT}"
+    for touching in (None, [0], range(M.n)):
+        with pytest.raises(SizeLimit, match=message):
+            in_K_mu_bounded(M, MuFunction(2), 17, touching=touching)
+    with pytest.raises(SizeLimit, match=message):
+        stats(M, MuFunction(2), bound=17)
 
 
 def test_bounded_check_touching_no_point_finds_nothing():
@@ -344,6 +378,43 @@ def test_touching_recheck_equals_the_filtered_full_check():
 
 # a pair whose two base points play different roles
 MIXED_CODE = "gp2.5|0,2,4|0,3,5|1,2,3,6|4,5,6"
+
+
+def _brute_groups(M, bound):
+    """Extension sets per (code, base) of every good pair (B, C) with
+    |C| >= 2 and |B u C| <= bound, by brute force over all labellings."""
+    out = {}
+    for labels in product(range(3), repeat=M.n):
+        B = [p for p in range(M.n) if labels[p] == 1]
+        C = [p for p in range(M.n) if labels[p] == 2]
+        if len(C) < 2 or len(B) + len(C) > bound or not good_pair_oracle(M, B, C):
+            continue
+        pts = sorted(B + C)
+        code = canonical_code(induced(M, pts), [pts.index(b) for b in B])
+        out.setdefault((code, frozenset(B)), set()).add(frozenset(C))
+    return {key: frozenset(copies) for key, copies in out.items()}
+
+
+def test_copy_groups_match_independent_groupings():
+    # against the oracle on small spaces
+    rng = Random(19)
+    found = 0
+    for i in range(24):
+        n = rng.randrange(5, 9)
+        M = random_space(rng, n, tries=3 * n) if i % 2 == 0 else random_k0(rng, n)
+        bound = n if i % 4 else rng.randrange(3, n)
+        want = _brute_groups(M, bound)
+        assert _copy_groups_full(M, bound) == want
+        found += len(want)
+    assert found == 96
+    # against the public enumeration's non-alpha pairs on the walk's pins
+    for M, bound in pinned_inputs():
+        want = {}
+        for gp, emb in enumerate_good_pairs(M, bound):
+            if gp.code != ALPHA_CODE:
+                key = (gp.code, frozenset(emb[b] for b in gp.base))
+                want.setdefault(key, set()).add(frozenset(emb[c] for c in gp.ext))
+        assert _copy_groups_full(M, bound) == {key: frozenset(c) for key, c in want.items()}
 
 
 def _mixed_tower(orientations):
