@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import BaseMismatch, BoundTooSmall
+from .mu import in_K_mu_bounded
 from .space import LinearSpace, _mask, induced, points_of, preserves_lines
 from .primitives import _require_strong, decompose, embeddings_over_base
 
@@ -112,8 +113,6 @@ def amalgamate_or_identify(
     current structure holds no violation, and a group that misses the
     new points has the same copies in the candidate as in it.
     """
-    from .mu import in_K_mu_bounded
-
     d = points_of(_mask(min(F.n, E.n), D))
     ok, viols = in_K_mu_bounded(E, mu, bound)
     if not ok:

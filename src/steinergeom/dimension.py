@@ -43,15 +43,16 @@ when its set is below the threshold, since the sets above it are larger,
 or when its `room` = |incumbent| - |X - lo| largest drops left,
 suffix[i] - suffix[i + room], cannot bring delta below the threshold;
 with no room left that sum is 0.  in_K0 is is_strong(∅, M).  Dense
-numpy tables (delta_table, d_table) serve only is_primitive,
-check_exchange and the tests, where every subset's value is needed;
-numpy is imported on the first table call, so nothing else loads it.
+numpy tables (delta_table, d_table) serve only check_exchange and the
+tests, where every subset's value is needed; numpy is imported on the
+first table call, so nothing else loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import SizeLimit
@@ -321,8 +322,6 @@ def check_flatness(space: LinearSpace, family, mode: str = "delta"):
     Returns (True, None) or (False, (lhs, rhs)).  In mode "d" each family
     member must equal its own d-closure.
     """
-    from itertools import combinations
-
     sets = [frozenset(points_of(_mask(space.n, F))) for F in family]
     if len(sets) < 2:
         raise ValueError("need at least 2 sets")

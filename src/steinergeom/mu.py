@@ -14,6 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import FormatError, check_int
+from .gallery import cycle_Ck
 from .primitives import ALPHA_CODE, ALPHA_SIZE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _good_pairs, _group_chi
 from .primitives import _max_disjoint, canonical_code, decode_code
 from .space import LinearSpace, _content_lines, _int, _mask, _row, delta_mask, induced, mask_of, points_of
@@ -201,8 +202,6 @@ def _copy_groups_touching(
 def mu_X(X: Iterable[int], alpha_value: int = 1) -> MuFunction:
     """mu giving cycle type gamma_k the cap 3 when k is in X; other
     cycle types keep the default 2 = delta({a,b})."""
-    from .gallery import cycle_Ck
-
     overrides = {cycle_Ck(k).code: 3 for k in sorted(set(X))}
     return MuFunction(alpha_value, overrides)
 

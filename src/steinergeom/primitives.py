@@ -14,13 +14,13 @@ automorphism of the pair.
 
 One rule decides how a delta question is answered.  Strongness
 preconditions go through dimension.is_strong and carry its witness.
-Dense per-subset tables are used only where every subset's value is
-needed: is_primitive reads the superset minimum of every intermediate
-set; it and _from_base_table import numpy on their first call, so no
-other question loads it.  0-primitivity compares delta values of the
-sets B u C' on one maximum flow (_zero_primitive).  What the calculus
-fixes is not searched: the base of a good pair is _base_mask, and a
-primitive step of decompose is the least of the closures icl(X + p).
+0-primitivity compares delta values of the sets B u C' on one maximum
+flow (_zero_primitive).  What the calculus fixes is not searched: the
+base of a good pair is _base_mask, and the strong sets strictly between
+a strong B and M are read off the closures icl(B + p), one flow each
+(_closures): is_primitive asks whether every one is M, and a primitive
+step of decompose is the least of them.  No question reads a dense
+table, so none loads numpy.
 
 canonical_code is the only path to a code, and decode_code reads one
 back.  Two lru_caches of SHAPE_CACHE_SIZE entries, read by cache_info(),
@@ -69,6 +69,7 @@ ALPHA_SIZE = 3
 SHAPE_CACHE_SIZE = 1024
 
 
+# no caller; kept while perfbench/tracing.py reads its cache_info() at import
 @lru_cache(maxsize=4)
 def _tables(space: LinearSpace):
     """(delta per subset, superset-min per subset) for a small space."""
@@ -76,6 +77,7 @@ def _tables(space: LinearSpace):
     return dt, d_table(space)
 
 
+# no caller; kept while perfbench/tracing.py reads its cache_info() at import
 @lru_cache(maxsize=16)
 def _from_base_table(space: LinearSpace, b_mask: int) -> np.ndarray:
     """For masks X >= b_mask: min delta over the interval [b_mask, X]."""
@@ -92,25 +94,28 @@ def _from_base_table(space: LinearSpace, b_mask: int) -> np.ndarray:
     return m
 
 
-def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
-    """No proper intermediate strong set between B and the whole space."""
-    import numpy as np
+def _closures(M: LinearSpace, b_mask: int) -> Iterator[int]:
+    """icl(B + p) for each point p of M outside B, in point order, as
+    masks; B <= M.
 
+    They stand for the strong sets X with B < X < M (strong meaning X <=
+    M, which with B <= M gives B <= X).  Such an X holds icl(B + p) for
+    each p in X - B, icl(B + p) being the least strong superset of B + p.
+    Conversely a closure icl(B + p) other than M is such an X: it is
+    strong and holds p.  So B <= M is primitive exactly when every
+    closure is M, and the (size, lex)-least strong set strictly above B
+    is the least closure.
+    """
+    return (icl_mask(M, b_mask | 1 << p) for p in points_of(M.full_mask() & ~b_mask))
+
+
+def is_primitive(space: LinearSpace, B: Iterable[int]) -> bool:
+    """No proper intermediate strong set between B and the whole space:
+    every closure icl(B + p) is the whole space (_closures)."""
     b_mask = _mask(space.n, B)
-    full = space.full_mask()
     _require_strong(space, points_of(b_mask), range(space.n))
-    dt, smin = _tables(space)
-    m = _from_base_table(space, b_mask)
-    base_delta = int(dt[b_mask])
-    idx = np.arange(1 << space.n)
-    mid = (
-        ((idx & b_mask) == b_mask)
-        & (idx != b_mask)
-        & (idx != full)
-        & (m == base_delta)
-        & (smin == dt)
-    )
-    return not bool(mid.any())
+    full = space.full_mask()
+    return all(x == full for x in _closures(space, b_mask))
 
 
 def _require_strong(space: LinearSpace, lo: Iterable[int], hi: Iterable[int]) -> None:
@@ -850,19 +855,15 @@ def decompose(M: LinearSpace, D: Iterable[int]) -> list[tuple[frozenset[int], in
     current set; minimality makes the step primitive.  X <= M suffices:
     cur <= M holds throughout, and [cur, X] lies inside [cur, M].
 
-    No subset of the free points is searched.  Such an X holds
-    icl(cur + p) for each p in X - cur, and icl(cur + p) is such a set
-    itself, so the least X is the least of the closures icl(cur + p).
+    No subset of the free points is searched: the least X is the least
+    of the closures icl(cur + p) (_closures).
     """
     cur = _mask(M.n, D)
     _require_strong(M, points_of(cur), range(M.n))
     full = M.full_mask()
     steps: list[tuple[frozenset[int], int]] = []
     while cur != full:
-        found = min(
-            (icl_mask(M, cur | (1 << p)) for p in points_of(full & ~cur)),
-            key=lambda x: (x.bit_count(), points_of(x)),
-        )
+        found = min(_closures(M, cur), key=lambda x: (x.bit_count(), points_of(x)))
         steps.append((frozenset(points_of(found)), delta_mask(M, found) - delta_mask(M, cur)))
         cur = found
     return steps

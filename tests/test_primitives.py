@@ -45,6 +45,7 @@ from steinergeom import (
     to_gp_v1,
 )
 from steinergeom import primitives
+from steinergeom.gallery import _cycle_lines
 from steinergeom.primitives import _max_disjoint, _zero_primitive, embeddings_over_base
 from steinergeom.space import mask_of, points_of, preserves_lines
 from steinergeom.tight import iter_candidate_sets
@@ -84,6 +85,36 @@ def test_is_primitive_requires_strong_base():
     f = fano()
     with pytest.raises(NotStrong):
         is_primitive(f, [0])
+
+
+def test_is_primitive_past_the_old_table_limit():
+    # 26 points, past the 24 of the dense tables: C_6 over its base, and
+    # two copies of C_3 glued over theirs, each copy an intermediate set
+    assert is_primitive(LinearSpace(26, _cycle_lines(6)), [0, 1])
+    c3 = cycle_Ck(3).space
+    twice = free_amalgam(c3, c3, [0, 1])
+    assert twice.n == 26
+    assert not is_primitive(twice, [0, 1])
+
+
+def test_is_primitive_iff_decompose_takes_at_most_one_step():
+    # B <= M is primitive exactly when the chain of primitive steps from
+    # B to M has at most one step, over every strong subset of random K_0
+    # spaces and the strong prefixes of two builds
+    rng = Random(71)
+    cases = []
+    for _ in range(20):
+        M = random_k0(rng, rng.randrange(4, 9))
+        cases += [(M, points_of(b)) for b in range(1 << M.n) if is_strong(M, points_of(b), range(M.n)).ok]
+    for alpha, seed in ((1, 3), (2, 5)):
+        M, _trace = build(MuFunction(alpha), 40, seed=seed)
+        cases += [(M, range(k)) for k in range(M.n + 1) if is_strong(M, range(k), range(M.n)).ok]
+    seen = Counter()
+    for M, B in cases:
+        got = is_primitive(M, B)
+        assert got == (len(decompose(M, B)) <= 1), (M.lines, sorted(B))
+        seen[got, len(B) < M.n] += 1
+    assert seen[True, True] > 100 and seen[False, True] > 100
 
 
 def test_zero_primitive_vs_oracle_on_every_split():

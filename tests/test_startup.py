@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 # prints, after each stage, whether numpy has been loaded, then the
-# answers of the two table functions
+# answers of is_primitive, which reads closures, and of the table
+# function delta_table
 CHILD = """
 import contextlib, io, json, sys
 stages = {}
@@ -36,8 +37,9 @@ stages["build and bounded check"] = "numpy" in sys.modules
 line = sg.LinearSpace(3, [(0, 1, 2)])
 assert sg.amalgamate_or_identify(line, line, [0, 1], sg.MuFunction(2), 6).outcome == "free"
 stages["amalgamate_or_identify"] = "numpy" in sys.modules
-table = sg.delta_table(sg.fano()).tolist()
 primitive = sg.is_primitive(sg.cycle_Ck(1).space, [0, 1])
+stages["is_primitive"] = "numpy" in sys.modules
+table = sg.delta_table(sg.fano()).tolist()
 stages["tables"] = "numpy" in sys.modules
 print(json.dumps({"stages": stages, "delta_table": table, "is_primitive": primitive}))
 """
