@@ -14,12 +14,16 @@ lengths stay legal by construction; a realization that would push chi
 of its own code past the mu cap at that base is identified with the
 least existing copy instead.
 
-A step costs what it adds.  Commits go through LinearSpace.with_lines,
-which validates only the new lines against the pairs already covered,
-splices them into the sorted line list and patches the point degrees
-that the base and alpha choices read.  The copy search behind the mu
-cap reaches each copy through one leaf.  Global bounded checks are
-snapshot-time work for callers, not a per-step gate.
+A step costs what it adds.  Commits go through LinearSpace.with_lines.
+An add-point commit shares the parent's lines and pair index and pads
+the degrees.  A line commit copies them, validates only the new lines
+against the pairs already covered, splices them into the sorted line
+list and patches the degrees that the base and alpha choices read.  The
+copy search behind the mu cap refuses a base image on fewer lines than
+its base point, so with pick_base's bases (points on at most one line)
+C_1 and C_2 are decided before any walk; otherwise it reaches each copy
+through one leaf.  Global bounded checks are snapshot-time work for
+callers, not a per-step gate.
 """
 
 from __future__ import annotations

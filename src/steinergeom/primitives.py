@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .dimension import _flow, _reached, _reaching, d_table, delta_table, icl_mask, is_strong
@@ -494,11 +495,13 @@ def embeddings_over_base(
     its image.  They come out in lexicographic order of the extension
     images (phi(x) for x in the sorted extension points), each once.
 
-    A candidate m for x must lie on at least as many M-lines as x lies
-    on pair lines.  This bound is admissible: two pair lines through x
-    meet only in x, so if phi sent both onto one M-line it would make a
-    non-collinear triple collinear; phi maps distinct lines through x to
-    distinct lines through phi(x).
+    Every point p of the pair must map to a point on at least as many
+    M-lines as p lies on pair lines: for an extension point this bounds
+    its candidates, and a base image below it leaves no embedding.  The
+    bound is admissible: two pair lines through p meet only in p, so if
+    phi sent both onto one M-line it would make a non-collinear triple
+    collinear; phi maps distinct lines through p to distinct lines
+    through phi(p).
     """
     return _search(M, pair_space, base, b_embed, one_per_image=False)
 
@@ -521,6 +524,8 @@ def _search(
         raise ValueError("base embedding is not injective")
     if not preserves_lines(pair_space, M, b_embed):
         raise ValueError("base embedding does not preserve collinearity")
+    if any(M.degrees[m] < pair_space.degrees[b] for b, m in b_embed.items()):
+        return iter(())
     ext = list(points_of(pair_space.full_mask() & ~b_mask))
     above = _orbit_floors(pair_space, frozenset(b_embed)) if one_per_image else ((),) * pair_space.n
     return _extend(M, pair_space, ext, 0, dict(b_embed), used, above)
@@ -832,19 +837,20 @@ def enumerate_good_pairs(M: LinearSpace, max_size: int) -> list[tuple[GoodPair, 
     Copies of one shape share a GoodPair.
     """
     check_int("max_size", max_size)
-    out: list[tuple[GoodPair, dict[int, int]]] = []
+    # (sort key, item): the points of B u C ascending, then the base's
+    keyed: list[tuple[tuple[list[int], list[int]], tuple[GoodPair, dict[int, int]]]] = []
     pairs: dict[Shape, GoodPair] = {}
-    for code, shape, pts, _b_pts in _good_pairs(M, max_size, M.full_mask()):
+    for code, shape, pts, b_pts in _good_pairs(M, max_size, M.full_mask()):
         if shape not in pairs:
             pairs[shape] = _coded_pair(shape, code)
-        out.append((pairs[shape], dict(enumerate(pts))))
+        keyed.append(((list(pts), sorted(b_pts)), (pairs[shape], dict(enumerate(pts)))))
     alpha = alpha_pair()
     for ln in M.lines if max_size >= ALPHA_SIZE else ():
         for c in ln:
             for a, b in combinations([p for p in ln if p != c], 2):
-                out.append((alpha, {0: a, 1: b, 2: c}))
-    out.sort(key=lambda item: (sorted(item[1].values()), sorted(item[1][b] for b in item[0].base)))
-    return out
+                keyed.append(((sorted((a, b, c)), [a, b]), (alpha, {0: a, 1: b, 2: c})))
+    keyed.sort(key=itemgetter(0))
+    return [item for _key, item in keyed]
 
 
 def decompose(M: LinearSpace, D: Iterable[int]) -> list[tuple[frozenset[int], int]]:

@@ -123,14 +123,23 @@ class LinearSpace:
 
         Equal to LinearSpace(n, kept + added), and raises the same
         exception types, but validates only the added lines against the
-        pairs that stay covered.  The sorted line list is spliced and the
-        point degrees patched, so a commit costs what it changes plus
-        copying the parent's tuples.
+        pairs that stay covered.  With no line added or dropped the child
+        shares the parent's lines, masks and pair index, and pads the
+        degrees and a lines_by_point the parent has built with new
+        isolated points.  Otherwise the sorted line list is spliced and
+        the point degrees patched, so a commit costs what it changes plus
+        copying the parent's pair index and tuples.
         """
         if n < self.n:
             raise ValueError(f"cannot shrink {self.n} points to {n}")
         add = _normalized(n, add)
         drop = {tuple(sorted(ln)) for ln in drop}
+        out = LinearSpace.__new__(LinearSpace)
+        if not add and not drop:
+            out.n, out.lines, out.line_masks, out._pair_line = n, self.lines, self.line_masks, self._pair_line
+            out.degrees, by = self.degrees + (0,) * (n - self.n), self._lines_by_point
+            out._lines_by_point = None if by is None else by + ((),) * (n - self.n)
+            return out
         pair_line = self._pair_line.copy()
         for ln in drop:
             if pair_line.get(ln[:2]) != ln:
@@ -153,13 +162,8 @@ class LinearSpace:
             masks.insert(j, mask_of(ln))
             for p in ln:
                 deg[p] += 1
-        out = LinearSpace.__new__(LinearSpace)
-        out.n = n
-        out.lines = tuple(lines)
-        out.line_masks = tuple(masks)
-        out.degrees = tuple(deg)
-        out._lines_by_point = None
-        out._pair_line = pair_line
+        out.n, out.lines, out.line_masks, out.degrees = n, tuple(lines), tuple(masks), tuple(deg)
+        out._lines_by_point, out._pair_line = None, pair_line
         return out
 
     # -- derived views -------------------------------------------------

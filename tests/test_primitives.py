@@ -714,6 +714,39 @@ def test_embeddings_over_base_degree_bound_chain_link():
     assert checked > 10 and found > 5
 
 
+def test_embeddings_over_base_degree_bound_on_base_points(monkeypatch):
+    # C_1's base points lie on two lines each, C_2's on four.  The host is
+    # C_1 with a pendant line (2, 6, 7): 6 and 7 lie on one line each, so
+    # no base image among them carries a copy, and the search refuses such
+    # a base before the walk.  C_1's own base (0, 1) and its opposite pair
+    # (3, 5) lie on exactly two lines: the equal-degree boundary, where
+    # copies do exist.  No host point lies on four lines.
+    walks = []
+    extend = primitives._extend
+
+    def counted(M, P, *rest):
+        walks.append(P)
+        return extend(M, P, *rest)
+
+    monkeypatch.setattr(primitives, "_extend", counted)
+    c1 = cycle_Ck(1)
+    M = LinearSpace(8, [*c1.space.lines, (2, 6, 7)])
+    assert M.degrees == (2, 2, 3, 2, 2, 2, 1, 1)
+    refused = boundary = 0
+    for gp in (c1, cycle_Ck(2)):
+        base = sorted(gp.base)
+        for img in permutations(range(M.n), len(base)):
+            emb = dict(zip(base, img))
+            walks.clear()
+            want = _search_vs_oracle(M, gp.space, gp.base, emb)
+            slack = [M.degrees[emb[b]] - gp.space.degrees[b] for b in base]
+            # the walk runs exactly when every base image lies on enough lines
+            assert bool(walks) == (min(slack) >= 0)
+            refused += not walks
+            boundary += bool(want) and 0 in slack
+    assert refused > 60 and boundary >= 4
+
+
 def test_preserves_lines_matches_induced_comparison():
     rng = Random(38)
     seen = {True: 0, False: 0}

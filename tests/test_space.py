@@ -85,6 +85,14 @@ def test_with_lines_matches_constructor():
     for _ in range(600):
         S = random_space(rng, rng.randrange(10))
         n, add, drop = _random_edit(rng, S)
+        if rng.random() < 0.15:
+            # an add-point commit (or none at all): nothing added or dropped
+            add, drop = [], []
+            seen["no change"] += 1
+        if rng.random() < 0.5:
+            # a built index is padded, not rebuilt, by a no-change edit
+            S.lines_by_point
+            seen["index built"] += 1
         kept = [ln for ln in S.lines if ln not in drop]
         try:
             want = LinearSpace(n, kept + add)
@@ -102,7 +110,8 @@ def test_with_lines_matches_constructor():
         for a, b in combinations(range(n), 2):
             assert got.line_through(a, b) == want.line_through(a, b)
         seen["ok"] += 1
-    assert min(seen[k] for k in ("ok", "ValueError", "AxiomViolation")) > 50
+    assert min(seen[k] for k in ("ok", "ValueError", "AxiomViolation", "no change")) > 50
+    assert seen["index built"] > 250
 
 
 def test_degrees_count_the_lines_through_each_point():
@@ -139,6 +148,23 @@ def test_with_lines_leaves_the_original_alone():
     assert T == LinearSpace(6, [(0, 1, 2, 5)])
     assert S == LinearSpace(5, [(0, 1, 2)])
     assert S.line_through(0, 5) is None and T.line_through(0, 5) == (0, 1, 2, 5)
+    # no change: the child shares S's lines and pair index, with S's index
+    # read before the edit or not; the child's own commits still copy them
+    for built in (False, True):
+        S = LinearSpace(5, [(0, 1, 2), (2, 3, 4)])
+        if built:
+            S.lines_by_point
+        T = S.with_lines(7)
+        U = T.with_lines(8, add=[(0, 3, 5)], drop=[(2, 3, 4)])
+        assert T == LinearSpace(7, [(0, 1, 2), (2, 3, 4)])
+        assert T.lines_by_point == ((0,), (0,), (0, 1), (1,), (1,), (), ())
+        assert T.degrees == (1, 1, 2, 1, 1, 0, 0)
+        assert U == LinearSpace(8, [(0, 1, 2), (0, 3, 5)])
+        assert S.lines_by_point == ((0,), (0,), (0, 1), (1,), (1,)) and S.degrees == (1, 1, 2, 1, 1)
+        assert T.line_through(0, 3) is None and T.line_through(3, 4) == (2, 3, 4)
+        assert [S.line_through(a, b) for a, b in combinations(range(5), 2)] == [
+            LinearSpace(5, [(0, 1, 2), (2, 3, 4)]).line_through(a, b) for a, b in combinations(range(5), 2)
+        ]
 
 
 def test_validate_fano_triples():
