@@ -105,13 +105,11 @@ def amalgamate_or_identify(
     structure: the first of embeddings_over_base, whose extension images
     are lexicographically least.  F and E are first verified against mu
     at the same bound.  Each step's recheck then asks the bounded check
-    only for the violations whose groups meet a point outside F: the
-    check reuses F's cached copy grouping, since F is the structure the
-    candidate induces on F's points, and enumerates only the good pairs
-    through the other points.  That list equals the one restricted to
-    the step's new points: every kept step passed its recheck, so the
-    current structure holds no violation, and a group that misses the
-    new points has the same copies in the candidate as in it.
+    only for the violations whose groups meet the step's new points.
+    That is the whole check: F passed, every kept step passed its
+    recheck, so the current structure holds no violation, and since it
+    is the structure the candidate induces on its points, a group that
+    misses the new points has the same copies in the candidate as in it.
     """
     d = points_of(_mask(min(F.n, E.n), D))
     ok, viols = in_K_mu_bounded(E, mu, bound)
@@ -134,7 +132,7 @@ def amalgamate_or_identify(
         base_idx = [rel[p] for p in step_pts if p in emb]
         base_map = {rel[p]: emb[p] for p in step_pts if p in emb}
         candidate, cmap = _glue(cur, step_space, base_map)
-        ok, viols = in_K_mu_bounded(candidate, mu, bound, touching=range(F.n, candidate.n))
+        ok, viols = in_K_mu_bounded(candidate, mu, bound, touching=range(cur.n, candidate.n))
         if ok:
             cur = candidate
             grew = True

@@ -234,6 +234,8 @@ def cmd_check(args) -> int:
         if value < least:
             print(f"usage error: check needs {flag} >= {least}, not {value}", file=sys.stderr)
             return 2
+    if args.max_points > MAX_POINTS:
+        raise SizeLimit(f"check --max-points {args.max_points} is more than {MAX_POINTS}")
     rng = Random(args.seed)
     bad = 0
     for _ in range(args.trials):

@@ -17,7 +17,7 @@ from .errors import FormatError, check_int
 from .gallery import cycle_Ck
 from .primitives import ALPHA_CODE, ALPHA_SIZE, DEFAULT_CODE_LIMIT, SHAPE_CACHE_SIZE, _good_pairs, _group_chi
 from .primitives import _max_disjoint, canonical_code, decode_code
-from .space import LinearSpace, _content_lines, _int, _mask, _row, delta_mask, induced, mask_of, points_of
+from .space import LinearSpace, _content_lines, _int, _mask, _row, delta_mask, mask_of, points_of
 
 DEFAULT_POLICY = "max-delta-base-or-1"
 
@@ -116,10 +116,13 @@ def in_K_mu_bounded(
     With `touching`, only the violations whose group meets those points
     are returned: the line for alpha, else the base image or one of the
     copies over it.  The list is the full one filtered, in the same
-    order, and it is computed without the full grouping (see
-    _copy_groups_touching): the groups come from the cached grouping of
-    the structure induced on the other points and from the good pairs
-    whose B u C meets the touched points; no group meets an empty set.
+    order; no group meets an empty set.  Only the good pairs whose B u C
+    meets the touched points are grouped, and nothing is cached.  A group
+    whose base image meets them holds every copy and keeps the packing
+    prefilter.  One whose base image misses them holds only the copies
+    that meet them, so its chi is searched unbounded: the copy search
+    over M finds the others, and since no map's count exceeds the true
+    packing, the bound changes neither chi nor the first map reaching it.
     """
     check_int("bound", bound)
     want = None
@@ -135,13 +138,16 @@ def in_K_mu_bounded(
         if len(ln) > max_len:
             violations.append((ALPHA_CODE, (ln[0], ln[1]), len(ln) - 2, mu.alpha_value))
 
-    groups = _copy_groups_touching(M, bound, want) if want else _copy_groups_full(M, bound)
+    groups = _group(M, bound, mask_of(want)) if want else _copy_groups_full(M, bound)
     for (code, base_img), copies in sorted(groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
-        cap, most = mu.value(code), _max_disjoint(copies)
-        if most > cap:
-            chi_val, base = _group_chi(M, code, base_img, most)
-            if chi_val > cap:
-                violations.append((code, base, chi_val, cap))
+        cap, most = mu.value(code), None
+        if not want or want & base_img:
+            most = _max_disjoint(copies)
+            if most <= cap:
+                continue
+        chi_val, base = _group_chi(M, code, base_img, most)
+        if chi_val > cap:
+            violations.append((code, base, chi_val, cap))
     return not violations, violations
 
 
@@ -155,10 +161,7 @@ def _group(M: LinearSpace, bound: int, touch: int) -> dict[tuple[str, frozenset[
     return out
 
 
-# the only grouping cache.  Its readers are the next check of the same
-# structure (another mu, or builder.stats) and the rechecks of
-# amalgamate_or_identify, whose untouched part is always the F checked
-# at entry; a candidate's own grouping is never stored
+# the only grouping cache; a touching check neither reads nor fills it
 @lru_cache(maxsize=2)
 def _copy_groups_full(
     M: LinearSpace, bound: int
@@ -169,34 +172,11 @@ def _copy_groups_full(
     Every copy over a base is itself a good pair with the same code and
     base image, so one pass of _group collects complete copy lists.  The
     result is cached and read-only: every caller gets the same object.
+    Its readers are the next full check of the same structure, under
+    another mu, and builder.stats.
     """
     groups = _group(M, bound, M.full_mask())
     return MappingProxyType({key: frozenset(copies) for key, copies in groups.items()})
-
-
-def _copy_groups_touching(
-    M: LinearSpace, bound: int, want: frozenset[int]
-) -> dict[tuple[str, frozenset[int]], set[frozenset[int]]]:
-    """The groups of _copy_groups_full(M, bound) that meet `want`, with
-    the same copies.
-
-    Whether (B, C) is a good pair, and its code, depend only on the
-    structure induced on B u C.  So the pairs whose B u C misses `want`
-    are exactly those of the structure induced on the other points, and
-    only the pairs meeting `want` are enumerated in M.  A group meets
-    `want` exactly when one of its pairs does; its other copies, over a
-    base that misses `want`, come from the cached grouping of the induced
-    structure, mapped back to M's points.
-    """
-    old = [p for p in range(M.n) if p not in want]
-    pos = {p: i for i, p in enumerate(old)}
-    parent = _copy_groups_full(induced(M, old), bound)
-    groups = _group(M, bound, mask_of(want))
-    for (code, base_img), copies in groups.items():
-        if want.isdisjoint(base_img):
-            key = (code, frozenset(pos[b] for b in base_img))
-            copies.update(frozenset(old[c] for c in copy) for copy in parent.get(key, ()))
-    return groups
 
 
 def mu_X(X: Iterable[int], alpha_value: int = 1) -> MuFunction:

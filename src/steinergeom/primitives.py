@@ -660,14 +660,16 @@ def chi(M: LinearSpace, gp: GoodPair, b_embed: dict[int, int]) -> int:
     return _max_disjoint(copies_over_base(M, gp.space, gp.base, b_embed))
 
 
-def _group_chi(M: LinearSpace, code: str, base_img: Iterable[int], most: int) -> tuple[int, tuple[int, ...]]:
+def _group_chi(
+    M: LinearSpace, code: str, base_img: Iterable[int], most: Optional[int]
+) -> tuple[int, tuple[int, ...]]:
     """The largest chi of the code's pair over the maps of its base
     0..nb-1 onto base_img, and the values of the first map, in
     lexicographic order, that reaches it: chi(M, GoodPair(*decode_code(
     code)), dict(enumerate(values))) gives the count.  `most`, the
     packing of the group's copies, bounds every map's count, so the search
-    stops at a map that reaches it; a map that preserves_lines refuses
-    carries no copy."""
+    stops at a map that reaches it; with None every map is searched.  A
+    map that preserves_lines refuses carries no copy."""
     space, base = decode_code(code)
     best, best_img = 0, tuple(sorted(base_img))
     for img in permutations(best_img):

@@ -7,6 +7,7 @@ from oracle import affine_plane_3
 from steinergeom import (
     D_k, cycle_Ck, fano, fano_chain, to_gp_v1, to_ls_v1, to_mu_v1, LinearSpace, MuFunction,
 )
+from steinergeom import cli
 from steinergeom.cli import main
 from steinergeom.space import MAX_POINTS
 
@@ -256,6 +257,20 @@ def test_check_refuses_arguments_out_of_range(capsys, flag, value, least):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"usage error: check needs {flag} >= {least}, not {value}\n"
+
+
+@pytest.mark.parametrize("prop", ["submodular", "flat", "exchange", "matroid"])
+def test_check_over_the_point_cap_is_a_size_limit(capsys, monkeypatch, prop):
+    # refused before any structure is built
+    def refuse(*args):
+        raise AssertionError("built a structure")
+
+    monkeypatch.setattr(cli, "random_space", refuse)
+    monkeypatch.setattr(cli, "random_k0", refuse)
+    argv = ["check", prop, "--trials", "1", "--seed", "0", "--max-points", str(MAX_POINTS + 1)]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and f"more than {MAX_POINTS}" in out.err
 
 
 def test_check_runs_zero_trials_and_three_points(capsys):

@@ -11,6 +11,7 @@ from steinergeom import (
     LinearSpace,
     MuFunction,
     alpha_pair,
+    amalgamate_or_identify,
     build,
     canonical_code,
     chi,
@@ -32,7 +33,8 @@ from steinergeom import (
     validate_mu,
 )
 from steinergeom.errors import SizeLimit, TooManyPoints
-from steinergeom.mu import _copy_groups_full, _copy_groups_touching
+from steinergeom import primitives
+from steinergeom.mu import _copy_groups_full
 from steinergeom.primitives import DEFAULT_CODE_LIMIT
 from steinergeom.space import MAX_POINTS
 from oracle import embeddings_oracle, good_pair_oracle, max_disjoint_oracle
@@ -362,7 +364,6 @@ def test_touching_recheck_equals_the_filtered_full_check():
             for key, copies in full.items()
             if T & key[1] or any(T & c for c in copies)
         }
-        assert _copy_groups_touching(M, bound, T) == want
         # a new base point whose copies all lie in the parent
         met_old_ext += sum(1 for (_code, base), copies in want.items()
                            if T & base and not any(T & c for c in copies))
@@ -374,6 +375,27 @@ def test_touching_recheck_equals_the_filtered_full_check():
             assert part == [v for v in all_viols if _violation_points(M, bound, v) & T]
             assert ok == (not part)
     assert met_old_ext
+
+
+def test_touching_check_makes_one_candidate_walk(monkeypatch):
+    # the recheck groups only the pairs through the touched points; it
+    # builds no induced structure and reads no cached grouping
+    _copy_groups_full.cache_clear()
+    M, _trace = build(MuFunction(1), 300, seed=11)
+    T = range(M.n - 3, M.n)
+    walks, iter_walk = [], primitives.iter_candidate_sets
+
+    def counted(space, max_size):
+        walks.append(space)
+        return iter_walk(space, max_size)
+
+    monkeypatch.setattr(primitives, "iter_candidate_sets", counted)
+    ok, part = in_K_mu_bounded(M, MuFunction(1), 8, touching=T)
+    assert walks == [M]
+    monkeypatch.undo()
+    _, full = in_K_mu_bounded(M, MuFunction(1), 8)
+    assert part == [v for v in full if _violation_points(M, 8, v) & set(T)]
+    assert ok == (not part)
 
 
 # a pair whose two base points play different roles
@@ -426,6 +448,34 @@ def _mixed_tower(orientations):
     for o in orientations:
         M = free_amalgam(M, (space, swapped)[o], [0, 1])
     return M
+
+
+def _decided_in_F(case):
+    """(F, E, mu, bound, violations, embedding) of an amalgamation over
+    {0, 1} whose step is refused for a group whose base lies in F."""
+    if case == "C_1":
+        # F holds two C_1 copies over {0, 1}, the default cap
+        c1 = cycle_Ck(1)
+        F = free_amalgam(c1.space, c1.space, [0, 1])
+        return F, c1.space, MuFunction(1), 10, [(c1.code, 3, 2)], {p: p for p in range(6)}
+    # F holds one copy over the first base map and two over the second;
+    # the step adds a third over the second.  Its own packing, 1, is
+    # already reached by the first map
+    F = _mixed_tower((0, 1, 1))
+    emb = {0: 0, 1: 1, **{p: p + 5 for p in range(2, 7)}}
+    return F, _mixed_tower((1,)), MuFunction(2), 7, [(MIXED_CODE, 3, 2)], emb
+
+
+@pytest.mark.parametrize("case", ["C_1", "mixed"])
+def test_amalgamation_is_decided_by_a_group_whose_base_lies_in_F(case):
+    # the group's base misses the step's new points, so its chi counts
+    # the copies inside F too
+    F, E, mu, bound, violations, emb = _decided_in_F(case)
+    res = amalgamate_or_identify(F, E, [0, 1], mu, bound)
+    assert res.outcome == "identified"
+    assert res.structure == F
+    assert res.violations == violations
+    assert res.e_embedding == emb
 
 
 def _oracle_copies(M, code, copies, img):
