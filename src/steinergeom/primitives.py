@@ -22,13 +22,18 @@ a strong B and M are read off the closures icl(B + p), one flow each
 step of decompose is the least of them.  No question reads a dense
 table, so none loads numpy.
 
-canonical_code is the only path to a code, and decode_code reads one
-back.  Two lru_caches of SHAPE_CACHE_SIZE entries, read by cache_info(),
-keep code work across calls: _least_leaf maps a first-leaf encoding to
-its code, and _shape_code a labelled shape of _good_pairs to its verdict
-and code.  Both keep strings only, never a space.  _good_pairs is the
-one good-pair engine: enumerate_good_pairs makes GoodPairs of what it
-yields, and the bounded K_mu check groups it as read.
+A code is the least leaf encoding of one search, _least_leaf's, which
+canonical_code and _shape_code reach through a first path, and
+decode_code reads one back.  Two lru_caches of SHAPE_CACHE_SIZE entries,
+read by cache_info(), keep code work across calls.  _least_leaf keys on
+a first-leaf encoding and keeps the code and the is_good_pair verdict of
+the pair it decodes to: every pair with that first leaf is isomorphic to
+it, base onto base, and both are invariants.  _shape_code keys on a
+labelled shape of _good_pairs and keeps its code, or None when it is not
+good, so a shape seen again costs nothing and a relabelled copy one first
+path.  Both keep strings and verdicts only, never a space.  _good_pairs
+is the one good-pair engine: enumerate_good_pairs makes GoodPairs of what
+it yields, and the bounded K_mu check groups it as read.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .dimension import _flow, _reached, _reaching, d_table, delta_table, icl_mask, is_strong
 from .errors import AxiomViolation, FormatError, NotStrong, NotZeroPrimitive, SizeLimit, check_int
@@ -231,18 +236,29 @@ def bases_of(space: LinearSpace, B: Iterable[int], C: Iterable[int]) -> list[fro
 # -- canonical codes ---------------------------------------------------
 
 def _refine(space: LinearSpace, colors: tuple[int, ...]) -> tuple[int, ...]:
-    by_point = space.lines_by_point
+    """The stable colouring that repeated rounds reach from `colors`: a
+    round ranks each point by (its colour, the sorted colour tuples of
+    its lines), and the rounds stop when the number of classes stays.
+
+    A round reads each line's colours through one itemgetter (a line has
+    three or more points, so it gives a tuple), and the class count of
+    the round before is carried, not recounted.  A round that makes every
+    class a point returns at once: its colouring is discrete and ranked,
+    so the round after would return it unchanged.
+    """
+    n, by_point = space.n, space.lines_by_point
+    getters = [itemgetter(*ln) for ln in space.lines]
+    count = len(set(colors))
     while True:
-        line_cols = [tuple(sorted(colors[q] for q in ln)) for ln in space.lines]
-        sigs = []
-        for p in range(space.n):
-            line_sigs = sorted(line_cols[li] for li in by_point[p])
-            sigs.append((colors[p], tuple(line_sigs)))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(ranks[s] for s in sigs)
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+        line_cols = [tuple(sorted(get(colors))) for get in getters]
+        line_col = line_cols.__getitem__
+        sigs = [(c, tuple(sorted(map(line_col, lis)))) for c, lis in zip(colors, by_point)]
+        order = sorted(set(sigs))
+        ranks = dict(zip(order, range(n)))
+        colors = tuple(map(ranks.__getitem__, sigs))
+        if len(order) == count or len(order) == n:
+            return colors
+        count = len(order)
 
 
 def _individualize(colors: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -357,10 +373,17 @@ def _first_path(space: LinearSpace, base: frozenset[int]) -> tuple[list, tuple[i
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _least_leaf(first: str) -> str:
-    """The code of every pair whose first leaf encodes as `first`: the
-    least leaf encoding, an isomorphism invariant, found by the pruned
-    search on the pair that `first` decodes to."""
+def _least_leaf(first: str) -> tuple[str, Optional[bool]]:
+    """(code, verdict) of every pair whose first leaf encodes as `first`.
+
+    The code is the least leaf encoding, an isomorphism invariant, found
+    by the pruned search on the pair that `first` decodes to.  The
+    verdict is is_good_pair on that pair, base 0..nb-1 against the rest,
+    and None when the base is every point.  It is exact for every pair
+    with this first leaf: the leaf relabels the pair onto the decoded
+    one, lines onto lines and base onto base (the head gp{nb}.{nc} says
+    how many points are base), and is_good_pair is invariant under such
+    a bijection."""
     space, base = decode_code(first)
     nb = len(base)
     path, first_leaf = _first_path(space, base)
@@ -377,7 +400,8 @@ def _least_leaf(first: str) -> str:
                 continue
             searched.append(q)
             best = _subtree_min(space, nb, _individualize(node, q), first_leaf, own, orbits, best)
-    return best
+    good = is_good_pair(space, base, range(nb, space.n)) if nb < space.n else None
+    return best, good
 
 
 def canonical_code(space: LinearSpace, base: Iterable[int], *, limit: int = DEFAULT_CODE_LIMIT) -> str:
@@ -407,17 +431,17 @@ def canonical_code(space: LinearSpace, base: Iterable[int], *, limit: int = DEFA
     far: each skipped subtree is an automorphic image of a searched one,
     with the same leaf encodings.  See _subtree_min and _least_leaf.
 
-    Every code is computed here: the call walks the first path, and
-    _least_leaf, an lru_cache, searches the decoded first-leaf encoding.
-    Equal first leaves mean isomorphic inputs, so a pair isomorphic to
-    one coded recently costs one root-to-leaf path.
+    The call walks the first path, and _least_leaf, an lru_cache,
+    searches the decoded first-leaf encoding; _shape_code reads the same
+    cache.  Equal first leaves mean isomorphic inputs, so a pair
+    isomorphic to one coded recently costs one root-to-leaf path.
     """
     n, base = space.n, frozenset(points_of(_mask(space.n, base)))
     if n > limit:
         raise SizeLimit(f"{n} points exceeds code limit {limit}")
     if n == 3 and len(base) == 2 and space.lines == ((0, 1, 2),):
         return ALPHA_CODE
-    return _least_leaf(_encode(space, len(base), _first_path(space, base)[1]))
+    return _least_leaf(_encode(space, len(base), _first_path(space, base)[1]))[0]
 
 
 class GoodPair:
@@ -773,14 +797,40 @@ def _shape(M: LinearSpace, bc_mask: int, b_pts: Iterable[int]) -> tuple[tuple[in
     return pts, (len(pts), tuple(lines), mask_of((bc_mask & ((1 << p) - 1)).bit_count() for p in b_pts))
 
 
+class _ShapeLines(NamedTuple):
+    """A labelled shape's lines as the first path reads them, with no
+    LinearSpace built (see _shape_code)."""
+
+    n: int
+    lines: tuple[tuple[int, ...], ...]
+    lines_by_point: list[list[int]]
+
+
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _shape_code(shape: Shape) -> Optional[str]:
-    """The code of a labelled shape, or None when it is not a good pair."""
+    """The code of a labelled shape of _good_pairs, or None when it is not
+    a good pair: canonical_code(S, B) if is_good_pair(S, B, C) else None,
+    for the shape's structure S, base B and C the rest.
+
+    The call walks the first path on the shape and reads code and verdict
+    from _least_leaf, which decides is_good_pair once per first-leaf
+    encoding.  C has two or more points, so the shape is never alpha's.
+
+    No LinearSpace re-validates the lines.  They are lines of M cut to
+    B u C and relabelled by space._relabelled_lines, the relabelling
+    induced() validates: a line of M keeps its points in order, M's lines
+    share at most one point, and the cut keeps lines of three or more.
+    So they are already sorted lines of a linear space on n points.
+    """
     n, lines, b_mask = shape
-    space = LinearSpace(n, lines)
-    base = points_of(b_mask)
-    ext = points_of(space.full_mask() & ~b_mask)
-    return canonical_code(space, base) if is_good_pair(space, base, ext) else None
+    by_point: list[list[int]] = [[] for _ in range(n)]
+    for li, ln in enumerate(lines):
+        for p in ln:
+            by_point[p].append(li)
+    view = _ShapeLines(n, lines, by_point)
+    leaf = _first_path(view, frozenset(points_of(b_mask)))[1]
+    code, good = _least_leaf(_encode(view, b_mask.bit_count(), leaf))
+    return code if good else None
 
 
 def _good_pairs(M: LinearSpace, max_size: int, touch: int) -> Iterator[tuple[str, Shape, tuple, tuple]]:
@@ -803,9 +853,11 @@ def _good_pairs(M: LinearSpace, max_size: int, touch: int) -> Iterator[tuple[str
     the order-preserving relabelling of B u C (_shape).  That key is the
     labelled structure together with B, and C is the rest of it, so the
     verdict and the canonical code are functions of the key.  A call
-    verifies each shape once; _shape_code keeps verdict and code for the
-    SHAPE_CACHE_SIZE shapes used last, across calls, and canonical_code's
-    own cache serves a new shape isomorphic to one coded recently.
+    looks each shape up once; _shape_code keeps the code, or None, for
+    the SHAPE_CACHE_SIZE shapes used last, across calls.  A shape it has
+    not kept costs one first path when _least_leaf keeps its first-leaf
+    encoding: verdict and code are decided once per encoding, on the pair
+    it decodes to, which is isomorphic to the shape base onto base.
     """
     if max_size > DEFAULT_CODE_LIMIT:
         raise SizeLimit(f"max_size {max_size} exceeds code limit {DEFAULT_CODE_LIMIT}")

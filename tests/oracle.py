@@ -325,3 +325,21 @@ def base_choices_reference(M, c_mask, dc, pop_lines, slots):
             for u, v in combinations(b, 2)
         )
     ]
+
+
+def refine_reference(space, colors):
+    """The stable colouring of canonical-code refinement, round by round
+    with plain temporaries: each point ranked by (its colour, the sorted
+    colour tuples of its lines) until the number of classes stays."""
+    by_point = space.lines_by_point
+    while True:
+        line_cols = [tuple(sorted(colors[q] for q in ln)) for ln in space.lines]
+        sigs = []
+        for p in range(space.n):
+            line_sigs = sorted(line_cols[li] for li in by_point[p])
+            sigs.append((colors[p], tuple(line_sigs)))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(ranks[s] for s in sigs)
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new

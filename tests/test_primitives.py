@@ -26,6 +26,7 @@ from steinergeom import (
     copies_over_base,
     cycle_Ck,
     d,
+    decode_code,
     decompose,
     default_templates,
     delta,
@@ -61,6 +62,7 @@ from oracle import (
     isomorphic_oracle,
     least_below_oracle,
     projective_plane_3,
+    refine_reference,
     zero_primitive_oracle,
 )
 
@@ -428,7 +430,8 @@ def test_code_search_reaches_past_the_first_leaf():
 
 def test_enumeration_codes_relabelled_copies_through_the_first_leaf_cache(monkeypatch, cold_code_caches):
     # relabelled copies of two shapes side by side: most copies are new
-    # labelled shapes, so their codes come from the first-leaf cache
+    # labelled shapes, so their codes and verdicts come from the first-leaf
+    # cache
     rng = Random(45)
     parts = [cycle_Ck(1)] * 4 + [chain_link_pair()] * 3
     M = LinearSpace(0, [])
@@ -437,22 +440,24 @@ def test_enumeration_codes_relabelled_copies_through_the_first_leaf_cache(monkey
         M = LinearSpace(M.n + space.n, list(M.lines) + [[p + M.n for p in ln] for ln in space.lines])
     M, _ = _relabelled(rng, M, [])
     served = []
-    code_of = primitives.canonical_code
+    least_leaf = primitives._least_leaf
 
-    def recording(space, base, **kwargs):
-        hits = primitives._least_leaf.cache_info().hits
-        code = code_of(space, base, **kwargs)
-        if primitives._least_leaf.cache_info().hits > hits:
-            served.append((space, base, code))
-        return code
+    def recording(first):
+        hits = least_leaf.cache_info().hits
+        entry = least_leaf(first)
+        if least_leaf.cache_info().hits > hits:
+            served.append((first, entry))
+        return entry
 
-    monkeypatch.setattr(primitives, "canonical_code", recording)
+    monkeypatch.setattr(primitives, "_least_leaf", recording)
     out = enumerate_good_pairs(M, 6)
     monkeypatch.undo()
     assert len(served) >= 5
-    for space, base, code in served:
-        primitives._least_leaf.cache_clear()
+    for first, (code, good) in served:
+        least_leaf.cache_clear()
+        space, base = decode_code(first)
         assert canonical_code(space, base) == code
+        assert is_good_pair(space, base, set(range(space.n)) - base) == good
     for gp, _ in out:
         assert gp.code == canonical_code(gp.space, gp.base)
 
@@ -874,16 +879,29 @@ def _pair_rows(out):
 
 
 def test_shape_cache_is_sound_and_bounded(monkeypatch, cold_code_caches):
-    verified = Counter()
-    check = primitives.is_good_pair
+    # the shape cache saves a first path per labelled shape it holds; the
+    # first-leaf cache decides is_good_pair once per first leaf
+    walked, verified = Counter(), Counter()
+    firsts: set[str] = set()
+    walk, check, least_leaf = primitives._first_path, primitives.is_good_pair, primitives._least_leaf
 
-    def counting(space, B, C):
+    def counting_walk(space, base):
+        walked[size] += 1
+        return walk(space, base)
+
+    def counting_check(space, B, C):
         verified[size] += 1
         return check(space, B, C)
 
+    def recording_leaf(first):
+        firsts.add(first)
+        return least_leaf(first)
+
     size = "cold"
     corpus = _shape_cache_corpus()
-    monkeypatch.setattr(primitives, "is_good_pair", counting)
+    monkeypatch.setattr(primitives, "_first_path", counting_walk)
+    monkeypatch.setattr(primitives, "is_good_pair", counting_check)
+    monkeypatch.setattr(primitives, "_least_leaf", recording_leaf)
     cold = []
     for M, bound in corpus:
         primitives._shape_code.cache_clear()
@@ -913,7 +931,12 @@ def test_shape_cache_is_sound_and_bounded(monkeypatch, cold_code_caches):
             assert _pair_rows(enumerate_good_pairs(M, bound)) == cold[i]
             assert primitives._shape_code.cache_info().currsize <= size
     assert primitives._shape_code.cache_info().currsize == 16
-    assert verified[full] < verified[16] <= verified["cold"]
+    assert walked[full] < walked[16] <= walked["cold"]
+    # alpha_pair() verifies alpha once per enumeration; every other check
+    # is a first-leaf cache miss, and the cache never fills here
+    enumerations = 3 * len(corpus)
+    assert least_leaf.cache_info().currsize < least_leaf.cache_info().maxsize
+    assert sum(verified.values()) <= len(firsts) + enumerations
 
 
 def test_code_caches_serve_a_relabelled_hub_stack(cold_code_caches):
@@ -934,6 +957,74 @@ def test_code_caches_serve_a_relabelled_hub_stack(cold_code_caches):
     assert primitives._least_leaf.cache_info() == first_leaf
     assert primitives._shape_code.cache_info().misses == shapes.misses
     assert primitives._shape_code.cache_info().hits > 0
+
+
+def _met_shapes(monkeypatch, corpus):
+    """Every labelled shape _good_pairs verifies on the corpus, once each,
+    in the order met."""
+    met = []
+    shape_code = primitives._shape_code
+
+    def recording(shape):
+        met.append(shape)
+        return shape_code(shape)
+
+    monkeypatch.setattr(primitives, "_shape_code", recording)
+    for M, bound in corpus:
+        list(primitives._good_pairs(M, bound, M.full_mask()))
+    monkeypatch.undo()
+    return list(dict.fromkeys(met))
+
+
+def test_shape_code_is_the_direct_definition(monkeypatch, cold_code_caches):
+    rng = Random(85)
+    corpus = _shape_cache_corpus() + [(random_k0(rng, n), n) for n in range(6, 11) for _ in range(4)]
+    # and two shapes whose first leaves share their lines, gp3.4 and gp4.3
+    # over 0,3,4|1,3,5|2,3,6|4,5,6, the first good and the second not: no
+    # met shapes are such twins, and a verdict kept without the head would
+    # serve one the other's
+    twins = [(7, ((0, 3, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)), mask_of(range(nb))) for nb in (3, 4)]
+    shapes = _met_shapes(monkeypatch, corpus) + twins
+    want = []
+    for n, lines, b_mask in shapes:
+        # the lines _shape_code reads unvalidated are a linear space's, as stored
+        space = LinearSpace(n, lines)
+        assert space.lines == lines
+        base, ext = points_of(b_mask), points_of(space.full_mask() & ~b_mask)
+        primitives._least_leaf.cache_clear()
+        want.append(canonical_code(space, base) if is_good_pair(space, base, ext) else None)
+    assert len(shapes) > 1000 and 0 < want.count(None) < len(want)
+    # cold: both caches empty for every shape
+    for shape, code in zip(shapes, want):
+        primitives._shape_code.cache_clear()
+        primitives._least_leaf.cache_clear()
+        assert primitives._shape_code(shape) == code
+    # warm: each shape new to the shape cache, its first leaf often known
+    # from another labelling, in both orders
+    for order in (shapes, shapes[::-1]):
+        primitives._shape_code.cache_clear()
+        got = {shape: primitives._shape_code(shape) for shape in order}
+        assert [got[shape] for shape in shapes] == want
+
+
+def test_refine_matches_the_reference_at_every_node(monkeypatch, cold_code_caches):
+    # the first path on every shape of the corpus, and the first path and
+    # subtree search on its first leaf, with both caches empty
+    shapes = _met_shapes(monkeypatch, _shape_cache_corpus())
+    agree = []
+    refine = primitives._refine
+
+    def checking(space, colors):
+        got = refine(space, colors)
+        agree.append(got == refine_reference(space, colors))
+        return got
+
+    monkeypatch.setattr(primitives, "_refine", checking)
+    for shape in shapes:
+        primitives._shape_code.cache_clear()
+        primitives._least_leaf.cache_clear()
+        primitives._shape_code(shape)
+    assert len(agree) >= 4000 and all(agree)
 
 
 def test_line_test_rejects_no_good_pair():
