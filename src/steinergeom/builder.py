@@ -22,8 +22,16 @@ list and patches the degrees that the base and alpha choices read.  The
 copy search behind the mu cap refuses a base image on fewer lines than
 its base point, so with pick_base's bases (points on at most one line)
 C_1 and C_2 are decided before any walk; otherwise it reaches each copy
-through one leaf.  Global bounded checks are snapshot-time work for
-callers, not a per-step gate.
+through one leaf.  A template over the empty base (D_k) has no base to
+anchor its search, so its cap check keeps the copies found so far and
+searches only the points added since its last check
+(copies_over_base(touching=...)).  No commit changes the structure on
+the old points: add-point adds an isolated point, complete-line puts a
+new point on a line, a realization adds only lines through new points,
+and alpha's line traces only a pair on the old ones.  So an old copy
+stays a copy, and a new copy meets a new point.  The templates are
+verified and coded once per process.  Global bounded checks are
+snapshot-time work for callers, not a per-step gate.
 """
 
 from __future__ import annotations
@@ -31,15 +39,16 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 from typing import Optional
 
 from .amalgam import _glue
-from .errors import FormatError, check_int
+from .errors import FormatError, SizeLimit, check_int
 from .gallery import cycle_Ck, D_k, fano_chain
 from .mu import MuFunction, _copy_groups_full, in_K_mu_bounded, to_mu_v1, validate_mu
-from .primitives import ALPHA_CODE, ALPHA_SIZE, GoodPair, _group_chi, _max_disjoint, alpha_pair
+from .primitives import ALPHA_CODE, ALPHA_SIZE, COPY_CAP, GoodPair, _group_chi, _max_disjoint, alpha_pair
 from .primitives import copies_over_base
 from .space import LinearSpace, _content_lines, _int, _ls_v1_rows, _row
 from .space import induced, pair_coverage, preserves_lines, to_ls_v1
@@ -74,6 +83,12 @@ def chain_link_pair() -> GoodPair:
 
 
 def default_templates(template_max: int) -> list[GoodPair]:
+    return list(_templates(template_max))
+
+
+@lru_cache(maxsize=8)
+def _templates(template_max: int) -> tuple[GoodPair, ...]:
+    """default_templates, each pair verified and coded once per process."""
     out = [alpha_pair(), chain_link_pair()]
     k = 1
     while 4 * k + 2 <= template_max:
@@ -83,7 +98,7 @@ def default_templates(template_max: int) -> list[GoodPair]:
     while 4 * k + 3 <= template_max:
         out.append(D_k(k))
         k += 1
-    return [gp for gp in out if gp.space.n <= template_max]
+    return tuple(gp for gp in out if gp.space.n <= template_max)
 
 
 def build(
@@ -117,8 +132,13 @@ def build(
     )
     cur = LinearSpace(0, [])
     complete_q: deque[tuple[int, int]] = deque()
-    big_templates = [gp for gp in default_templates(template_max) if gp.code != ALPHA_CODE]
+    big_templates = [gp for gp in _templates(template_max) if gp.code != ALPHA_CODE]
     realize_count = 0
+    # the copies of each empty-base template's code found so far, and the
+    # point count at its last search: a commit leaves the structure on the
+    # old points as it was, so an old copy stays one and a new one meets a
+    # point added since
+    empty_base: dict[str, tuple[set[frozenset[int]], int]] = {}
 
     def commit(candidate: LinearSpace, added: list[tuple[int, ...]]) -> None:
         # the short lines the commit adds are queued in line order
@@ -197,7 +217,15 @@ def build(
         # local mu cap for this code at this base: one more disjoint copy
         # must still fit (line lengths stay legal by construction, and the
         # global bounded check runs on snapshots, not per step)
-        copies = copies_over_base(cur, gp.space, gp.base, base_map)
+        if gp.base:
+            copies = copies_over_base(cur, gp.space, gp.base, base_map)
+        else:
+            found, searched = empty_base.get(gp.code, (set(), 0))
+            found.update(copies_over_base(cur, gp.space, (), {}, touching=range(searched, cur.n)))
+            if len(found) > COPY_CAP:
+                raise SizeLimit(f"more than {COPY_CAP} copies")
+            empty_base[gp.code] = found, cur.n
+            copies = sorted(found, key=sorted)
         if _max_disjoint(copies) + 1 > mu.value(gp.code):
             # copies_over_base lists them sorted, least first
             trace.steps.append(BuildStep(i, "identify", (gp.code, base_img, tuple(sorted(copies[0])))))

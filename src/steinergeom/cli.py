@@ -127,7 +127,7 @@ def cmd_chi(args) -> int:
     base_sorted = sorted(base)
     img = _point_list(args.embed) if args.embed is not None else base_sorted
     if len(img) != len(base_sorted):
-        raise FormatError(0, "--embed must list one image per base point")
+        raise ValueError("--embed must list one image per base point")
     val = chi(M, gp, dict(zip(base_sorted, img)))
     _emit(args, str(val), {"chi": val, "code": gp.code, "embed": img})
     return 0

@@ -10,7 +10,9 @@ embeddings_over_base is the one embedding search: copies_over_base and
 chi collect its extension images, amalgamate-or-identify its first one.
 copies_over_base runs it under the stabilizer-chain rule, which keeps
 one embedding per image, so a copy costs one leaf, not one leaf per
-automorphism of the pair.
+automorphism of the pair.  Asked only for the copies through given
+points, it runs the same search with one point of each orbit of the
+pair pinned to each of them, so the cost follows those points, not M.
 
 One rule decides how a delta question is answered.  Strongness
 preconditions go through dimension.is_strong and carry its witness.
@@ -539,20 +541,31 @@ def _search(
 ) -> Iterator[dict[int, int]]:
     """embeddings_over_base; with one_per_image, only those with
     phi(y) > phi(x) for every x in _orbit_floors(...)[y]."""
+    _check_embedding(M, pair_space, base, b_embed)
+    return _leaves(M, pair_space, b_embed, one_per_image)
+
+
+def _leaves(M: LinearSpace, pair_space: LinearSpace, b_embed: dict[int, int], one_per_image: bool) -> Iterator[dict[int, int]]:
+    """_search over a base embedding that _check_embedding accepts."""
+    if any(M.degrees[m] < pair_space.degrees[b] for b, m in b_embed.items()):
+        return iter(())
+    used = set(b_embed.values())
+    ext = list(points_of(pair_space.full_mask() & ~mask_of(b_embed)))
+    above = _orbit_floors(pair_space, frozenset(b_embed)) if one_per_image else ((),) * pair_space.n
+    return _extend(M, pair_space, ext, 0, dict(b_embed), used, above)
+
+
+def _check_embedding(M: LinearSpace, pair_space: LinearSpace, base: Iterable[int], b_embed: dict[int, int]) -> None:
+    """Raise ValueError unless b_embed maps exactly the base, injectively
+    and preserving collinearity, into the points of M."""
     b_mask = _mask(pair_space.n, base)
     if _mask(pair_space.n, b_embed) != b_mask:
         raise ValueError(f"base embedding maps {sorted(b_embed)}, not the base {list(points_of(b_mask))}")
     _mask(M.n, b_embed.values())
-    used = set(b_embed.values())
-    if len(used) != len(b_embed):
+    if len(set(b_embed.values())) != len(b_embed):
         raise ValueError("base embedding is not injective")
     if not preserves_lines(pair_space, M, b_embed):
         raise ValueError("base embedding does not preserve collinearity")
-    if any(M.degrees[m] < pair_space.degrees[b] for b, m in b_embed.items()):
-        return iter(())
-    ext = list(points_of(pair_space.full_mask() & ~b_mask))
-    above = _orbit_floors(pair_space, frozenset(b_embed)) if one_per_image else ((),) * pair_space.n
-    return _extend(M, pair_space, ext, 0, dict(b_embed), used, above)
 
 
 def _extend(
@@ -608,30 +621,48 @@ def _candidates(M: LinearSpace, pair_space: LinearSpace, phi: dict[int, int], x:
     return sorted(near)
 
 
+def _moves(pair_space: LinearSpace, fixed: dict[int, int], x: int, y: int) -> bool:
+    """Whether an automorphism of the pair fixes `fixed` pointwise and
+    sends x to y.  One existence test: an embedding of the pair into
+    itself is an automorphism, so it asks whether the map that fixes
+    `fixed` and sends x to y extends to one.  No group is listed."""
+    trial = {**fixed, x: y}
+    return preserves_lines(pair_space, pair_space, trial) and next(
+        embeddings_over_base(pair_space, pair_space, trial, trial), None
+    ) is not None
+
+
 @lru_cache(maxsize=64)
 def _orbit_floors(pair_space: LinearSpace, base: frozenset[int]) -> tuple[tuple[int, ...], ...]:
     """above[y] for the stabilizer-chain rule: the extension points x_i
     whose orbit O_i holds y != x_i.  With x_1 < x_2 < ... the extension
     points, O_i is the orbit of x_i under the automorphisms of the pair
-    that fix B and x_1, ..., x_{i-1} pointwise, so y > x_i.
-
-    Membership is one existence test: an embedding of the pair into
-    itself is an automorphism, so y is in O_i exactly when the map that
-    fixes B + x_1 ... x_{i-1} and sends x_i to y extends to one.  The
-    group itself is never listed.
+    that fix B and x_1, ..., x_{i-1} pointwise, so y > x_i.  Membership
+    is _moves' existence test.
     """
     ext = sorted(set(range(pair_space.n)) - base)
     above: list[list[int]] = [[] for _ in range(pair_space.n)]
     fixed = {b: b for b in base}
     for i, x in enumerate(ext):
         for y in ext[i + 1:]:
-            trial = {**fixed, x: y}
-            if preserves_lines(pair_space, pair_space, trial) and next(
-                embeddings_over_base(pair_space, pair_space, trial, trial), None
-            ) is not None:
+            if _moves(pair_space, fixed, x, y):
                 above[y].append(x)
         fixed[x] = x
     return tuple(map(tuple, above))
+
+
+@lru_cache(maxsize=64)
+def _orbit_reps(pair_space: LinearSpace, base: frozenset[int]) -> tuple[int, ...]:
+    """The least point of each orbit of the extension points under the
+    automorphisms of the pair that fix B pointwise, ascending.  Orbits
+    partition the points, so a point starts a new orbit exactly when
+    _moves sends no earlier representative onto it."""
+    fixed = {b: b for b in base}
+    reps: list[int] = []
+    for y in sorted(set(range(pair_space.n)) - base):
+        if not any(_moves(pair_space, fixed, x, y) for x in reps):
+            reps.append(y)
+    return tuple(reps)
 
 
 def copies_over_base(
@@ -639,9 +670,13 @@ def copies_over_base(
     pair_space: LinearSpace,
     base: Iterable[int],
     b_embed: dict[int, int],
+    *,
+    touching: Optional[Iterable[int]] = None,
 ) -> list[frozenset[int]]:
     """Distinct extension images phi(C) of the embeddings_over_base,
-    sorted; more than COPY_CAP of them raises SizeLimit.
+    sorted; more than COPY_CAP of them raises SizeLimit.  With
+    `touching`, points of M, only the images that meet those points: the
+    full list filtered, in the same order, with the cap on what is kept.
 
     Each image is collected once, by the stabilizer-chain rule of
     subgraph enumeration (Grochow and Kellis, RECOMB 2007).  Embeddings
@@ -651,13 +686,53 @@ def copies_over_base(
     the orbit of x_i under the automorphisms that fix x_1 ... x_{i-1}
     indexes the choices of g left at step i, and exactly one of them
     puts x_i at the least image, so each image is reached by one leaf.
+
+    A touching search runs the same search once for each representative
+    x of an orbit of those automorphisms (_orbit_reps) and each touched
+    point t on enough lines, with x added to the base and sent to t.  It
+    is complete: a copy phi(C) through t has phi(y) = t for some y, and
+    y = g(x) for the representative x of its orbit, so phi o g is an
+    embedding with the same image that sends x to t.  An image through
+    several touched points is reached once for each, and kept once.
     """
-    images: list[frozenset[int]] = []
-    for phi in _search(M, pair_space, base, b_embed, one_per_image=True):
-        images.append(frozenset(phi[x] for x in phi if x not in b_embed))
+    if touching is None:
+        leaves = _search(M, pair_space, base, b_embed, one_per_image=True)
+    else:
+        leaves = _leaves_touching(M, pair_space, base, b_embed, touching)
+    images: set[frozenset[int]] = set()
+    for phi in leaves:
+        images.add(frozenset(phi[x] for x in phi if x not in b_embed))
         if len(images) > COPY_CAP:
             raise SizeLimit(f"more than {COPY_CAP} copies")
     return sorted(images, key=sorted)
+
+
+def _leaves_touching(
+    M: LinearSpace,
+    pair_space: LinearSpace,
+    base: Iterable[int],
+    b_embed: dict[int, int],
+    touching: Iterable[int],
+) -> Iterator[dict[int, int]]:
+    """The leaves of copies_over_base's touching search: those of each
+    search with a representative x sent to a touched point t, where that
+    map of B + x is injective, on points with enough lines, and preserves
+    collinearity."""
+    _check_embedding(M, pair_space, base, b_embed)
+    want = points_of(_mask(M.n, touching))
+    used = set(b_embed.values())
+    pins = (
+        {**b_embed, x: t}
+        for x in _orbit_reps(pair_space, frozenset(b_embed))
+        for t in want
+        if t not in used and M.degrees[t] >= pair_space.degrees[x]
+    )
+    return (
+        phi
+        for pin in pins
+        if preserves_lines(pair_space, M, pin)
+        for phi in _leaves(M, pair_space, pin, one_per_image=True)
+    )
 
 
 def _max_disjoint(sets: Iterable[frozenset[int]]) -> int:

@@ -343,3 +343,34 @@ def refine_reference(space, colors):
         if len(set(new)) == len(set(colors)):
             return new
         colors = new
+
+
+def automorphism_orbits_oracle(space, base):
+    """The orbits of the points outside `base` under the permutations
+    that fix it pointwise and map collinear triples exactly onto
+    collinear triples.  Every such permutation is listed, by a backtrack
+    that maps the points in order and drops a partial map once a triple
+    of its domain breaks the rule."""
+    coll = {frozenset(t) for ln in space.lines for t in combinations(ln, 3)}
+    rest = sorted(set(range(space.n)) - set(base))
+    orbit = {x: set() for x in rest}
+
+    def extend(phi, i):
+        if i == len(rest):
+            for x in rest:
+                orbit[x].add(phi[x])
+            return
+        x = rest[i]
+        for y in rest:
+            if y in phi.values():
+                continue
+            phi[x] = y
+            if all(
+                (frozenset((x, u, v)) in coll) == (frozenset((y, phi[u], phi[v])) in coll)
+                for u, v in combinations([p for p in phi if p != x], 2)
+            ):
+                extend(phi, i + 1)
+            del phi[x]
+
+    extend({b: b for b in base}, 0)
+    return {frozenset(o) for o in orbit.values()}

@@ -5,6 +5,7 @@ import pytest
 from steinergeom import (
     ALPHA_CODE,
     BuildStep,
+    D_k,
     FormatError,
     LinearSpace,
     MuFunction,
@@ -20,6 +21,7 @@ from steinergeom import (
     stats,
     to_trace_v1,
 )
+from steinergeom import builder
 from steinergeom.amalgam import _glue
 from steinergeom.errors import SizeLimit, TooManyPoints
 from steinergeom.space import MAX_POINTS
@@ -199,6 +201,47 @@ def test_build_trace_is_pinned(alpha):
     assert digest == PINNED_TRACES[alpha]
 
 
+# sha256 of to_trace_v1(build(mu, 1500, seed, template_max)) keyed by
+# (template_max, alpha, seed, D_1 cap), mu = MuFunction(alpha) with D_1's
+# code capped at that value when it is not None.  Template max 11 adds
+# D_2 and 15 adds D_3, whose automorphisms are not point-transitive, and
+# a cap of 3 realizes three Fano planes: the empty-base cap check keeps
+# its copies across the run and searches only the points added since
+PINNED_EMPTY_BASE_TRACES = {
+    (11, 1, 0, None): "39156650c16df4ce4ab516e19eeb7b60c5334c2d7729a44d651256ae94c0b03e",
+    (11, 1, 0, 3): "98d0f14c4ca2f464128613fa98f096138d22d64fc84cbc1c17fbd65cc7412d65",
+    (11, 1, 7, None): "687b7bf1e94765bcc5ba07832025105c54f2d4e6ae5a0586dee7293a89318853",
+    (11, 1, 7, 3): "2ea0a4198db5606820f496d51cae8886dc8cba92a333a5a7270b7ff07d0f2a12",
+    (11, 2, 0, None): "e6d007b8269e23793566977e7ea3a1c2a28fe1c813486eda478caacc0d143362",
+    (11, 2, 0, 3): "abe07f96bd43da1cf088eb9756a639d0892911933c8acb50733671c9716623f2",
+    (11, 2, 7, None): "6bc3ae0f38e08c57fb0ac3725e6b7c214079e8633d0ed240950a09eaf986e5c0",
+    (11, 2, 7, 3): "d68669bdbd19f4d5354752330aafd4314d9adaef1c911617887edc09d8027562",
+    (15, 1, 0, None): "e1fb009377e0828ad063fbccfc3c1ac136bc655b1a2572f1af8d57e55c3f179d",
+    (15, 1, 0, 3): "4bf43beb73c0b66c3124972dda88f8dee5b472194cb8092d14e3eea3ed62b160",
+    (15, 1, 7, None): "703e8444230e989b507161c6616919a95207ae5fc56a600a7eda92c752e65c82",
+    (15, 1, 7, 3): "2d5e050dbbd22666d5e58bf2c94ee4e2180b92649053f1f0a7bffff431e45b14",
+    (15, 2, 0, None): "eaa5d705b0f7aa8d491eef9925b42725723836e38c171b18cfeb7762270a0ff9",
+    (15, 2, 0, 3): "5abfc3eb5b81da9ff5a2b2a14387da44fe31089aaf37e9928f0a8224c616928f",
+    (15, 2, 7, None): "fc7f5b94acda08b07fadc39219f399fe262901a3ce26a4cd3166f19674000442",
+    (15, 2, 7, 3): "d6fb8ebf6164cdcfb1acbb99e1947b74b1a468fc3d9c98ea1849a77278f0de51",
+}
+
+
+@pytest.mark.parametrize("template_max, alpha, seed, cap", sorted(PINNED_EMPTY_BASE_TRACES, key=str))
+def test_empty_base_trace_is_pinned(template_max, alpha, seed, cap):
+    mu = MuFunction(alpha, {D_k(1).code: cap} if cap else None)
+    _, trace = build(mu, 1500, seed, template_max)
+    digest = hashlib.sha256(to_trace_v1(trace).encode()).hexdigest()
+    assert digest == PINNED_EMPTY_BASE_TRACES[(template_max, alpha, seed, cap)]
+
+
+def test_empty_base_copies_past_the_cap_raise(monkeypatch):
+    # the third Fano plane takes the copies kept for D_1 past a cap of 2
+    monkeypatch.setattr(builder, "COPY_CAP", 2)
+    with pytest.raises(SizeLimit, match="more than 2 copies"):
+        build(MuFunction(1, {D_k(1).code: 3}), 1500, 0, 11)
+
+
 def _replay(trace, alpha):
     """The structures a parsed trace passes through, the empty space
     first and one more after each step, rebuilt with with_lines and _glue
@@ -273,6 +316,15 @@ def test_default_templates():
     assert all(gp.space.n <= 10 for gp in tpls)
     # raising the cap only adds templates
     assert set(codes) <= {gp.code for gp in default_templates(14)}
+
+
+def test_default_templates_are_a_fresh_list_of_shared_pairs():
+    # the pairs are verified and coded once; each call gets its own list
+    first = default_templates(11)
+    first.clear()
+    again = default_templates(11)
+    assert again and again is not default_templates(11)
+    assert all(a is b for a, b in zip(again, default_templates(11)))
 
 
 def test_chain_link_pair_shape():

@@ -325,6 +325,15 @@ def test_chi_refuses_an_image_outside_the_points(tmp_path, fano_file, capsys):
     assert out.out == "" and "point 100" in out.err
 
 
+def test_chi_embed_of_the_wrong_length_names_no_line(tmp_path, fano_file, capsys):
+    # an argument, not a file row: the message carries no line number
+    pair = tmp_path / "alpha.gp"
+    pair.write_text(to_gp_v1(LinearSpace(3, [(0, 1, 2)]), [0, 1]))
+    assert main(["chi", fano_file, "--pair", str(pair), "--embed", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --embed must list one image per base point\n"
+
+
 @pytest.mark.parametrize(
     "cmd, ids, named",
     [("d", "+1,2", "'+1'"), ("icl", "1_0", "'1_0'"), ("d", "-1", "'-1'"), ("icl", "0,7", "point 7 ")],

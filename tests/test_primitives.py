@@ -53,6 +53,7 @@ from steinergeom.tight import iter_candidate_sets
 from test_amalgam import grow_k0
 from oracle import (
     affine_plane_3,
+    automorphism_orbits_oracle,
     chi_oracle,
     copies_oracle,
     decompose_oracle,
@@ -648,6 +649,125 @@ def test_orbits_come_from_existence_tests(monkeypatch):
     # one leaf per copy: C(9, 8) images in a 9-point host with no lines
     assert len(list(primitives._search(LinearSpace(9, []), P, (), {}, floors))) == 9
     assert len(copies_over_base(LinearSpace(9, []), P, (), {})) == 9
+
+
+EMPTY_BASE_PAIRS = (D_k(1), D_k(2), D_k(3))
+
+
+def _touching_sets(rng, M, copies):
+    """Point sets to search through: each point of each copy alone, since
+    D_2 and D_3 have several orbits; suffixes, which the builder asks
+    for; random samples; and the empty set."""
+    sets = [[p] for c in copies for p in sorted(c)]
+    sets += [range(k, M.n) for k in rng.sample(range(M.n), 3)]
+    sets += [rng.sample(range(M.n), 5) for _ in range(3)]
+    return sets + [[]]
+
+
+def _assert_touching_filters(rng, M, pair_space, base, emb):
+    full = copies_over_base(M, pair_space, base, emb)
+    for T in _touching_sets(rng, M, full):
+        want = [c for c in full if c & set(T)]
+        assert copies_over_base(M, pair_space, base, emb, touching=T) == want
+    return len(full)
+
+
+@pytest.mark.parametrize("template_max", [11, 15])
+def test_touching_copies_filter_the_full_search_on_builder_snapshots(template_max):
+    # D_1 capped at 3 realizes three Fano planes; D_2 and D_3 once each
+    rng = Random(template_max)
+    mu = MuFunction(1, {D_k(1).code: 3})
+    _, trace = build(mu, 1500, 0, template_max)
+    found = Counter()
+    for _, snap in trace.snapshots[4::4]:
+        for gp in EMPTY_BASE_PAIRS:
+            found[gp.code] += _assert_touching_filters(rng, snap, gp.space, (), {})
+    assert found[D_k(1).code] >= 3 and found[D_k(2).code] >= 1
+    assert template_max < 15 or found[D_k(3).code] >= 1
+
+
+def _grown(rng, M, steps):
+    """M with `steps` fresh points, each put on a line with two points on
+    no common line or at the end of a random line: strong extensions, so
+    a structure in K_0 stays in K_0."""
+    for _ in range(steps):
+        p = M.n
+        a, b = rng.sample(range(M.n), 2)
+        if M.line_through(a, b) is None:
+            M = M.with_lines(p + 1, add=[(a, b, p)])
+        elif M.lines:
+            ln = rng.choice(M.lines)
+            M = M.with_lines(p + 1, add=[ln + (p,)], drop=[ln])
+    return M
+
+
+def test_touching_copies_filter_the_full_search_on_random_k0_spaces():
+    # random K_0 spaces beside disjoint D_1, D_2 and D_3 copies, grown by
+    # strong one-point steps and relabelled
+    rng = Random(83)
+    seen = 0
+    for _ in range(6):
+        M = random_k0(rng, rng.randrange(6, 12))
+        for k in rng.sample((1, 1, 2, 3), 3):
+            M = free_amalgam(M, D_k(k).space, [])
+        M = _grown(rng, M, 12)
+        perm = rng.sample(range(M.n), M.n)
+        M = LinearSpace(M.n, [[perm[p] for p in ln] for ln in M.lines])
+        for gp in EMPTY_BASE_PAIRS:
+            seen += _assert_touching_filters(rng, M, gp.space, (), {})
+    assert seen >= 18
+
+
+def test_touching_copies_filter_the_full_search_over_bases():
+    # C_1 and the chain link over the base maps of the copy-search hosts
+    rng, hosts = _copy_search_hosts()
+    pairs = (cycle_Ck(1), chain_link_pair())
+    checked = multi = 0
+    for M, maps in hosts:
+        for gp in pairs:
+            base = sorted(gp.base)
+            imgs = maps.get(gp.code, []) + (maps.get(None, []) if len(base) == 2 else [])
+            imgs += [tuple(rng.sample(range(M.n), len(base))) for _ in range(4)]
+            for img in imgs:
+                emb = dict(zip(base, img))
+                if preserves_lines(gp.space, M, emb):
+                    multi += _assert_touching_filters(rng, M, gp.space, base, emb) > 1
+                    checked += 1
+    assert checked > 100 and multi >= 4
+
+
+def test_orbit_reps_match_brute_force_orbits():
+    rng = Random(89)
+    pairs = [(gp.space, gp.base) for gp in default_templates(15) + [cycle_Ck(3)]]
+    for _ in range(30):
+        P = random_space(rng, rng.randrange(2, 8))
+        pairs.append((P, frozenset(rng.sample(range(P.n), rng.randrange(0, P.n)))))
+    for space, base in pairs:
+        orbits = automorphism_orbits_oracle(space, base)
+        assert primitives._orbit_reps(space, frozenset(base)) == tuple(sorted(min(o) for o in orbits))
+
+
+def test_touching_refuses_points_outside_the_host():
+    F = D_k(1).space
+    with pytest.raises(ValueError, match="point 7"):
+        copies_over_base(F, F, (), {}, touching=[0, 7])
+    with pytest.raises(ValueError, match="point -1"):
+        copies_over_base(F, F, (), {}, touching=[-1])
+    # the base embedding is checked even when no point is touched
+    with pytest.raises(ValueError):
+        copies_over_base(F, cycle_Ck(1).space, [0, 1], {0: 0, 1: 0}, touching=[])
+
+
+def test_touching_copies_past_the_cap_raise(monkeypatch):
+    # two isolated points over the empty base: C(12, 2) = 66 images, 11
+    # through point 0
+    monkeypatch.setattr(primitives, "COPY_CAP", 20)
+    M, P = LinearSpace(12, []), LinearSpace(2, [])
+    assert len(copies_over_base(M, P, (), {}, touching=[0])) == 11
+    with pytest.raises(SizeLimit):
+        copies_over_base(M, P, (), {}, touching=range(3, 12))
+    with pytest.raises(SizeLimit):
+        copies_over_base(M, P, (), {})
 
 
 @pytest.mark.parametrize("nb", [0, 2, 3])
